@@ -12,7 +12,6 @@ import dataclasses
 import logging
 import os
 import sys
-from datetime import datetime
 from pathlib import Path
 
 from . import airframe, config, firmware, flightsim, groundstation, mission, pipeline, \
@@ -100,22 +99,10 @@ def _cmd_report(args) -> int:
     ground = ground_path.read_bytes()
     profile = wxindices.build_profile(air, ground)
     report = wxindices.build_report(profile)
-    generated_at = (datetime.fromisoformat(args.timestamp) if args.timestamp
-                    else report.collection_time)
-    if profile.levels:
-        bundle = groundstation.build_bundle(report, profile,
-                                            sources=(str(air_path), str(ground_path)),
-                                            generated_at=generated_at)
-        written = groundstation.write_bundle(bundle, args.out)
-    else:
-        # no air levels: surface-only report, nothing to plot
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(groundstation.render_text_report(report),
-                                        encoding="ascii")
-        (out / "report.json").write_text(groundstation.render_json_report(report),
-                                         encoding="ascii")
-        written = [out / "report.txt", out / "report.json"]
+    bundle = groundstation.build_bundle(report, profile,
+                                        sources=(str(air_path), str(ground_path)),
+                                        generated_at=report.collection_time)
+    written = groundstation.write_bundle(bundle, args.out)
     print(f"wrote {len(written)} report files to {args.out}")
     print(groundstation.render_text_report(report), end="")
     return EXIT_OK
@@ -202,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="build the weather report from synced logs")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--timestamp", help="ISO timestamp for reproducible output")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("sizing", help="print the airframe performance summary")

@@ -1,21 +1,25 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
-Sections map 1:1 onto the library dataclasses; unknown keys are rejected
-so typos fail loudly.  Every field has a shipped default, so a partial
-(or empty) document is a valid configuration.
+Sections map 1:1 onto the library dataclasses.  Every key overrides the
+shipped default, nested objects merge into the default at their level, and
+each value must match its field's annotation (a JSON integer is accepted
+where a float is expected); unknown keys are rejected so typos fail loudly.
+An empty document is the shipped default.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .airframe import AirframeConfig, BatterySpec, MotorSpec, PropSpec, reference_config
+from .airframe import AirframeConfig, reference_config
 from .firmware import FirmwareConfig
-from .flightsim import Environment, SensorNoise
+from .flightsim import Environment
 from .mission import DEFAULT_HEADINGS, DEFAULT_HOME
 
 
@@ -59,117 +63,61 @@ def default_run_config() -> RunConfig:
     )
 
 
-def _build(cls, section: dict, name: str, converters: dict | None = None):
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - set(fields))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in section.items():
-        if converters and key in converters:
-            value = converters[key](value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {name!r} section: {exc}") from exc
+_EXPECTED = {float: "a number", int: "an integer", str: "a string",
+             datetime: "an ISO datetime string"}
+
+_hints = functools.cache(typing.get_type_hints)  # resolved field annotations, per class
 
 
-def _parse_airframe(section: dict) -> AirframeConfig:
-    defaults = reference_config()
-    merged = {
-        "motor": defaults.motor, "prop": defaults.prop, "battery": defaults.battery,
-        "n_motors": defaults.n_motors, "total_mass": defaults.total_mass,
-        "frame_drag_coefficient": defaults.frame_drag_coefficient,
-        "body_drag_area": defaults.body_drag_area, "mtbf_hours": defaults.mtbf_hours,
-    }
-    converters = {
-        "motor": lambda v: _build(MotorSpec, v, "airframe.motor"),
-        "prop": lambda v: _build(PropSpec, v, "airframe.prop"),
-        "battery": lambda v: _build(BatterySpec, v, "airframe.battery"),
-    }
-    known = set(merged)
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in 'airframe': {', '.join(unknown)}")
-    for key, value in section.items():
-        merged[key] = converters[key](value) if key in converters else value
+def _convert(hint, value, path: str):
+    """A JSON leaf value as the annotated type; ConfigError names ``path`` otherwise."""
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if hint in (int, str) and type(value) is hint:
+        return value
+    if hint is datetime and isinstance(value, str):
+        try:
+            return datetime.fromisoformat(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path} must be an ISO datetime string: {exc}") from exc
+    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        item_hint, *rest = typing.get_args(hint)
+        if rest != [Ellipsis] and len(value) != 1 + len(rest):
+            raise ConfigError(f"{path} must have {1 + len(rest)} items, got {len(value)}")
+        return tuple(_convert(item_hint, item, f"{path}[{i}]") for i, item in enumerate(value))
+    expected = _EXPECTED.get(hint, "an array")
+    raise ConfigError(f"{path} must be {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _build(default, document, path: str):
+    """``default`` with the keys of ``document`` overridden, recursing into nested dataclasses."""
+    if not isinstance(document, dict):
+        raise ConfigError(f"{path or 'configuration root'} must be an object")
+    hints = _hints(type(default))
+    changes = {}
+    for key, value in document.items():
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"{where} is not a known key")
+        if dataclasses.is_dataclass(hints[key]):
+            changes[key] = _build(getattr(default, key), value, where)
+        else:
+            changes[key] = _convert(hints[key], value, where)
     try:
-        return AirframeConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'airframe' section: {exc}") from exc
+        return dataclasses.replace(default, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def from_dict(document: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, applying defaults."""
-    if not isinstance(document, dict):
-        raise ConfigError("configuration root must be an object")
-    known_sections = {"airframe", "environment", "firmware", "mission"}
-    unknown = sorted(set(document) - known_sections)
-    if unknown:
-        raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
-    base = default_run_config()
-
-    airframe = _parse_airframe(document["airframe"]) if "airframe" in document else base.airframe
-
-    env_section = dict(document.get("environment", {}))
-    env_defaults = dataclasses.asdict(base.environment)
-    env_defaults["sensor_noise"] = base.environment.sensor_noise
-    env_conv = {"sensor_noise": lambda v: _build(SensorNoise, v, "environment.sensor_noise")}
-    if not isinstance(env_section, dict):
-        raise ConfigError("section 'environment' must be an object")
-    merged_env = dict(env_defaults)
-    unknown = sorted(set(env_section) - set(env_defaults))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in 'environment': {', '.join(unknown)}")
-    for key, value in env_section.items():
-        merged_env[key] = env_conv[key](value) if key in env_conv else value
-    try:
-        environment = Environment(**merged_env)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'environment' section: {exc}") from exc
-
-    fw_section = dict(document.get("firmware", {}))
-    fw_defaults = {f.name: getattr(base.firmware, f.name)
-                   for f in dataclasses.fields(FirmwareConfig)}
-    unknown = sorted(set(fw_section) - set(fw_defaults))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in 'firmware': {', '.join(unknown)}")
-    merged_fw = dict(fw_defaults)
-    for key, value in fw_section.items():
-        if key == "rtc_start":
-            try:
-                value = datetime.fromisoformat(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"firmware.rtc_start must be an ISO datetime: {exc}") from exc
-        merged_fw[key] = value
-    try:
-        fw = FirmwareConfig(**merged_fw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'firmware' section: {exc}") from exc
-
-    mission_conv = {
-        "headings": lambda v: tuple(float(h) for h in v),
-        "home": lambda v: (float(v[0]), float(v[1])),
-    }
-    params = _build(MissionParams, document.get("mission", {}), "mission", mission_conv)
-
-    return RunConfig(airframe=airframe, environment=environment, firmware=fw, mission=params)
+    return _build(default_run_config(), document, "")
 
 
 def to_dict(cfg: RunConfig) -> dict:
     """Inverse of from_dict, suitable for json.dump."""
-    doc = {
-        "airframe": dataclasses.asdict(cfg.airframe),
-        "environment": dataclasses.asdict(cfg.environment),
-        "firmware": dataclasses.asdict(cfg.firmware),
-        "mission": dataclasses.asdict(cfg.mission),
-    }
+    doc = dataclasses.asdict(cfg)
     doc["firmware"]["rtc_start"] = cfg.firmware.rtc_start.isoformat()
-    doc["mission"]["headings"] = list(cfg.mission.headings)
-    doc["mission"]["home"] = list(cfg.mission.home)
     return doc
 
 

@@ -10,7 +10,7 @@ before CRLF produced by the device's print-call sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -124,7 +124,6 @@ class FirmwareState:
     run_flag: bool = False
     listen_flag: bool = False
     ground_count: int = 0
-    buzzer_events: list[tuple[int, int]] = field(default_factory=list)  # (clock ms, ms)
 
 
 def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
@@ -182,7 +181,6 @@ def tick(state: FirmwareState, sample: SensorSample, clock_ms: int,
     effects: list[tuple] = []
     if state.phase is Phase.GROUND:
         effects.append(("buzzer", GROUND_BUZZ_MS))
-        state.buzzer_events.append((clock_ms, GROUND_BUZZ_MS))
         if sd.append(GROUND_LOG, format_row(sample)):
             effects.append(("log", GROUND_LOG))
             effects.append(("wait", cfg.ground_delay_ms))
@@ -203,7 +201,6 @@ def tick(state: FirmwareState, sample: SensorSample, clock_ms: int,
     if state.run_flag and state.interval > cfg.server_threshold and not state.listen_flag:
         effects.append(("server_start",))
         effects.append(("buzzer", SERVER_BUZZ_MS))
-        state.buzzer_events.append((clock_ms, SERVER_BUZZ_MS))
         state.listen_flag = True
         state.phase = Phase.SERVING
     return state, effects

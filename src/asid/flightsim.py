@@ -76,7 +76,7 @@ class RawReading:
     pressure: float     # Pa
 
 
-def true_sample(env: Environment, altitude: float, t: float, rng: random.Random) -> RawReading:
+def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawReading:
     """Sample the environment at an altitude; deterministic for a given rng state."""
     if altitude < 0.0:
         raise ValueError("altitude must be non-negative")

@@ -167,15 +167,16 @@ def render_json_report(report: WxReport) -> str:
 
 def build_bundle(report: WxReport, profile: SoundingProfile, sources: tuple[str, ...],
                  generated_at: datetime) -> ReportBundle:
-    return ReportBundle(report=report, plots=render_plots(profile),
-                        sources=sources, generated_at=generated_at)
+    """The report plus its plots; a profile without air levels (surface only) has none."""
+    plots = render_plots(profile) if profile.levels else {}
+    return ReportBundle(report=report, plots=plots, sources=sources, generated_at=generated_at)
 
 
 def write_bundle(bundle: ReportBundle, out_dir) -> list[Path]:
-    """Write report.txt, report.json and the plots/ directory; returns the paths."""
+    """Write report.txt, report.json and, if there are plots, the plots/ directory;
+    returns the paths."""
     directory = Path(out_dir)
-    plots_dir = directory / "plots"
-    plots_dir.mkdir(parents=True, exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
     written = []
     text_path = directory / "report.txt"
     text_path.write_text(render_text_report(bundle.report), encoding="ascii")
@@ -183,8 +184,10 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list[Path]:
     json_path = directory / "report.json"
     json_path.write_text(render_json_report(bundle.report), encoding="ascii")
     written.append(json_path)
-    for name in PLOT_NAMES:
-        path = plots_dir / f"{name}.svg"
-        path.write_text(bundle.plots[name], encoding="ascii")
+    if bundle.plots:
+        (directory / "plots").mkdir(exist_ok=True)
+    for name, svg in bundle.plots.items():
+        path = directory / "plots" / f"{name}.svg"
+        path.write_text(svg, encoding="ascii")
         written.append(path)
     return written

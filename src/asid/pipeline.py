@@ -54,14 +54,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     env = cfg.environment
     rng = random.Random(env.rng_seed)
 
-    plan = mission.generate_sounding_profile(
-        target_alt=cfg.mission.target_alt,
-        start_alt=cfg.mission.start_alt,
-        step=cfg.mission.step,
-        headings=cfg.mission.headings,
-        capture_dwell=cfg.mission.capture_dwell,
-        home=cfg.mission.home,
-    )
+    plan = mission.generate_sounding_profile(**vars(cfg.mission))
     ceiling = service_ceiling(cfg.airframe)
     violations = mission.validate(plan, ceiling)
     if violations:
@@ -73,12 +66,12 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
              trajectory.duration, trajectory.max_altitude, len(trajectory.camera_events))
 
     sd = SdCardImage()
-    first = flightsim.true_sample(env, 0.0, 0.0, rng)
+    first = flightsim.true_sample(env, 0.0, rng)
     state = firmware.setup(cfg.firmware, first.pressure)
 
     clock = 0  # ms, logger clock; the flight starts when the ground phase ends
     while state.phase is Phase.GROUND:
-        reading = flightsim.true_sample(env, 0.0, clock / 1000.0, rng)
+        reading = flightsim.true_sample(env, 0.0, rng)
         sample = firmware.make_sample(cfg.firmware, state, reading.temperature,
                                       reading.humidity, reading.pressure, clock)
         state, effects = firmware.tick(state, sample, clock, sd)
@@ -87,9 +80,8 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
     flight_ms = int(trajectory.duration * 1000.0)
     while clock - ground_end <= flight_ms and state.phase is not Phase.SERVING:
-        t_rel = (clock - ground_end) / 1000.0
-        altitude = trajectory.altitude_at(t_rel)
-        reading = flightsim.true_sample(env, altitude, t_rel, rng)
+        altitude = trajectory.altitude_at((clock - ground_end) / 1000.0)
+        reading = flightsim.true_sample(env, altitude, rng)
         sample = firmware.make_sample(cfg.firmware, state, reading.temperature,
                                       reading.humidity, reading.pressure, clock)
         state, effects = firmware.tick(state, sample, clock, sd)

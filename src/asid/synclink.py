@@ -17,7 +17,6 @@ import enum
 import socket
 import threading
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 
 from .firmware import AIR_LOG, GROUND_LOG, SdCardImage
@@ -65,9 +64,6 @@ class HttpFileResponse:
         for offset in range(0, len(self.body), CHUNK_SIZE):
             writes.append(self.body[offset:offset + CHUNK_SIZE])
         return writes
-
-    def to_bytes(self) -> bytes:
-        return b"".join(self.wire_writes())
 
 
 def serve_file(name: str, sd: SdCardImage) -> HttpFileResponse | None:
@@ -201,7 +197,6 @@ def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> by
 class SyncResult:
     air: bytes
     ground: bytes
-    fetched_at: datetime
 
 
 def sync(host: str, port: int, out_dir=None, timeout: float = 10.0) -> SyncResult:
@@ -211,7 +206,7 @@ def sync(host: str, port: int, out_dir=None, timeout: float = 10.0) -> SyncResul
     """
     air = fetch(host, port, RouteTarget.AIR, timeout)
     ground = fetch(host, port, RouteTarget.GROUND, timeout)
-    result = SyncResult(air=air, ground=ground, fetched_at=datetime.now())
+    result = SyncResult(air=air, ground=ground)
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from pathlib import Path
@@ -60,6 +61,42 @@ class TestConfigLoading:
         assert cfg.environment.sensor_noise.temperature == 0.1
         assert cfg.firmware.rtc_start.year == 2021
         assert cfg.firmware.elevation == 45.0
+
+    def test_nested_partial_override_merges_into_default(self, tmp_path):
+        doc = {"airframe": {"motor": {"kv": 920.0}}}
+        cfg = config.load(_write_config(tmp_path / "c.json", doc))
+        default = config.default_run_config()
+        assert cfg.airframe == dataclasses.replace(
+            default.airframe, motor=dataclasses.replace(default.airframe.motor, kv=920.0))
+        assert cfg.environment == default.environment
+
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        doc = {"environment": {"surface_temperature": 25}}
+        cfg = config.load(_write_config(tmp_path / "c.json", doc))
+        assert cfg.environment.surface_temperature == 25.0
+        assert type(cfg.environment.surface_temperature) is float
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"environment": 5}, "environment"),
+        ({"firmware": 5}, "firmware"),
+        ({"airframe": 5}, "airframe"),
+        ({"mission": {"headings": 5}}, "mission.headings"),
+        ({"mission": {"home": [1]}}, "mission.home"),
+        ({"mission": {"target_alt": "40"}}, "mission.target_alt"),
+        ({"environment": {"rng_seed": "x"}}, "environment.rng_seed"),
+        ({"firmware": {"ground_samples": 2.5}}, "firmware.ground_samples"),
+        ({"firmware": {"ground_samples": True}}, "firmware.ground_samples"),
+        ({"environment": {"wind": None}}, "environment.wind"),
+        ([], "configuration root"),
+    ])
+    def test_bad_type_exits_config_error(self, doc, key, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "sd"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_round_trip_through_dict(self):
         cfg = config.default_run_config()

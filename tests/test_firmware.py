@@ -31,18 +31,22 @@ def _sample(cal_altitude, clock_s=0, temperature=15.0, humidity=50.0):
 
 def _run_flight(altitudes, cfg=None):
     """Drive the state machine over a cal-altitude sequence (one tick per entry
-    after the ground phase completes)."""
+    after the ground phase completes).  Returns the state, the card and the
+    durations of the ("buzzer", ms) effects in order."""
     cfg = cfg or FirmwareConfig(elevation=0.0)
     sd = SdCardImage()
     state = setup(cfg, 101325.0)
+    buzzes = []
     clock = 0
     while state.phase is Phase.GROUND:
         state, effects = tick(state, _sample(0.0, clock // 1000), clock, sd)
+        buzzes += [e[1] for e in effects if e[0] == "buzzer"]
         clock += 3500
     for altitude in altitudes:
         state, effects = tick(state, _sample(altitude, clock // 1000), clock, sd)
+        buzzes += [e[1] for e in effects if e[0] == "buzzer"]
         clock += 3000 if any(e[0] == "log" for e in effects) else 100
-    return state, sd
+    return state, sd, buzzes
 
 
 class TestSetup:
@@ -95,7 +99,7 @@ class TestGroundPhase:
 class TestAirPhase:
     def test_monotone_climb_produces_seven_rows(self):
         altitudes = [round(0.5 * i, 2) for i in range(1, 81)]  # 0.5 .. 40.0 m
-        state, sd = _run_flight(altitudes)
+        state, sd, _ = _run_flight(altitudes)
         assert sd.read(AIR_LOG).count(b"\r\n") == 7
         assert state.interval == 40.0
         assert state.phase is Phase.SERVING
@@ -108,27 +112,26 @@ class TestAirPhase:
 
     def test_low_flight_never_logs_or_serves(self):
         altitudes = [1.0, 2.0, 3.9, 3.9, 2.0, 0.5] * 10
-        state, sd = _run_flight(altitudes)
+        state, sd, _ = _run_flight(altitudes)
         assert not sd.exists(AIR_LOG)
         assert state.phase is Phase.AIR
         assert not state.listen_flag
 
     def test_buzzer_log_six_short_one_long(self):
         altitudes = [float(i) for i in range(1, 41)]
-        state, _ = _run_flight(altitudes)
-        durations = [d for _, d in state.buzzer_events]
-        assert durations == [500] * 6 + [5000]
+        _, _, buzzes = _run_flight(altitudes)
+        assert buzzes == [500] * 6 + [5000]
 
     def test_server_starts_once_past_threshold(self):
         altitudes = [float(i) for i in range(1, 41)] + [40.0] * 20
-        state, sd = _run_flight(altitudes)
+        state, _, buzzes = _run_flight(altitudes)
         assert state.listen_flag
         assert state.phase is Phase.SERVING
-        assert len([d for _, d in state.buzzer_events if d == 5000]) == 1
+        assert buzzes == [500] * 6 + [5000]
 
     def test_logging_stops_while_serving(self):
         altitudes = [float(i) for i in range(1, 41)] + [45.0, 50.0, 60.0]
-        state, sd = _run_flight(altitudes)
+        state, sd, _ = _run_flight(altitudes)
         assert sd.read(AIR_LOG).count(b"\r\n") == 7  # nothing after the server starts
 
 
@@ -139,7 +142,7 @@ class TestRowFormat:
 
     def test_every_row_ends_comma_crlf(self):
         altitudes = [float(i) for i in range(1, 41)]
-        _, sd = _run_flight(altitudes)
+        _, sd, _ = _run_flight(altitudes)
         for blob in (sd.read(GROUND_LOG), sd.read(AIR_LOG)):
             for line in blob.split(b"\r\n"):
                 if line:

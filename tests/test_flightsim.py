@@ -78,30 +78,30 @@ class TestStep:
 class TestTrueSample:
     def test_surface_values_exact_with_zero_noise(self):
         rng = random.Random(0)
-        reading = true_sample(CALM, 0.0, 0.0, rng)
+        reading = true_sample(CALM, 0.0, rng)
         assert reading.temperature == 15.0
         assert reading.humidity == 50.0
         assert reading.pressure == 1013.25 * 100.0
 
     def test_linear_lapse(self):
         rng = random.Random(0)
-        reading = true_sample(CALM, 1000.0, 10.0, rng)
+        reading = true_sample(CALM, 1000.0, rng)
         assert reading.temperature == pytest.approx(15.0 - 6.5, rel=1e-12)
 
     def test_humidity_clamped(self):
         env = Environment(surface_humidity=3.0, humidity_lapse=0.5)
-        reading = true_sample(env, 1000.0, 0.0, random.Random(0))
+        reading = true_sample(env, 1000.0, random.Random(0))
         assert reading.humidity == 0.0
 
     def test_equal_seeds_equal_samples(self):
         env = Environment(sensor_noise=SensorNoise(0.2, 0.5, 8.0))
-        a = [true_sample(env, h, 0.0, random.Random(9)) for h in (0.0, 10.0)]
-        b = [true_sample(env, h, 0.0, random.Random(9)) for h in (0.0, 10.0)]
+        a = [true_sample(env, h, random.Random(9)) for h in (0.0, 10.0)]
+        b = [true_sample(env, h, random.Random(9)) for h in (0.0, 10.0)]
         assert a == b
 
     def test_negative_altitude_rejected(self):
         with pytest.raises(ValueError):
-            true_sample(CALM, -1.0, 0.0, random.Random(0))
+            true_sample(CALM, -1.0, random.Random(0))
 
 
 class TestRunMission:
