@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atmosphere import ISA, G0, AtmosphereModel, density_ratio
+from .atmosphere import G0, TROPOPAUSE_M, density_ratio
 
 IN_TO_M = 0.0254          # inches to metres
 GF_TO_N = G0 / 1000.0     # gram-force to Newtons
@@ -134,38 +134,35 @@ def pitch_speed(prop: PropSpec, rpm: float) -> float:
     return rpm * IN_TO_M * prop.pitch / 60.0
 
 
-def prop_thrust(prop: PropSpec, rpm: float, v0: float = 0.0, *, as_printed: bool = False) -> float:
+def prop_thrust(prop: PropSpec, rpm: float, v0: float = 0.0) -> float:
     """Propeller thrust in Newtons at the given rpm and inflow speed v0 (m/s).
 
     F = 1.225 * pi*(0.0254*d)^2/4 * (Vp^2 - Vp*v0) * (d / (3.29546*pitch))^1.5
     with Vp the pitch speed.  Negative results signal inflow faster than
-    the pitch speed and are returned as-is.  ``as_printed`` switches the
-    disk term to (0.0254 + d)^2, which is not dimensionally meaningful but
-    kept selectable for comparison.
+    the pitch speed and are returned as-is.
     """
     if not 0.0 <= rpm <= prop.max_rpm:
         raise ValueError(f"rpm {rpm!r} outside [0, {prop.max_rpm}]")
     if v0 < 0.0:
         raise ValueError("inflow speed must be non-negative")
     vp = pitch_speed(prop, rpm)
-    disk = (IN_TO_M + prop.diameter) if as_printed else IN_TO_M * prop.diameter
+    disk = IN_TO_M * prop.diameter
     area = math.pi * disk * disk / 4.0
     correction = (prop.diameter / (3.29546 * prop.pitch)) ** 1.5
     return 1.225 * area * (vp * vp - vp * v0) * correction
 
 
-def thrust_at_altitude(static_thrust_sl: float, h: float, model: AtmosphereModel = ISA) -> float:
+def thrust_at_altitude(static_thrust_sl: float, h: float) -> float:
     """De-rate a sea-level static thrust (gram-force) to altitude h by density ratio."""
-    return static_thrust_sl * density_ratio(h, model)
+    return static_thrust_sl * density_ratio(h)
 
 
-def required_static_thrust(target_thrust_at_alt: float, h: float,
-                           model: AtmosphereModel = ISA) -> float:
+def required_static_thrust(target_thrust_at_alt: float, h: float) -> float:
     """Sea-level static thrust (gram-force) needed to deliver the target thrust at h."""
-    return target_thrust_at_alt / density_ratio(h, model)
+    return target_thrust_at_alt / density_ratio(h)
 
 
-def service_ceiling(cfg: AirframeConfig, model: AtmosphereModel = ISA) -> float:
+def service_ceiling(cfg: AirframeConfig) -> float:
     """Altitude (m) where the density-scaled thrust/weight ratio crosses 1.
 
     Bisection, resolved far below 1 m so that T/W at the returned altitude
@@ -176,9 +173,8 @@ def service_ceiling(cfg: AirframeConfig, model: AtmosphereModel = ISA) -> float:
         raise NoCeilingError(f"sea-level thrust/weight {tw0:.3f} <= 1; cannot climb")
 
     def tw(h: float) -> float:
-        return tw0 * density_ratio(h, model)
+        return tw0 * density_ratio(h)
 
-    from .atmosphere import TROPOPAUSE_M
     if tw(TROPOPAUSE_M) > 1.0:
         raise NoCeilingError("ceiling lies above the troposphere model range")
     lo, hi = 0.0, TROPOPAUSE_M
@@ -191,7 +187,7 @@ def service_ceiling(cfg: AirframeConfig, model: AtmosphereModel = ISA) -> float:
     return 0.5 * (lo + hi)
 
 
-def max_progressive_speed(cfg: AirframeConfig, model: AtmosphereModel = ISA) -> float:
+def max_progressive_speed(cfg: AirframeConfig) -> float:
     """Largest sustainable forward speed in km/h.
 
     Solves the full-throttle tilt equilibrium: thrust (with the free-stream

@@ -1,99 +1,60 @@
 """Standard-atmosphere model and the barometric conversions used on board.
 
-Two families of conversions live here and are deliberately kept apart:
+Two families of conversions live here and are deliberately kept apart,
+each with its own fixed constants:
 
 * the ISA troposphere closure (``isa_temperature`` / ``isa_pressure`` /
-  ``isa_density``), used by the airframe performance math, and
+  ``isa_density`` / ``density_ratio``), used by the airframe performance
+  math and the flight dynamics: p0, T0, L, R and the exponent g/(R*L), and
 * the altimeter arithmetic of the on-board logger (``mslp_from_station``,
   ``pressure_to_altitude``, ``linear_altitude``), which uses the logger's
   own constants (44330 m, 5.255, 0.12 hPa/m) so that emulated log files
-  reproduce the device arithmetic exactly.
+  reproduce the device arithmetic exactly.  The site elevation and the
+  sensor pressure correction are the only calibration inputs.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 G0 = 9.80665  # m/s^2, standard gravity
 
 TROPOPAUSE_M = 11000.0  # model validity limit
 
+# ISA troposphere
+SEA_LEVEL_PRESSURE = 101325.0   # Pa
+SEA_LEVEL_TEMPERATURE = 288.15  # K
+LAPSE_RATE = 0.0065             # K/m
+GAS_CONSTANT = 287.053          # J/(kg K)
+PRESSURE_EXPONENT = G0 / (GAS_CONSTANT * LAPSE_RATE)  # g/(R*L)
 
-@dataclass(frozen=True)
-class AtmosphereModel:
-    """Troposphere constants plus the on-board altimeter constants."""
-
-    sea_level_pressure: float = 101325.0   # Pa
-    sea_level_temperature: float = 288.15  # K
-    lapse_rate: float = 0.0065             # K/m
-    gas_constant: float = 287.053          # J/(kg K)
-    hypso_scale: float = 44330.0           # m
-    hypso_exponent: float = 5.255
-
-    def __post_init__(self) -> None:
-        if self.sea_level_pressure <= 0.0:
-            raise ValueError("sea_level_pressure must be positive")
-        if self.lapse_rate <= 0.0:
-            raise ValueError("lapse_rate must be positive")
-        if self.hypso_exponent <= 1.0:
-            raise ValueError("hypso_exponent must exceed 1")
-
-    @property
-    def pressure_exponent(self) -> float:
-        """g / (R * L), exponent of the troposphere pressure law."""
-        return G0 / (self.gas_constant * self.lapse_rate)
+# the logger's altimeter
+HYPSO_SCALE = 44330.0           # m
+HYPSO_EXPONENT = 5.255
+LINEAR_ALTIMETER_SLOPE = 0.12   # hPa per metre
 
 
-ISA = AtmosphereModel()
-
-
-@dataclass(frozen=True)
-class StationCalibration:
-    """Site calibration applied by the logger before any altimetry."""
-
-    elevation: float = 45.0                # m above sea level
-    pressure_correction: float = 0.995     # multiplicative sensor correction
-    linear_altimeter_slope: float = 0.12   # hPa per metre
-
-    def __post_init__(self) -> None:
-        if not 0.9 < self.pressure_correction <= 1.1:
-            raise ValueError("pressure_correction must lie in (0.9, 1.1]")
-        if self.linear_altimeter_slope <= 0.0:
-            raise ValueError("linear_altimeter_slope must be positive")
-        if not 0.0 <= self.elevation < ISA.hypso_scale:
-            raise ValueError("elevation must lie in [0, 44330) m")
-
-
-def _check_troposphere(h: float) -> None:
+def isa_temperature(h: float) -> float:
+    """Air temperature in K at altitude h (m), linear lapse; every ISA function checks h here."""
     if not 0.0 <= h <= TROPOPAUSE_M:
         raise ValueError(f"altitude {h!r} m outside troposphere model [0, {TROPOPAUSE_M:.0f}]")
+    return SEA_LEVEL_TEMPERATURE - LAPSE_RATE * h
 
 
-def isa_temperature(h: float, model: AtmosphereModel = ISA) -> float:
-    """Air temperature in K at altitude h (m), linear lapse."""
-    _check_troposphere(h)
-    return model.sea_level_temperature - model.lapse_rate * h
-
-
-def isa_pressure(h: float, model: AtmosphereModel = ISA) -> float:
+def isa_pressure(h: float) -> float:
     """Static pressure in Pa at altitude h (m): p0 * (T/T0)^(g/(R*L))."""
-    _check_troposphere(h)
-    t_ratio = isa_temperature(h, model) / model.sea_level_temperature
-    return model.sea_level_pressure * t_ratio ** model.pressure_exponent
+    return SEA_LEVEL_PRESSURE * (isa_temperature(h) / SEA_LEVEL_TEMPERATURE) ** PRESSURE_EXPONENT
 
 
-def isa_density(h: float, model: AtmosphereModel = ISA) -> float:
+def isa_density(h: float) -> float:
     """Air density in kg/m^3 at altitude h (m) from the ideal gas law."""
-    return isa_pressure(h, model) / (model.gas_constant * isa_temperature(h, model))
+    return isa_pressure(h) / (GAS_CONSTANT * isa_temperature(h))
 
 
-def density_ratio(h: float, model: AtmosphereModel = ISA) -> float:
-    """rho(h) / rho(0); the thrust de-rating factor with altitude."""
-    return isa_density(h, model) / isa_density(0.0, model)
+def density_ratio(h: float) -> float:
+    """rho(h) / rho(0) = (T/T0)^(g/(R*L) - 1); the thrust de-rating factor with altitude."""
+    return (isa_temperature(h) / SEA_LEVEL_TEMPERATURE) ** (PRESSURE_EXPONENT - 1.0)
 
 
-def mslp_from_station(p_raw: float, cal: StationCalibration, model: AtmosphereModel = ISA) -> float:
+def mslp_from_station(p_raw: float, elevation: float, pressure_correction: float) -> float:
     """Reduce a raw station pressure (Pa) to mean sea level, in hPa.
 
     Applies the sensor correction first, then the hypsometric reduction
@@ -101,20 +62,20 @@ def mslp_from_station(p_raw: float, cal: StationCalibration, model: AtmosphereMo
     """
     if p_raw <= 0.0:
         raise ValueError("station pressure must be positive")
-    reduction = (1.0 - cal.elevation / model.hypso_scale) ** model.hypso_exponent
-    return p_raw * cal.pressure_correction / reduction / 100.0
+    reduction = (1.0 - elevation / HYPSO_SCALE) ** HYPSO_EXPONENT
+    return p_raw * pressure_correction / reduction / 100.0
 
 
-def pressure_to_altitude(p: float, mslp: float, model: AtmosphereModel = ISA) -> float:
+def pressure_to_altitude(p: float, mslp: float) -> float:
     """Hypsometric altitude (m) of pressure p (Pa) against a sea-level reference (hPa)."""
     if p <= 0.0:
         raise ValueError("pressure must be positive")
-    return model.hypso_scale * (1.0 - (p / (mslp * 100.0)) ** (1.0 / model.hypso_exponent))
+    return HYPSO_SCALE * (1.0 - (p / (mslp * 100.0)) ** (1.0 / HYPSO_EXPONENT))
 
 
-def linear_altitude(p_hpa: float, mslp_hpa: float, cal: StationCalibration) -> float:
-    """Linear differential altimeter: (MSLP - p) / slope, both in hPa.
+def linear_altitude(p_hpa: float, mslp_hpa: float) -> float:
+    """Linear differential altimeter: (MSLP - p) / 0.12 hPa/m, both in hPa.
 
     May be negative when the station pressure exceeds the reference.
     """
-    return (mslp_hpa - p_hpa) / cal.linear_altimeter_slope
+    return (mslp_hpa - p_hpa) / LINEAR_ALTIMETER_SLOPE

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import typing
 from dataclasses import dataclass
 from datetime import datetime
@@ -63,7 +64,7 @@ def default_run_config() -> RunConfig:
     )
 
 
-_EXPECTED = {float: "a number", int: "an integer", str: "a string",
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
              datetime: "an ISO datetime string"}
 
 _hints = functools.cache(typing.get_type_hints)  # resolved field annotations, per class
@@ -71,7 +72,8 @@ _hints = functools.cache(typing.get_type_hints)  # resolved field annotations, p
 
 def _convert(hint, value, path: str):
     """A JSON leaf value as the annotated type; ConfigError names ``path`` otherwise."""
-    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:  # NaN and the infinities fail this
         return float(value)
     if hint in (int, str) and type(value) is hint:
         return value

@@ -10,13 +10,14 @@ before CRLF produced by the device's print-call sequence.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from . import wxindices
-from .atmosphere import StationCalibration, linear_altitude, mslp_from_station
+from .atmosphere import HYPSO_SCALE, linear_altitude, mslp_from_station
 
 GROUND_LOG = "ground.csv"
 AIR_LOG = "air.csv"
@@ -24,6 +25,12 @@ PHOTO_MANIFEST = "photos.json"
 
 GROUND_BUZZ_MS = 500
 SERVER_BUZZ_MS = 5000
+
+# the logger clock needs room to run past rtc_start without leaving the calendar
+RTC_LATEST_START = datetime.max.replace(microsecond=0) - timedelta(days=1)
+
+# Print::printFloat prints "ovf" beyond this magnitude
+ARDUINO_FLOAT_LIMIT = 4294967040.0
 
 
 class Phase(enum.Enum):
@@ -51,11 +58,12 @@ class FirmwareConfig:
             raise ValueError("ground_samples must be at least 1")
         if self.ground_delay_ms < 0 or self.air_delay_ms < 0:
             raise ValueError("delays must be non-negative")
-
-    @property
-    def calibration(self) -> StationCalibration:
-        return StationCalibration(elevation=self.elevation,
-                                  pressure_correction=self.pressure_correction)
+        if not 0.9 < self.pressure_correction <= 1.1:
+            raise ValueError("pressure_correction must lie in (0.9, 1.1]")
+        if not 0.0 <= self.elevation < HYPSO_SCALE:
+            raise ValueError(f"elevation must lie in [0, {HYPSO_SCALE:.0f}) m")
+        if self.rtc_start.replace(tzinfo=None) > RTC_LATEST_START:
+            raise ValueError(f"rtc_start must not be later than {RTC_LATEST_START.isoformat()}")
 
 
 @dataclass(frozen=True)
@@ -121,20 +129,24 @@ class FirmwareState:
     phase: Phase
     mslp_hpa: float
     interval: float
-    run_flag: bool = False
-    listen_flag: bool = False
     ground_count: int = 0
 
 
 def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
     """Power-on: reduce the first raw pressure to sea level and arm the logger."""
-    mslp = mslp_from_station(first_pressure_pa, cfg.calibration)
+    mslp = mslp_from_station(first_pressure_pa, cfg.elevation, cfg.pressure_correction)
     return FirmwareState(cfg=cfg, phase=Phase.GROUND, mslp_hpa=mslp,
                          interval=cfg.interval_start)
 
 
 def arduino_print_float(value: float, decimals: int) -> str:
-    """Fixed-decimal rendering, ties away from zero, as the device prints floats."""
+    """Fixed-decimal rendering, ties away from zero, as the device prints floats.
+
+    Like Print::printFloat, non-finite values print as "nan"/"inf" and
+    magnitudes above 4294967040 as "ovf".
+    """
+    if not abs(value) <= ARDUINO_FLOAT_LIMIT:  # NaN fails this too
+        return "nan" if math.isnan(value) else "inf" if math.isinf(value) else "ovf"
     quantum = Decimal(1).scaleb(-decimals)
     return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
@@ -151,7 +163,7 @@ def make_sample(cfg: FirmwareConfig, state: FirmwareState, temperature: float,
         humidity=humidity,
         heat_index=wxindices.heat_index(temperature, humidity),
         pressure_hpa=corrected_hpa,
-        cal_altitude=linear_altitude(corrected_hpa, state.mslp_hpa, cfg.calibration),
+        cal_altitude=linear_altitude(corrected_hpa, state.mslp_hpa),
     )
 
 
@@ -169,13 +181,12 @@ def format_row(sample: SensorSample) -> bytes:
     return ("".join(p + "," for p in parts) + "\r\n").encode("ascii")
 
 
-def tick(state: FirmwareState, sample: SensorSample, clock_ms: int,
-         sd: SdCardImage) -> tuple[FirmwareState, list[tuple]]:
-    """One pass of the device loop.
+def tick(state: FirmwareState, sample: SensorSample, sd: SdCardImage) -> list[tuple]:
+    """One pass of the device loop: advances ``state`` in place.
 
-    Returns the state and an effect list; "wait" effects tell the driver
-    how long the device blocks before the next pass.  A failed SD write
-    emits "write_failure" and leaves the state unchanged.
+    Returns the effect list; "wait" effects tell the caller how long the
+    device blocks before the next pass.  A failed SD write emits
+    "write_failure" and leaves the state unchanged.
     """
     cfg = state.cfg
     effects: list[tuple] = []
@@ -186,7 +197,6 @@ def tick(state: FirmwareState, sample: SensorSample, clock_ms: int,
             effects.append(("wait", cfg.ground_delay_ms))
             state.ground_count += 1
             if state.ground_count >= cfg.ground_samples:
-                state.run_flag = True
                 state.phase = Phase.AIR
         else:
             effects.append(("write_failure", GROUND_LOG))
@@ -198,9 +208,8 @@ def tick(state: FirmwareState, sample: SensorSample, clock_ms: int,
                 state.interval += cfg.interval_step
             else:
                 effects.append(("write_failure", AIR_LOG))
-    if state.run_flag and state.interval > cfg.server_threshold and not state.listen_flag:
+    if state.phase is Phase.AIR and state.interval > cfg.server_threshold:
         effects.append(("server_start",))
         effects.append(("buzzer", SERVER_BUZZ_MS))
-        state.listen_flag = True
         state.phase = Phase.SERVING
-    return state, effects
+    return effects

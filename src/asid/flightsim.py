@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
     thrust_to_weight, wind_drift
-from .atmosphere import ISA, G0, density_ratio
+from .atmosphere import G0, HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
 
 # Altitude controller: proportional speed command (0.5 m/s per metre of
 # error, clamped) tracked by a proportional throttle around the hover
@@ -26,7 +26,8 @@ CLIMB_GAIN = 0.5          # (m/s) per m of altitude error
 CLIMB_SPEED_LIMIT = 4.0   # m/s
 THROTTLE_GAIN = 0.15      # throttle per m/s of speed error
 DEADBAND_M = 0.2
-DEFAULT_HOVER_CURRENT_A = 20.0
+DT = 0.01                 # s, integrator step of a mission
+HOVER_CURRENT_A = 20.0    # A, battery draw at the hover throttle
 COMMAND_TIMEOUT_S = 300.0
 
 
@@ -86,7 +87,7 @@ def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawRea
         + rng.gauss(0.0, 1.0) * env.sensor_noise.humidity
     humidity = min(100.0, max(0.0, humidity))
     pressure = env.surface_pressure * 100.0 \
-        * (1.0 - altitude / ISA.hypso_scale) ** ISA.hypso_exponent \
+        * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT \
         + rng.gauss(0.0, 1.0) * env.sensor_noise.pressure
     return RawReading(temperature=temperature, humidity=humidity, pressure=pressure)
 
@@ -113,8 +114,7 @@ def hover_throttle(cfg: AirframeConfig) -> float:
     return 1.0 / thrust_to_weight(cfg)
 
 
-def step(state: SimState, cfg: AirframeConfig, env: Environment, throttle: float,
-         dt: float, hover_current: float = DEFAULT_HOVER_CURRENT_A) -> SimState:
+def step(state: SimState, cfg: AirframeConfig, throttle: float, dt: float) -> SimState:
     """Advance the vertical dynamics by dt (semi-implicit Euler).
 
     Acceleration is (thrust - weight - quadratic frame drag) / mass, with
@@ -136,7 +136,7 @@ def step(state: SimState, cfg: AirframeConfig, env: Environment, throttle: float
     if altitude <= 0.0:  # ground stop
         altitude = 0.0
         v_next = max(0.0, v_next)
-    current = hover_current * (throttle / hover_throttle(cfg)) ** 1.5
+    current = HOVER_CURRENT_A * (throttle / hover_throttle(cfg)) ** 1.5
     state.battery_remaining = max(0.0, state.battery_remaining - current * dt / 3.6)
     state.t += dt
     state.altitude = altitude
@@ -146,9 +146,8 @@ def step(state: SimState, cfg: AirframeConfig, env: Environment, throttle: float
 
 @dataclass
 class Trajectory:
-    """Fixed-dt record of a simulated flight."""
+    """Record of a simulated flight, one sample per DT."""
 
-    dt: float
     samples: list[tuple[float, float, float, float]]  # (t, altitude, v, heading)
     camera_events: list[CameraEvent]
     landing_offset: float  # m downwind
@@ -164,7 +163,7 @@ class Trajectory:
     def altitude_at(self, t: float) -> float:
         if not self.samples:
             return 0.0
-        index = min(int(round(t / self.dt)), len(self.samples) - 1)
+        index = min(int(round(t / DT)), len(self.samples) - 1)
         return self.samples[max(0, index)][1]
 
     def to_csv(self) -> str:
@@ -187,8 +186,7 @@ def _controller_throttle(cfg: AirframeConfig, state: SimState, target_alt: float
     return max(0.0, min(1.0, throttle))
 
 
-def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment,
-                dt: float = 0.01, hover_current: float = DEFAULT_HOVER_CURRENT_A) -> Trajectory:
+def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment) -> Trajectory:
     """Execute a validated plan and return the sampled trajectory.
 
     Raises MissionValidationError for unflyable plans and
@@ -205,11 +203,11 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
 
     def advance(target_alt: float) -> None:
         throttle = _controller_throttle(cfg, state, target_alt)
-        step(state, cfg, env, throttle, dt, hover_current)
+        step(state, cfg, throttle, DT)
         samples.append((state.t, state.altitude, state.vertical_speed, state.heading))
         if state.battery_remaining <= 0.0:
             raise BatteryExhaustedError(
-                Trajectory(dt=dt, samples=samples, camera_events=events,
+                Trajectory(samples=samples, camera_events=events,
                            landing_offset=_drift(state.t)))
 
     def _drift(duration: float) -> float:
@@ -243,5 +241,5 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             state.vertical_speed = 0.0
             samples.append((state.t, 0.0, 0.0, state.heading))
 
-    return Trajectory(dt=dt, samples=samples, camera_events=events,
+    return Trajectory(samples=samples, camera_events=events,
                       landing_offset=_drift(state.t))

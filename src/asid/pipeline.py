@@ -1,10 +1,10 @@
 """End-to-end simulation: mission generation, flight, and logger emulation.
 
-The ground phase runs first (the drone sits at altitude 0 while the six
-ground rows are logged), then the mission trajectory is flown and the
-logger's air phase samples it.  The logger loop is polled every 100 ms of
-simulated time; "wait" effects skip the clock forward the way the blocking
-delays do on the device.
+One logger loop covers both phases: the drone sits at altitude 0 while the
+ground rows are logged, and the flight starts on the logger clock when the
+ground phase ends, so the air phase samples the mission trajectory.  The
+loop is polled every 100 ms of simulated time; "wait" effects skip the
+clock forward the way the blocking delays do on the device.
 """
 
 from __future__ import annotations
@@ -69,23 +69,19 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     first = flightsim.true_sample(env, 0.0, rng)
     state = firmware.setup(cfg.firmware, first.pressure)
 
-    clock = 0  # ms, logger clock; the flight starts when the ground phase ends
-    while state.phase is Phase.GROUND:
-        reading = flightsim.true_sample(env, 0.0, rng)
-        sample = firmware.make_sample(cfg.firmware, state, reading.temperature,
-                                      reading.humidity, reading.pressure, clock)
-        state, effects = firmware.tick(state, sample, clock, sd)
-        clock += max(_effect_wait_ms(effects), LOOP_POLL_MS)
-    ground_end = clock
-
+    # ms, logger clock; the drone sits at altitude 0 until the ground phase ends
+    clock = flight_start = 0
     flight_ms = int(trajectory.duration * 1000.0)
-    while clock - ground_end <= flight_ms and state.phase is not Phase.SERVING:
-        altitude = trajectory.altitude_at((clock - ground_end) / 1000.0)
+    while state.phase is not Phase.SERVING and clock - flight_start <= flight_ms:
+        on_ground = state.phase is Phase.GROUND
+        altitude = trajectory.altitude_at((clock - flight_start) / 1000.0)
         reading = flightsim.true_sample(env, altitude, rng)
         sample = firmware.make_sample(cfg.firmware, state, reading.temperature,
                                       reading.humidity, reading.pressure, clock)
-        state, effects = firmware.tick(state, sample, clock, sd)
+        effects = firmware.tick(state, sample, sd)
         clock += max(_effect_wait_ms(effects), LOOP_POLL_MS)
+        if on_ground:
+            flight_start = clock
 
     sd.append(firmware.PHOTO_MANIFEST, trajectory.camera_manifest().encode("ascii"))
 
@@ -95,7 +91,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         state=state,
         ground_rows=_row_count(sd, firmware.GROUND_LOG),
         air_rows=_row_count(sd, firmware.AIR_LOG),
-        server_started=state.listen_flag,
+        server_started=state.phase is Phase.SERVING,
     )
     log.info("logs: %d ground rows, %d air rows, server started: %s",
              result.ground_rows, result.air_rows, result.server_started)

@@ -92,7 +92,11 @@ class LogRow:
 
 
 def parse_log(data: bytes | str) -> list[LogRow]:
-    """Parse logger CSV content (rows end with a trailing comma + CRLF)."""
+    """Parse logger CSV content (rows end with a trailing comma + CRLF).
+
+    A number the logger could not print (``nan``, ``inf``, ``ovf``) is a
+    LogParseError, like any other malformed field.
+    """
     text = data.decode("ascii") if isinstance(data, bytes) else data
     rows: list[LogRow] = []
     for number, line in enumerate(text.split("\r\n"), start=1):
@@ -105,17 +109,12 @@ def parse_log(data: bytes | str) -> list[LogRow]:
         if len(fields) != 7:
             raise LogParseError(number, f"expected 7 fields, got {len(fields)}")
         try:
-            rows.append(LogRow(
-                date=fields[0],
-                time=fields[1],
-                temperature=float(fields[2]),
-                humidity=float(fields[3]),
-                heat_index=float(fields[4]),
-                pressure_hpa=float(fields[5]),
-                cal_altitude=float(fields[6]),
-            ))
+            values = tuple(map(float, fields[2:]))
         except ValueError as exc:
             raise LogParseError(number, str(exc)) from None
+        if not all(map(math.isfinite, values)):
+            raise LogParseError(number, f"non-finite field in {line!r}")
+        rows.append(LogRow(fields[0], fields[1], *values))
     return rows
 
 
@@ -125,21 +124,17 @@ class SurfaceSummary:
 
     temperature: float
     humidity: float
-    heat_index: float
     pressure_hpa: float
-    cal_altitude: float
 
 
 def surface_summary(ground_rows: list[LogRow]) -> SurfaceSummary:
-    """Median of every logged variable; even counts average the middle pair."""
+    """Medians of the variables the report reads; even counts average the middle pair."""
     if not ground_rows:
         raise ValueError("surface summary needs at least one ground row")
     return SurfaceSummary(
         temperature=statistics.median(r.temperature for r in ground_rows),
         humidity=statistics.median(r.humidity for r in ground_rows),
-        heat_index=statistics.median(r.heat_index for r in ground_rows),
         pressure_hpa=statistics.median(r.pressure_hpa for r in ground_rows),
-        cal_altitude=statistics.median(r.cal_altitude for r in ground_rows),
     )
 
 

@@ -95,7 +95,6 @@ def test_criterion_04_ceiling_claim():
 
 def test_criterion_05_climb_claims():
     cfg = reference_config()
-    env = Environment()
     near_ceiling = 0.75 * service_ceiling(cfg)
     state = SimState(battery_remaining=1e9)
     start = time.perf_counter()
@@ -103,7 +102,7 @@ def test_criterion_05_climb_claims():
     v_near = None
     t_design = None
     while state.altitude < 6096.0:
-        step(state, cfg, env, 1.0, 0.01)
+        step(state, cfg, 1.0, 0.01)
         if state.altitude < 300.0:
             peak_low = max(peak_low, state.vertical_speed)
         if v_near is None and state.altitude >= near_ceiling:
@@ -257,7 +256,7 @@ def test_criterion_10_freezing_level():
                       humidity=50.0, pressure_hpa=1000.0)
         for h in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0))
     profile = SoundingProfile(levels=levels,
-                              surface=SurfaceSummary(15.0, 50.0, 13.9, 1013.25, 0.0),
+                              surface=SurfaceSummary(15.0, 50.0, 1013.25),
                               collection_time=__import__("datetime").datetime(2021, 6, 1))
     result = freezing_level(profile)
     elapsed = time.perf_counter() - start

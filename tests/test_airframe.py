@@ -82,12 +82,6 @@ class TestPropThrust:
         vp = pitch_speed(self.PROP, 8000.0)
         assert prop_thrust(self.PROP, 8000.0, vp * 1.2) < 0.0
 
-    def test_as_printed_disk_term(self):
-        default = prop_thrust(self.PROP, 8000.0)
-        printed = prop_thrust(self.PROP, 8000.0, as_printed=True)
-        expected_ratio = (0.0254 + 10.0) ** 2 / (0.0254 * 10.0) ** 2
-        assert printed / default == pytest.approx(expected_ratio, rel=1e-12)
-
     def test_rpm_bounds(self):
         with pytest.raises(ValueError):
             prop_thrust(self.PROP, 30000.0)

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from asid.atmosphere import (
-    ISA,
-    AtmosphereModel,
-    StationCalibration,
+    GAS_CONSTANT,
+    SEA_LEVEL_PRESSURE,
+    SEA_LEVEL_TEMPERATURE,
+    density_ratio,
     isa_density,
     isa_pressure,
     isa_temperature,
@@ -18,7 +19,7 @@ from asid.atmosphere import (
 def test_sea_level_density_definition():
     assert isa_density(0.0) == pytest.approx(1.225, abs=1e-3)
     assert isa_density(0.0) == pytest.approx(
-        ISA.sea_level_pressure / (ISA.gas_constant * ISA.sea_level_temperature), rel=1e-12)
+        SEA_LEVEL_PRESSURE / (GAS_CONSTANT * SEA_LEVEL_TEMPERATURE), rel=1e-12)
 
 
 def test_density_at_20000_ft_near_published_value():
@@ -48,6 +49,8 @@ def test_troposphere_domain_errors(h):
         isa_density(h)
     with pytest.raises(ValueError):
         isa_temperature(h)
+    with pytest.raises(ValueError):
+        density_ratio(h)
 
 
 def test_pressure_and_density_strictly_decreasing_on_grid():
@@ -59,22 +62,19 @@ def test_pressure_and_density_strictly_decreasing_on_grid():
 
 
 def test_mslp_elevation_zero_is_corrected_pressure():
-    cal = StationCalibration(elevation=0.0, pressure_correction=0.995)
-    assert mslp_from_station(101000.0, cal) == pytest.approx(1004.95, rel=1e-12)
+    assert mslp_from_station(101000.0, 0.0, 0.995) == pytest.approx(1004.95, rel=1e-12)
     # exact identity, not just approximate
-    assert mslp_from_station(101000.0, cal) == 101000.0 * 0.995 / 100.0
+    assert mslp_from_station(101000.0, 0.0, 0.995) == 101000.0 * 0.995 / 100.0
 
 
 def test_mslp_examples():
-    cal = StationCalibration(elevation=45.0, pressure_correction=0.995)
-    assert mslp_from_station(101000.0, cal) == pytest.approx(1010.328, abs=1e-3)
-    cal = StationCalibration(elevation=100.0, pressure_correction=1.0)
-    assert mslp_from_station(100000.0, cal) == pytest.approx(1011.939, abs=1e-3)
+    assert mslp_from_station(101000.0, 45.0, 0.995) == pytest.approx(1010.328, abs=1e-3)
+    assert mslp_from_station(100000.0, 100.0, 1.0) == pytest.approx(1011.939, abs=1e-3)
 
 
 def test_mslp_rejects_nonpositive_pressure():
     with pytest.raises(ValueError):
-        mslp_from_station(0.0, StationCalibration())
+        mslp_from_station(0.0, 45.0, 0.995)
 
 
 def test_pressure_to_altitude_examples():
@@ -100,32 +100,16 @@ def test_round_trip_isa_vs_logger_constants():
 
 
 def test_linear_altitude_examples():
-    cal = StationCalibration()
-    assert linear_altitude(1013.25, 1013.25, cal) == 0.0
-    assert linear_altitude(1008.25, 1013.25, cal) == pytest.approx(41.6667, abs=1e-4)
-    assert linear_altitude(1012.65, 1013.25, cal) == pytest.approx(5.0, rel=1e-9)
+    assert linear_altitude(1013.25, 1013.25) == 0.0
+    assert linear_altitude(1008.25, 1013.25) == pytest.approx(41.6667, abs=1e-4)
+    assert linear_altitude(1012.65, 1013.25) == pytest.approx(5.0, rel=1e-9)
     # negative when the station pressure exceeds the reference
-    assert linear_altitude(1014.0, 1013.25, cal) < 0.0
+    assert linear_altitude(1014.0, 1013.25) < 0.0
 
 
 def test_linear_altitude_affine_in_pressure():
-    cal = StationCalibration()
     for p in (990.0, 1005.5, 1013.25):
         for delta in (0.01, 0.6, 5.0, 17.3):
-            diff = linear_altitude(p - delta, 1013.25, cal) - linear_altitude(p, 1013.25, cal)
+            diff = linear_altitude(p - delta, 1013.25) - linear_altitude(p, 1013.25)
             assert diff == pytest.approx(delta / 0.12, rel=1e-9)
 
-
-def test_model_invariants_enforced():
-    with pytest.raises(ValueError):
-        AtmosphereModel(sea_level_pressure=-1.0)
-    with pytest.raises(ValueError):
-        AtmosphereModel(lapse_rate=0.0)
-    with pytest.raises(ValueError):
-        AtmosphereModel(hypso_exponent=1.0)
-    with pytest.raises(ValueError):
-        StationCalibration(pressure_correction=0.5)
-    with pytest.raises(ValueError):
-        StationCalibration(linear_altimeter_slope=0.0)
-    with pytest.raises(ValueError):
-        StationCalibration(elevation=44330.0)

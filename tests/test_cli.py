@@ -87,6 +87,8 @@ class TestConfigLoading:
         ({"firmware": {"ground_samples": 2.5}}, "firmware.ground_samples"),
         ({"firmware": {"ground_samples": True}}, "firmware.ground_samples"),
         ({"environment": {"wind": None}}, "environment.wind"),
+        ({"environment": {"surface_temperature": float("nan")}}, "environment.surface_temperature"),
+        ({"environment": {"wind": float("inf")}}, "environment.wind"),
         ([], "configuration root"),
     ])
     def test_bad_type_exits_config_error(self, doc, key, tmp_path, capsys):
@@ -95,6 +97,20 @@ class TestConfigLoading:
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"configuration error: {key} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("firmware, field", [
+        ({"pressure_correction": 0.5}, "pressure_correction"),
+        ({"elevation": 50000.0}, "elevation"),
+        ({"rtc_start": "9999-12-31T23:59:58"}, "rtc_start"),
+    ])
+    def test_firmware_out_of_range_exits_config_error(self, firmware, field, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json", {"firmware": firmware})
+        out = tmp_path / "sd"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: firmware: {field} " in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -161,6 +177,18 @@ class TestSimulate:
         cfg_path = _write_config(tmp_path / "c.json", {"mission": {"target_alt": 7000.0}})
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "sd")]) == EXIT_SIMULATION
+
+    @pytest.mark.parametrize("environment", [
+        {"surface_temperature": 1e308},
+        {"surface_pressure": 1e308},
+    ])
+    def test_out_of_range_readings_log_then_fail_report(self, environment, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "c.json", {"environment": environment})
+        sd_dir, out = tmp_path / "sd", tmp_path / "report"
+        assert main(["simulate", "--config", cfg_path, "--out", str(sd_dir)]) == EXIT_OK
+        assert main(["report", "--in", str(sd_dir), "--out", str(out)]) == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path / "c.json", {"environment": {"oops": 1}})

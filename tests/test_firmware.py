@@ -39,11 +39,11 @@ def _run_flight(altitudes, cfg=None):
     buzzes = []
     clock = 0
     while state.phase is Phase.GROUND:
-        state, effects = tick(state, _sample(0.0, clock // 1000), clock, sd)
+        effects = tick(state, _sample(0.0, clock // 1000), sd)
         buzzes += [e[1] for e in effects if e[0] == "buzzer"]
         clock += 3500
     for altitude in altitudes:
-        state, effects = tick(state, _sample(altitude, clock // 1000), clock, sd)
+        effects = tick(state, _sample(altitude, clock // 1000), sd)
         buzzes += [e[1] for e in effects if e[0] == "buzzer"]
         clock += 3000 if any(e[0] == "log" for e in effects) else 100
     return state, sd, buzzes
@@ -64,8 +64,6 @@ class TestSetup:
         state = setup(FirmwareConfig(), 101325.0)
         assert state.phase is Phase.GROUND
         assert state.interval == 5.0
-        assert not state.run_flag
-        assert not state.listen_flag
 
 
 class TestGroundPhase:
@@ -73,23 +71,20 @@ class TestGroundPhase:
         cfg = FirmwareConfig(elevation=0.0)
         sd = SdCardImage()
         state = setup(cfg, 101325.0)
-        clock = 0
         for i in range(6):
             assert state.phase is Phase.GROUND
-            state, effects = tick(state, _sample(0.0), clock, sd)
+            effects = tick(state, _sample(0.0), sd)
             kinds = [e[0] for e in effects]
             assert kinds == ["buzzer", "log", "wait"]
             assert ("wait", 3000) in effects
-            clock += 3500
         assert state.phase is Phase.AIR
-        assert state.run_flag
         assert sd.read(GROUND_LOG).count(b"\r\n") == 6
 
     def test_write_failure_leaves_state_unchanged(self):
         cfg = FirmwareConfig(elevation=0.0)
         sd = SdCardImage(write_protected=True)
         state = setup(cfg, 101325.0)
-        state, effects = tick(state, _sample(0.0), 0, sd)
+        effects = tick(state, _sample(0.0), sd)
         assert ("write_failure", GROUND_LOG) in effects
         assert state.ground_count == 0
         assert state.phase is Phase.GROUND
@@ -115,7 +110,6 @@ class TestAirPhase:
         state, sd, _ = _run_flight(altitudes)
         assert not sd.exists(AIR_LOG)
         assert state.phase is Phase.AIR
-        assert not state.listen_flag
 
     def test_buzzer_log_six_short_one_long(self):
         altitudes = [float(i) for i in range(1, 41)]
@@ -125,7 +119,6 @@ class TestAirPhase:
     def test_server_starts_once_past_threshold(self):
         altitudes = [float(i) for i in range(1, 41)] + [40.0] * 20
         state, _, buzzes = _run_flight(altitudes)
-        assert state.listen_flag
         assert state.phase is Phase.SERVING
         assert buzzes == [500] * 6 + [5000]
 
@@ -153,6 +146,14 @@ class TestRowFormat:
         assert arduino_print_float(25.349, 1) == "25.3"
         assert arduino_print_float(-1.25, 1) == "-1.3"
         assert arduino_print_float(0.05, 1) == "0.1"
+
+    def test_out_of_range_prints_like_arduino(self):
+        assert arduino_print_float(float("nan"), 1) == "nan"
+        assert arduino_print_float(float("inf"), 2) == "inf"
+        assert arduino_print_float(float("-inf"), 2) == "inf"
+        assert arduino_print_float(1e308, 1) == "ovf"
+        assert arduino_print_float(-4294967041.0, 2) == "ovf"
+        assert arduino_print_float(4294967040.0, 2) == "4294967040.00"
 
     def test_fixed_decimals_keep_trailing_zeros(self):
         assert arduino_print_float(1013.2, 2) == "1013.20"
@@ -209,6 +210,12 @@ def test_config_validation():
         FirmwareConfig(ground_samples=0)
     with pytest.raises(ValueError):
         FirmwareConfig(ground_delay_ms=-1)
+    with pytest.raises(ValueError):
+        FirmwareConfig(pressure_correction=0.5)
+    with pytest.raises(ValueError):
+        FirmwareConfig(elevation=44330.0)
+    with pytest.raises(ValueError):
+        FirmwareConfig(rtc_start=datetime(9999, 12, 31, 23, 59, 58))
 
 
 def test_sample_validation():

@@ -30,7 +30,7 @@ def _terminal_speed_at(altitude: float) -> float:
     previous = -1.0
     while state.vertical_speed - previous > 1e-9:
         previous = state.vertical_speed
-        step(state, CFG, CALM, 1.0, 0.05)
+        step(state, CFG, 1.0, 0.05)
         state.altitude = altitude  # hold position; probe the force balance only
     return state.vertical_speed
 
@@ -40,7 +40,7 @@ class TestStep:
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         throttle = hover_throttle(CFG)
         for _ in range(200):
-            step(state, CFG, CALM, throttle, 0.01)
+            step(state, CFG, throttle, 0.01)
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -62,17 +62,17 @@ class TestStep:
 
     def test_battery_drains_with_throttle(self):
         state = SimState(battery_remaining=5000.0)
-        step(state, CFG, CALM, 1.0, 0.01)
+        step(state, CFG, 1.0, 0.01)
         assert state.battery_remaining < 5000.0
 
     def test_parameter_validation(self):
         state = SimState(battery_remaining=10.0)
         with pytest.raises(ValueError):
-            step(state, CFG, CALM, 1.5, 0.01)
+            step(state, CFG, 1.5, 0.01)
         with pytest.raises(ValueError):
-            step(state, CFG, CALM, 0.5, 0.0)
+            step(state, CFG, 0.5, 0.0)
         with pytest.raises(ValueError):
-            step(state, CFG, CALM, 0.5, 0.2)
+            step(state, CFG, 0.5, 0.2)
 
 
 class TestTrueSample:
@@ -132,7 +132,7 @@ class TestRunMission:
         state = SimState(battery_remaining=5000.0)
         readings = []
         for _ in range(500):
-            step(state, CFG, CALM, 0.7, 0.01)
+            step(state, CFG, 0.7, 0.01)
             readings.append(state.battery_remaining)
         assert all(a >= b for a, b in zip(readings, readings[1:]))
 
@@ -178,7 +178,7 @@ class TestRunMission:
         # full-throttle climb to 20,000 ft takes 4-8 minutes
         state = SimState(battery_remaining=1e9)
         while state.altitude < 6096.0:
-            step(state, CFG, CALM, 1.0, 0.02)
+            step(state, CFG, 1.0, 0.02)
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
 
 

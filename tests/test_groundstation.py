@@ -34,7 +34,7 @@ def _profile(n_levels=7):
         for i in range(n_levels)
     )
     return SoundingProfile(levels=levels,
-                           surface=SurfaceSummary(15.0, 50.0, 13.9, 1008.18, 0.0),
+                           surface=SurfaceSummary(15.0, 50.0, 1008.18),
                            collection_time=datetime(2021, 6, 1, 10, 16, 32))
 
 

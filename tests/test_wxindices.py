@@ -134,7 +134,7 @@ class TestDiscomfortIndex:
 def _profile(levels, surface=None, when=None):
     return SoundingProfile(
         levels=tuple(levels),
-        surface=surface or SurfaceSummary(15.0, 50.0, 13.9, 1013.25, 0.0),
+        surface=surface or SurfaceSummary(15.0, 50.0, 1013.25),
         collection_time=when or datetime(2021, 6, 1, 10, 18, 0),
     )
 
@@ -222,6 +222,14 @@ class TestLogParsing:
         blob = b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\nnot,a,row\r\n"
         with pytest.raises(LogParseError) as err:
             parse_log(blob)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "ovf"])
+    def test_out_of_range_field_is_parse_error(self, field):
+        good = b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\n"
+        bad = f"01.06.2021,10:15:33,25.3,45.2,{field},1005.25,41.67,\r\n".encode()
+        with pytest.raises(LogParseError) as err:
+            parse_log(good + bad)
         assert err.value.row == 2
 
     def test_timestamp_parsing(self):
