@@ -87,9 +87,9 @@ class TestConfigLoading:
         ({"firmware": {"ground_samples": 2.5}}, "firmware.ground_samples"),
         ({"firmware": {"ground_samples": True}}, "firmware.ground_samples"),
         ({"environment": {"wind": None}}, "environment.wind"),
+        ([], "configuration root"),
         ({"environment": {"surface_temperature": float("nan")}}, "environment.surface_temperature"),
         ({"environment": {"wind": float("inf")}}, "environment.wind"),
-        ([], "configuration root"),
     ])
     def test_bad_type_exits_config_error(self, doc, key, tmp_path, capsys):
         path = _write_config(tmp_path / "c.json", doc)
