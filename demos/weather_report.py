@@ -21,7 +21,7 @@ result = run_simulation(default_run_config())
 # height coordinate; the surface block is the median of the ground rows.
 profile = wxindices.build_profile(result.sd.read("air.csv"), result.sd.read("ground.csv"))
 print(f"profile: {len(profile.levels)} levels, "
-      f"{profile.levels[0].altitude:.1f} .. {profile.levels[-1].altitude:.1f} m")
+      f"{profile.levels[0].cal_altitude:.1f} .. {profile.levels[-1].cal_altitude:.1f} m")
 
 report = wxindices.build_report(profile)
 print()

@@ -26,26 +26,13 @@ class NoCeilingError(ValueError):
 
 @dataclass(frozen=True)
 class MotorSpec:
-    """Brushless motor, sized by the usual 4-digit XXYY convention."""
+    """Brushless motor; the math reads only its full-throttle static thrust."""
 
-    size_code: str            # XXYY: stator diameter mm, height mm
-    kv: float                 # rpm per volt, unloaded
     max_thrust_per_motor: float  # gram-force at sea level, full throttle
-    operating_voltage: float  # V
 
     def __post_init__(self) -> None:
-        if len(self.size_code) != 4 or not self.size_code.isdigit():
-            raise ValueError("size_code must be a 4-digit string")
-        if self.kv <= 0.0 or self.max_thrust_per_motor <= 0.0:
-            raise ValueError("kv and max_thrust_per_motor must be positive")
-
-    @property
-    def diameter_mm(self) -> int:
-        return int(self.size_code[:2])
-
-    @property
-    def height_mm(self) -> int:
-        return int(self.size_code[2:])
+        if self.max_thrust_per_motor <= 0.0:
+            raise ValueError("max_thrust_per_motor must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,8 +54,6 @@ class BatterySpec:
 
     capacity_mah: float
     c_rate: float
-    nominal_voltage: float = 3.7  # V per cell
-    cells: int = 4
 
     def __post_init__(self) -> None:
         if self.capacity_mah <= 0.0 or self.c_rate <= 0.0:
@@ -112,11 +97,10 @@ def reference_config() -> AirframeConfig:
     sea-level terminal climb of this airframe is 120 ft/s (36.576 m/s).
     """
     return AirframeConfig(
-        motor=MotorSpec(size_code="2204", kv=2300.0, max_thrust_per_motor=1000.0,
-                        operating_voltage=14.8),
+        motor=MotorSpec(max_thrust_per_motor=1000.0),  # 2204, 2300 KV
         n_motors=4,
         prop=PropSpec(diameter=5.0, pitch=4.5, max_rpm=30000.0),
-        battery=BatterySpec(capacity_mah=5000.0, c_rate=50.0, nominal_voltage=3.7, cells=4),
+        battery=BatterySpec(capacity_mah=5000.0, c_rate=50.0),  # 4S, 3.7 V per cell
         total_mass=2000.0,
         frame_drag_coefficient=0.014661,
         body_drag_area=0.03,

@@ -21,7 +21,7 @@ from pathlib import Path
 from .airframe import AirframeConfig, reference_config
 from .firmware import FirmwareConfig
 from .flightsim import Environment
-from .mission import DEFAULT_HEADINGS, DEFAULT_HOME
+from .mission import DEFAULT_HEADINGS, DEFAULT_HOME, check_levels
 
 
 class ConfigError(ValueError):
@@ -38,6 +38,9 @@ class MissionParams:
     headings: tuple[float, ...] = DEFAULT_HEADINGS
     capture_dwell: float = 3.0
     home: tuple[float, float] = DEFAULT_HOME
+
+    def __post_init__(self) -> None:
+        check_levels(self.target_alt, self.start_alt, self.step)
 
 
 @dataclass(frozen=True)

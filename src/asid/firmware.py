@@ -16,8 +16,8 @@ from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from . import wxindices
 from .atmosphere import HYPSO_SCALE, linear_altitude, mslp_from_station
+from .wxindices import LogRow, heat_index
 
 GROUND_LOG = "ground.csv"
 AIR_LOG = "air.csv"
@@ -26,8 +26,10 @@ PHOTO_MANIFEST = "photos.json"
 GROUND_BUZZ_MS = 500
 SERVER_BUZZ_MS = 5000
 
-# the logger clock needs room to run past rtc_start without leaving the calendar
-RTC_LATEST_START = datetime.max.replace(microsecond=0) - timedelta(days=1)
+# the longest run the logger clock covers (one day past rtc_start), so that
+# every row stamp stays inside the calendar
+CLOCK_LIMIT_MS = 86_400_000
+RTC_LATEST_START = datetime.max.replace(microsecond=0) - timedelta(milliseconds=CLOCK_LIMIT_MS)
 
 # Print::printFloat prints "ovf" beyond this magnitude
 ARDUINO_FLOAT_LIMIT = 4294967040.0
@@ -64,25 +66,6 @@ class FirmwareConfig:
             raise ValueError(f"elevation must lie in [0, {HYPSO_SCALE:.0f}) m")
         if self.rtc_start.replace(tzinfo=None) > RTC_LATEST_START:
             raise ValueError(f"rtc_start must not be later than {RTC_LATEST_START.isoformat()}")
-
-
-@dataclass(frozen=True)
-class SensorSample:
-    """One processed observation, ready for rendering into a log row."""
-
-    date: str           # DD.MM.YYYY
-    time: str           # HH:MM:SS
-    temperature: float  # degC
-    humidity: float     # %
-    heat_index: float   # degC
-    pressure_hpa: float  # corrected station pressure
-    cal_altitude: float  # m, linear differential altimeter
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.humidity <= 100.0:
-            raise ValueError("humidity must lie in [0, 100] %")
-        if self.pressure_hpa <= 0.0:
-            raise ValueError("pressure must be positive")
 
 
 class SdCardImage:
@@ -151,37 +134,47 @@ def arduino_print_float(value: float, decimals: int) -> str:
     return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def make_sample(cfg: FirmwareConfig, state: FirmwareState, temperature: float,
-                humidity: float, pressure_pa: float, clock_ms: int) -> SensorSample:
-    """Process raw readings the way the logger does before a row is written."""
+def make_sample(state: FirmwareState, temperature: float, humidity: float,
+                pressure_pa: float, clock_ms: int) -> LogRow:
+    """Process raw readings into the row the logger writes.
+
+    Humidity outside [0, 100] % (refused by heat_index) and a non-positive
+    corrected pressure raise ValueError; a clock past CLOCK_LIMIT_MS raises
+    RuntimeError, since the run no longer fits the logger's calendar.
+    """
+    cfg = state.cfg
+    if clock_ms > CLOCK_LIMIT_MS:
+        raise RuntimeError(f"the run outlasts the logger clock's {CLOCK_LIMIT_MS} ms limit")
     corrected_hpa = pressure_pa * cfg.pressure_correction / 100.0
+    if corrected_hpa <= 0.0:
+        raise ValueError("pressure must be positive")
     stamp = cfg.rtc_start + timedelta(milliseconds=clock_ms)
-    return SensorSample(
+    return LogRow(
         date=stamp.strftime("%d.%m.%Y"),
         time=stamp.strftime("%H:%M:%S"),
         temperature=temperature,
         humidity=humidity,
-        heat_index=wxindices.heat_index(temperature, humidity),
+        heat_index=heat_index(temperature, humidity),
         pressure_hpa=corrected_hpa,
         cal_altitude=linear_altitude(corrected_hpa, state.mslp_hpa),
     )
 
 
-def format_row(sample: SensorSample) -> bytes:
+def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
     parts = (
-        sample.date,
-        sample.time,
-        arduino_print_float(sample.temperature, 1),
-        arduino_print_float(sample.humidity, 1),
-        arduino_print_float(sample.heat_index, 1),
-        arduino_print_float(sample.pressure_hpa, 2),
-        arduino_print_float(sample.cal_altitude, 2),
+        row.date,
+        row.time,
+        arduino_print_float(row.temperature, 1),
+        arduino_print_float(row.humidity, 1),
+        arduino_print_float(row.heat_index, 1),
+        arduino_print_float(row.pressure_hpa, 2),
+        arduino_print_float(row.cal_altitude, 2),
     )
     return ("".join(p + "," for p in parts) + "\r\n").encode("ascii")
 
 
-def tick(state: FirmwareState, sample: SensorSample, sd: SdCardImage) -> list[tuple]:
+def tick(state: FirmwareState, row: LogRow, sd: SdCardImage) -> list[tuple]:
     """One pass of the device loop: advances ``state`` in place.
 
     Returns the effect list; "wait" effects tell the caller how long the
@@ -192,7 +185,7 @@ def tick(state: FirmwareState, sample: SensorSample, sd: SdCardImage) -> list[tu
     effects: list[tuple] = []
     if state.phase is Phase.GROUND:
         effects.append(("buzzer", GROUND_BUZZ_MS))
-        if sd.append(GROUND_LOG, format_row(sample)):
+        if sd.append(GROUND_LOG, format_row(row)):
             effects.append(("log", GROUND_LOG))
             effects.append(("wait", cfg.ground_delay_ms))
             state.ground_count += 1
@@ -201,8 +194,8 @@ def tick(state: FirmwareState, sample: SensorSample, sd: SdCardImage) -> list[tu
         else:
             effects.append(("write_failure", GROUND_LOG))
     elif state.phase is Phase.AIR:
-        if sample.cal_altitude > state.interval:
-            if sd.append(AIR_LOG, format_row(sample)):
+        if row.cal_altitude > state.interval:
+            if sd.append(AIR_LOG, format_row(row)):
                 effects.append(("log", AIR_LOG))
                 effects.append(("wait", cfg.air_delay_ms))
                 state.interval += cfg.interval_step

@@ -17,6 +17,7 @@ from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
     thrust_to_weight, wind_drift
 from .atmosphere import G0, HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
+from .firmware import CLOCK_LIMIT_MS
 
 # Altitude controller: proportional speed command (0.5 m/s per metre of
 # error, clamped) tracked by a proportional throttle around the hover
@@ -189,9 +190,10 @@ def _controller_throttle(cfg: AirframeConfig, state: SimState, target_alt: float
 def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment) -> Trajectory:
     """Execute a validated plan and return the sampled trajectory.
 
-    Raises MissionValidationError for unflyable plans and
+    Raises MissionValidationError for unflyable plans,
     BatteryExhaustedError (carrying the partial trajectory) when the pack
-    empties mid-flight.
+    empties mid-flight, and RuntimeError when the flight outlasts the
+    logger clock (CLOCK_LIMIT_MS).
     """
     violations = mission.validate(plan, ceiling=service_ceiling(cfg))
     if violations:
@@ -200,6 +202,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
     samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
     events = state.camera_events
+    limit_s = CLOCK_LIMIT_MS / 1000.0
 
     def advance(target_alt: float) -> None:
         throttle = _controller_throttle(cfg, state, target_alt)
@@ -209,6 +212,8 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             raise BatteryExhaustedError(
                 Trajectory(samples=samples, camera_events=events,
                            landing_offset=_drift(state.t)))
+        if state.t > limit_s:
+            raise RuntimeError(f"flight passed {limit_s:g} s, the logger clock's limit")
 
     def _drift(duration: float) -> float:
         return wind_drift(env.wind, max_progressive_speed(cfg), duration)

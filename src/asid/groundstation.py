@@ -97,13 +97,13 @@ def render_plots(profile: SoundingProfile) -> dict[str, str]:
     return {
         "height_temperature": _svg_profile_plot(
             "Height / temperature", "temperature [C]",
-            [(l.temperature, l.altitude) for l in levels]),
+            [(l.temperature, l.cal_altitude) for l in levels]),
         "height_humidity": _svg_profile_plot(
             "Height / humidity", "relative humidity [%]",
-            [(l.humidity, l.altitude) for l in levels]),
+            [(l.humidity, l.cal_altitude) for l in levels]),
         "height_pressure": _svg_profile_plot(
             "Height / pressure", "pressure [hPa]",
-            [(l.pressure_hpa, l.altitude) for l in levels]),
+            [(l.pressure_hpa, l.cal_altitude) for l in levels]),
     }
 
 

@@ -23,6 +23,7 @@ FILE_HEADER = "command,p1,p2,p3,p4,lat,lon,alt"
 
 DEFAULT_HOME = (38.1825152, 21.7026906)
 DEFAULT_HEADINGS = (90.0, 180.0, 270.0, 0.0)
+MAX_LEVELS = 1000  # capture levels in one sounding; the shipped pack lasts about 38
 
 
 class MissionParseError(ValueError):
@@ -86,10 +87,7 @@ def generate_sounding_profile(target_alt: float,
     camera and dwell; climb to the next level; finally descend back to
     start_alt and land.
     """
-    if start_alt > target_alt:
-        raise ValueError("start altitude must not exceed the target altitude")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    check_levels(target_alt, start_alt, step)
     lat, lon = home
     levels = [float(start_alt)]
     while levels[-1] < target_alt:
@@ -108,6 +106,18 @@ def generate_sounding_profile(target_alt: float,
     commands.append(MissionCommand(WAYPOINT, p1=1.0, lat=lat, lon=lon, alt=float(start_alt)))
     commands.append(MissionCommand(LAND, lat=lat, lon=lon))
     return MissionPlan(home=home, commands=tuple(commands))
+
+
+def check_levels(target_alt: float, start_alt: float, step: float) -> None:
+    """Refuse levels the generator cannot build, or more than MAX_LEVELS of them;
+    the ValueError names the parameter."""
+    if start_alt > target_alt:
+        raise ValueError("start_alt must not exceed target_alt")
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if target_alt - start_alt > step * (MAX_LEVELS - 1):
+        raise ValueError(f"step is too small: more than {MAX_LEVELS} levels from start_alt "
+                         f"to target_alt")
 
 
 def validate(plan: MissionPlan, ceiling: float) -> list[str]:

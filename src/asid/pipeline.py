@@ -76,9 +76,9 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         on_ground = state.phase is Phase.GROUND
         altitude = trajectory.altitude_at((clock - flight_start) / 1000.0)
         reading = flightsim.true_sample(env, altitude, rng)
-        sample = firmware.make_sample(cfg.firmware, state, reading.temperature,
-                                      reading.humidity, reading.pressure, clock)
-        effects = firmware.tick(state, sample, sd)
+        row = firmware.make_sample(state, reading.temperature, reading.humidity,
+                                   reading.pressure, clock)
+        effects = firmware.tick(state, row, sd)
         clock += max(_effect_wait_ms(effects), LOOP_POLL_MS)
         if on_ground:
             flight_start = clock

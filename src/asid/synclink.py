@@ -6,7 +6,7 @@ by ``indexOf("air") > 5`` on the accumulated request text (so a plain
 ``GET /air.csv`` request reaches the ground handler — "air" sits at index
 5), the response header block is exactly four CRLF lines plus a blank
 line, bodies go out in 1760-byte chunks, and serving ground.csv deletes
-both log files afterwards.  The client therefore requests
+both log files once its last chunk is out.  The client therefore requests
 ``/download/air.csv`` so the air file routes correctly, and always syncs
 air before ground.
 """
@@ -14,6 +14,7 @@ air before ground.
 from __future__ import annotations
 
 import enum
+import logging
 import socket
 import threading
 from dataclasses import dataclass
@@ -23,8 +24,13 @@ from .firmware import AIR_LOG, GROUND_LOG, SdCardImage
 
 CHUNK_SIZE = 1760
 REQUEST_LIMIT = 8192  # bytes; the device has no bound, this one stops runaway buffering
+# seconds one read or write may stall before the server drops the connection;
+# below fetch's 10 s default, so one idle client cannot time out the next
+CONNECTION_TIMEOUT_S = 2.0
 AIR_REQUEST_PATH = "/download/air.csv"
 GROUND_REQUEST_PATH = "/ground.csv"
+
+log = logging.getLogger(__name__)
 
 
 class RouteTarget(enum.Enum):
@@ -67,16 +73,12 @@ class HttpFileResponse:
 
 
 def serve_file(name: str, sd: SdCardImage) -> HttpFileResponse | None:
-    """Build the response for a log file and apply the device side effects.
-
-    Returns None when the file is absent (the connection is then dropped
-    with nothing written).  Serving ground.csv removes BOTH log files from
-    the card; serving air.csv leaves everything in place.
-    """
+    """The response for a log file; None when the file is absent (the
+    connection is then dropped with nothing written)."""
     data = sd.read(name)
     if data is None:
         return None
-    response = HttpFileResponse(
+    return HttpFileResponse(
         status_line="HTTP/1.1 200 OK",
         headers=(
             ("Content-Type", "text/csv"),
@@ -85,10 +87,6 @@ def serve_file(name: str, sd: SdCardImage) -> HttpFileResponse | None:
         ),
         body=data,
     )
-    if name == GROUND_LOG:
-        sd.remove(AIR_LOG)
-        sd.remove(GROUND_LOG)
-    return response
 
 
 def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarget | None:
@@ -97,7 +95,9 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarg
     The transport needs recv/sendall/close.  Requests are read up to the
     first LF (or the 8 KiB bound); writes happen exactly one sendall per
     header line and per 1760-byte body chunk, so a counting transport can
-    observe the chunking.
+    observe the chunking.  Once the last chunk of ground.csv is out, both
+    logs are removed from the card and ``on_ground_served`` runs; a transport
+    error before that propagates and leaves the card as it was.
     """
     try:
         buffer = b""
@@ -116,8 +116,11 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarg
             return target
         for piece in response.wire_writes():
             conn.sendall(piece)
-        if name == GROUND_LOG and on_ground_served is not None:
-            on_ground_served()
+        if name == GROUND_LOG:
+            sd.remove(AIR_LOG)
+            sd.remove(GROUND_LOG)
+            if on_ground_served is not None:
+                on_ground_served()
         return target
     finally:
         conn.close()
@@ -138,6 +141,11 @@ class LogServer:
         self.host, self.port = self._sock.getsockname()[:2]
 
     def serve_forever(self, stop: threading.Event | None = None) -> None:
+        """Serve until ``stop`` is set or the socket closes.
+
+        A client that resets, hangs up or stalls past CONNECTION_TIMEOUT_S
+        loses only its own connection.
+        """
         while stop is None or not stop.is_set():
             try:
                 conn, _ = self._sock.accept()
@@ -145,7 +153,11 @@ class LogServer:
                 continue
             except OSError:
                 break
-            handle_connection(conn, self.sd, self.on_ground_served)
+            conn.settimeout(CONNECTION_TIMEOUT_S)
+            try:
+                handle_connection(conn, self.sd, self.on_ground_served)
+            except OSError as exc:
+                log.warning("dropped a connection: %r", exc)
 
     def close(self) -> None:
         self._sock.close()

@@ -1,4 +1,4 @@
-"""Meteorological index computations and vertical-profile analysis.
+"""The logger's row record, meteorological indices and vertical-profile analysis.
 
 Dew point uses the Magnus form (alpha=17.62, beta=243.12 degC), the heat
 index replicates the hobbyist sensor-library port of the Rothfusz
@@ -76,7 +76,7 @@ def discomfort_index(t_c: float, rh: float) -> float:
 
 @dataclass(frozen=True)
 class LogRow:
-    """One parsed logger CSV row."""
+    """One logger CSV row: built and printed by the firmware, parsed back here."""
 
     date: str          # DD.MM.YYYY
     time: str          # HH:MM:SS
@@ -139,17 +139,8 @@ def surface_summary(ground_rows: list[LogRow]) -> SurfaceSummary:
 
 
 @dataclass(frozen=True)
-class SoundingLevel:
-    altitude: float      # m, the logger's calibrated altitude
-    temperature: float   # degC
-    humidity: float      # %
-    pressure_hpa: float
-    dew_point: float | None = None
-
-
-@dataclass(frozen=True)
 class SoundingProfile:
-    levels: tuple[SoundingLevel, ...]
+    levels: tuple[LogRow, ...]  # the air-log rows, height coordinate cal_altitude
     surface: SurfaceSummary
     collection_time: datetime
 
@@ -179,15 +170,15 @@ class WxReport:
     collection_time: datetime
 
 
-def fit_temperature_gradient(levels: tuple[SoundingLevel, ...]) -> tuple[float, float]:
+def fit_temperature_gradient(levels: tuple[LogRow, ...]) -> tuple[float, float]:
     """Least-squares fit T = a + b*h over the profile; returns (a, b)."""
     n = len(levels)
     if n < 2:
         raise ProfileError("gradient fit needs at least 2 levels")
-    sx = sum(l.altitude for l in levels)
+    sx = sum(l.cal_altitude for l in levels)
     sy = sum(l.temperature for l in levels)
-    sxx = sum(l.altitude * l.altitude for l in levels)
-    sxy = sum(l.altitude * l.temperature for l in levels)
+    sxx = sum(l.cal_altitude * l.cal_altitude for l in levels)
+    sxy = sum(l.cal_altitude * l.temperature for l in levels)
     denom = n * sxx - sx * sx
     if denom == 0.0:
         raise ProfileError("degenerate profile: all levels at one altitude")
@@ -209,11 +200,12 @@ def freezing_level(profile: SoundingProfile) -> FreezingLevel:
     for lower, upper in zip(levels, levels[1:]):
         t0, t1 = lower.temperature, upper.temperature
         if t0 == 0.0:
-            return FreezingLevel("interpolated", lower.altitude)
+            return FreezingLevel("interpolated", lower.cal_altitude)
         if (t0 > 0.0) != (t1 > 0.0):
             frac = t0 / (t0 - t1)
             return FreezingLevel(
-                "interpolated", lower.altitude + frac * (upper.altitude - lower.altitude))
+                "interpolated",
+                lower.cal_altitude + frac * (upper.cal_altitude - lower.cal_altitude))
     intercept, slope = fit_temperature_gradient(levels)
     if slope >= 0.0:
         return FreezingLevel("indeterminate")
@@ -237,18 +229,8 @@ def build_profile(air_csv: bytes | str, ground_csv: bytes | str) -> SoundingProf
             raise ProfileError(
                 f"air-log altitudes must increase: {previous.cal_altitude} then "
                 f"{current.cal_altitude}")
-    levels = tuple(
-        SoundingLevel(
-            altitude=r.cal_altitude,
-            temperature=r.temperature,
-            humidity=r.humidity,
-            pressure_hpa=r.pressure_hpa,
-            dew_point=dew_point(r.temperature, r.humidity) if r.humidity > 0.0 else None,
-        )
-        for r in air_rows
-    )
     last_rows = air_rows if air_rows else ground_rows
-    return SoundingProfile(levels=levels, surface=surface,
+    return SoundingProfile(levels=tuple(air_rows), surface=surface,
                            collection_time=last_rows[-1].timestamp)
 
 

@@ -26,7 +26,7 @@ from asid.flightsim import Environment, SimState, step
 from asid.pipeline import run_simulation
 from asid.synclink import RouteTarget, fetch, handle_connection, route
 from asid.wxindices import (
-    SoundingLevel,
+    LogRow,
     SoundingProfile,
     SurfaceSummary,
     dew_point,
@@ -251,9 +251,9 @@ def test_criterion_10_freezing_level():
     start = time.perf_counter()
     env = Environment()  # 15 C surface, 0.0065 C/m: the golden environment
     levels = tuple(
-        SoundingLevel(altitude=h,
-                      temperature=env.surface_temperature - env.temperature_lapse * h,
-                      humidity=50.0, pressure_hpa=1000.0)
+        LogRow(date="01.06.2021", time="10:16:00",
+               temperature=env.surface_temperature - env.temperature_lapse * h,
+               humidity=50.0, heat_index=13.9, pressure_hpa=1000.0, cal_altitude=h)
         for h in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0))
     profile = SoundingProfile(levels=levels,
                               surface=SurfaceSummary(15.0, 50.0, 1013.25),

@@ -26,11 +26,9 @@ from asid.airframe import (
 
 def _config(thrust_per_motor=1000.0, n_motors=4, mass=2000.0, **overrides):
     base = reference_config()
-    motor = MotorSpec(size_code=base.motor.size_code, kv=base.motor.kv,
-                      max_thrust_per_motor=thrust_per_motor,
-                      operating_voltage=base.motor.operating_voltage)
-    kwargs = dict(motor=motor, n_motors=n_motors, prop=base.prop, battery=base.battery,
-                  total_mass=mass, frame_drag_coefficient=base.frame_drag_coefficient,
+    kwargs = dict(motor=MotorSpec(max_thrust_per_motor=thrust_per_motor), n_motors=n_motors,
+                  prop=base.prop, battery=base.battery, total_mass=mass,
+                  frame_drag_coefficient=base.frame_drag_coefficient,
                   body_drag_area=base.body_drag_area, mtbf_hours=base.mtbf_hours)
     kwargs.update(overrides)
     return AirframeConfig(**kwargs)
@@ -223,16 +221,6 @@ class TestBatteryAndReliability:
         assert expected_flights(160.0, 10.0) == 960
         assert expected_flights(1.0, 60.0) == 1
         assert expected_flights(160.0, 8.0) == 1200
-
-
-def test_motor_size_code_convention():
-    motor = MotorSpec(size_code="2204", kv=2300.0, max_thrust_per_motor=1000.0,
-                      operating_voltage=14.8)
-    assert motor.diameter_mm == 22
-    assert motor.height_mm == 4
-    with pytest.raises(ValueError):
-        MotorSpec(size_code="22A4", kv=2300.0, max_thrust_per_motor=1000.0,
-                  operating_voltage=14.8)
 
 
 def test_spec_validation():

@@ -49,25 +49,24 @@ class TestConfigLoading:
                 config.load(_write_config(tmp_path / "c.json", doc))
 
     def test_nested_sections(self, tmp_path):
-        doc = {"airframe": {"motor": {"size_code": "2212", "kv": 920.0,
-                                      "max_thrust_per_motor": 1200.0,
-                                      "operating_voltage": 11.1},
+        doc = {"airframe": {"motor": {"max_thrust_per_motor": 1200.0},
                             "total_mass": 2400.0},
                "environment": {"sensor_noise": {"temperature": 0.1}},
                "firmware": {"rtc_start": "2021-06-02T09:00:00", "elevation": 45.0}}
         cfg = config.load(_write_config(tmp_path / "c.json", doc))
-        assert cfg.airframe.motor.diameter_mm == 22
+        assert cfg.airframe.motor.max_thrust_per_motor == 1200.0
         assert cfg.airframe.total_mass == 2400.0
         assert cfg.environment.sensor_noise.temperature == 0.1
         assert cfg.firmware.rtc_start.year == 2021
         assert cfg.firmware.elevation == 45.0
 
     def test_nested_partial_override_merges_into_default(self, tmp_path):
-        doc = {"airframe": {"motor": {"kv": 920.0}}}
+        doc = {"airframe": {"motor": {"max_thrust_per_motor": 1200.0}}}
         cfg = config.load(_write_config(tmp_path / "c.json", doc))
         default = config.default_run_config()
         assert cfg.airframe == dataclasses.replace(
-            default.airframe, motor=dataclasses.replace(default.airframe.motor, kv=920.0))
+            default.airframe, motor=dataclasses.replace(default.airframe.motor,
+                                                        max_thrust_per_motor=1200.0))
         assert cfg.environment == default.environment
 
     def test_integer_accepted_for_float_field(self, tmp_path):
@@ -111,6 +110,20 @@ class TestConfigLoading:
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"configuration error: firmware: {field} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mission, field", [
+        ({"step": 0.0}, "step"),
+        ({"start_alt": 50.0}, "start_alt"),
+        ({"step": 0.01, "target_alt": 100.0}, "step"),
+    ])
+    def test_mission_out_of_range_exits_config_error(self, mission, field, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json", {"mission": mission})
+        out = tmp_path / "sd"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: mission: {field} " in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -178,6 +191,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "sd")]) == EXIT_SIMULATION
 
+    def test_run_past_the_logger_clock_exits_simulation_error(self, tmp_path, capsys):
+        # the second ground row would be stamped after the end of the calendar
+        doc = {"firmware": {"rtc_start": "9999-12-30T23:59:59", "ground_delay_ms": 90_000_000}}
+        cfg_path = _write_config(tmp_path / "c.json", doc)
+        assert main(["simulate", "--config", cfg_path,
+                     "--out", str(tmp_path / "sd")]) == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert "logger clock" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("environment", [
         {"surface_temperature": 1e308},
         {"surface_pressure": 1e308},
@@ -189,6 +212,15 @@ class TestSimulate:
         assert main(["report", "--in", str(sd_dir), "--out", str(out)]) == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_air_rows_below_the_dew_point_range_still_report(self, tmp_path):
+        # air rows reach -105 C, outside Magnus's [-45, 60] C; only the surface
+        # dew point is reported, so the report must not need theirs
+        cfg_path = _write_config(tmp_path / "c.json", {"environment": {"temperature_lapse": 3.0}})
+        sd_dir, out = tmp_path / "sd", tmp_path / "report"
+        assert main(["simulate", "--config", cfg_path, "--out", str(sd_dir)]) == EXIT_OK
+        assert main(["report", "--in", str(sd_dir), "--out", str(out)]) == EXIT_OK
+        assert (out / "report.json").is_file()
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path / "c.json", {"environment": {"oops": 1}})

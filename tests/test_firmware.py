@@ -4,21 +4,23 @@ import pytest
 
 from asid.firmware import (
     AIR_LOG,
+    CLOCK_LIMIT_MS,
     GROUND_LOG,
+    RTC_LATEST_START,
     FirmwareConfig,
     Phase,
     SdCardImage,
-    SensorSample,
     arduino_print_float,
     format_row,
     make_sample,
     setup,
     tick,
 )
+from asid.wxindices import LogRow
 
 
 def _sample(cal_altitude, clock_s=0, temperature=15.0, humidity=50.0):
-    return SensorSample(
+    return LogRow(
         date="01.06.2021",
         time=f"10:{15 + clock_s // 60:02d}:{clock_s % 60:02d}",
         temperature=temperature,
@@ -130,8 +132,8 @@ class TestAirPhase:
 
 class TestRowFormat:
     def test_reference_row(self):
-        sample = SensorSample("01.06.2021", "10:15:30", 25.3, 45.2, 25.1, 1005.25, 41.67)
-        assert format_row(sample) == b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\n"
+        row = LogRow("01.06.2021", "10:15:30", 25.3, 45.2, 25.1, 1005.25, 41.67)
+        assert format_row(row) == b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\n"
 
     def test_every_row_ends_comma_crlf(self):
         altitudes = [float(i) for i in range(1, 41)]
@@ -170,19 +172,27 @@ class TestMakeSample:
     def test_reproduces_logger_arithmetic(self):
         cfg = FirmwareConfig(elevation=0.0, pressure_correction=0.995)
         state = setup(cfg, 101325.0)
-        sample = make_sample(cfg, state, 15.0, 50.0, 101325.0, 0)
+        sample = make_sample(state, 15.0, 50.0, 101325.0, 0)
         assert sample.pressure_hpa == pytest.approx(101325.0 * 0.995 / 100.0, rel=1e-12)
         assert sample.cal_altitude == pytest.approx(0.0, abs=1e-9)
         # 5 hPa of differential reads 41.67 m on the 0.12 hPa/m altimeter
-        sample = make_sample(cfg, state, 15.0, 50.0, (state.mslp_hpa - 5.0) * 100.0 / 0.995, 0)
+        sample = make_sample(state, 15.0, 50.0, (state.mslp_hpa - 5.0) * 100.0 / 0.995, 0)
         assert sample.cal_altitude == pytest.approx(5.0 / 0.12, rel=1e-9)
 
     def test_clock_drives_timestamp(self):
         cfg = FirmwareConfig(elevation=0.0, rtc_start=datetime(2021, 6, 1, 10, 15, 0))
         state = setup(cfg, 101325.0)
-        sample = make_sample(cfg, state, 15.0, 50.0, 101325.0, 83_000)
+        sample = make_sample(state, 15.0, 50.0, 101325.0, 83_000)
         assert sample.date == "01.06.2021"
         assert sample.time == "10:16:23"
+
+    def test_clock_stops_at_its_limit(self):
+        # the latest rtc_start plus the longest clock is the last second of the calendar
+        state = setup(FirmwareConfig(elevation=0.0, rtc_start=RTC_LATEST_START), 101325.0)
+        sample = make_sample(state, 15.0, 50.0, 101325.0, CLOCK_LIMIT_MS)
+        assert (sample.date, sample.time) == ("31.12.9999", "23:59:59")
+        with pytest.raises(RuntimeError):
+            make_sample(state, 15.0, 50.0, 101325.0, CLOCK_LIMIT_MS + 1)
 
 
 class TestSdCardImage:
@@ -219,7 +229,8 @@ def test_config_validation():
 
 
 def test_sample_validation():
+    state = setup(FirmwareConfig(elevation=0.0), 101325.0)
     with pytest.raises(ValueError):
-        SensorSample("01.06.2021", "10:15:30", 25.3, 101.0, 25.1, 1005.25, 41.67)
+        make_sample(state, 25.3, 101.0, 100525.0, 0)
     with pytest.raises(ValueError):
-        SensorSample("01.06.2021", "10:15:30", 25.3, 45.2, 25.1, 0.0, 41.67)
+        make_sample(state, 25.3, 45.2, 0.0, 0)

@@ -5,6 +5,7 @@ import pytest
 
 from asid.airframe import reference_config, service_ceiling, wind_drift, \
     max_progressive_speed
+from asid import flightsim
 from asid.flightsim import (
     BatteryExhaustedError,
     Environment,
@@ -15,7 +16,7 @@ from asid.flightsim import (
     step,
     true_sample,
 )
-from asid.mission import MissionCommand, MissionPlan, TAKEOFF, LAND, \
+from asid.mission import MissionCommand, MissionPlan, TAKEOFF, DELAY, LAND, \
     generate_sounding_profile
 
 CFG = reference_config()
@@ -173,6 +174,17 @@ class TestRunMission:
         trajectory = err.value.trajectory
         assert trajectory.samples
         assert trajectory.samples[-1][1] > 0.0  # stopped mid-air
+
+    def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
+        # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop
+        monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", 60_000)
+        plan = MissionPlan(home=(0.0, 0.0), commands=(
+            MissionCommand(TAKEOFF, alt=10.0),
+            MissionCommand(DELAY, p1=120.0),
+            MissionCommand(LAND),
+        ))
+        with pytest.raises(RuntimeError, match="logger clock"):
+            run_mission(plan, CFG, CALM)
 
     def test_time_to_design_altitude_in_expected_band(self):
         # full-throttle climb to 20,000 ft takes 4-8 minutes

@@ -15,7 +15,7 @@ from asid.groundstation import (
 )
 from asid.wxindices import (
     FreezingLevel,
-    SoundingLevel,
+    LogRow,
     SoundingProfile,
     SurfaceSummary,
     WxReport,
@@ -28,9 +28,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _profile(n_levels=7):
     levels = tuple(
-        SoundingLevel(altitude=5.0 * (i + 1), temperature=15.0 - 0.0065 * 5.0 * (i + 1),
-                      humidity=50.0 - 0.2 * i, pressure_hpa=1008.0 - 0.6 * i,
-                      dew_point=4.0)
+        LogRow(date="01.06.2021", time=f"10:16:{i:02d}",
+               temperature=15.0 - 0.0065 * 5.0 * (i + 1), humidity=50.0 - 0.2 * i,
+               heat_index=13.9, pressure_hpa=1008.0 - 0.6 * i, cal_altitude=5.0 * (i + 1))
         for i in range(n_levels)
     )
     return SoundingProfile(levels=levels,

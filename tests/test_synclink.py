@@ -1,5 +1,7 @@
 import random
+import socket
 import string
+import struct
 import threading
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
 from asid.synclink import (
     CHUNK_SIZE,
+    CONNECTION_TIMEOUT_S,
     LogServer,
     ProtocolError,
     RouteTarget,
@@ -27,10 +30,12 @@ def _sd():
 
 
 class ScriptedConn:
-    """Socket stand-in that records every write, for chunk counting."""
+    """Socket stand-in that records every write, for chunk counting; with
+    ``reset_after=n``, every write after the first n raises ConnectionResetError."""
 
-    def __init__(self, request: bytes):
+    def __init__(self, request: bytes, reset_after: int | None = None):
         self._rx = request
+        self._reset_after = reset_after
         self.writes: list[bytes] = []
         self.closed = False
 
@@ -39,6 +44,8 @@ class ScriptedConn:
         return chunk
 
     def sendall(self, data: bytes) -> None:
+        if len(self.writes) == self._reset_after:
+            raise ConnectionResetError("peer reset")
         self.writes.append(bytes(data))
 
     def close(self) -> None:
@@ -93,12 +100,6 @@ class TestServeFile:
             assert b"".join(response.wire_writes()[5:]) == original
             assert all(len(w) == CHUNK_SIZE for w in response.wire_writes()[5:-1])
 
-    def test_serving_ground_removes_both_files(self):
-        sd = _sd()
-        serve_file(GROUND_LOG, sd)
-        assert not sd.exists(AIR_LOG)
-        assert not sd.exists(GROUND_LOG)
-
     def test_serving_air_keeps_files(self):
         sd = _sd()
         serve_file(AIR_LOG, sd)
@@ -119,6 +120,27 @@ class TestHandleConnection:
         sizes = [len(w) for w in conn.writes[5:]]
         assert sizes == [1760, 1760, 1]
         assert b"".join(conn.writes[5:]) == b"a" * 3521
+
+    def test_serving_ground_removes_both_files(self):
+        sd = _sd()
+        conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n")
+        served_after = []
+        target = handle_connection(conn, sd, lambda: served_after.append(len(conn.writes)))
+        assert target is RouteTarget.GROUND
+        assert not sd.exists(AIR_LOG)
+        assert not sd.exists(GROUND_LOG)
+        assert served_after == [len(conn.writes)]  # once, after the last chunk
+
+    def test_failed_send_keeps_both_logs(self):
+        sd = _sd()
+        conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n", reset_after=5)
+        served = []
+        with pytest.raises(ConnectionResetError):
+            handle_connection(conn, sd, lambda: served.append(True))
+        assert conn.closed
+        assert sd.read(AIR_LOG) == AIR_BYTES
+        assert sd.read(GROUND_LOG) == GROUND_BYTES
+        assert served == []
 
     def test_missing_file_writes_nothing(self):
         conn = ScriptedConn(b"GET /download/air.csv HTTP/1.1\r\n\r\n")
@@ -187,6 +209,23 @@ class TestLoopback:
         with pytest.raises(ProtocolError):
             sync(server.host, server.port, tmp_path / "second", timeout=5.0)
         assert not (tmp_path / "second").exists()  # nothing written on failure
+
+    def test_client_reset_mid_response_keeps_serving(self, server):
+        server.sd.files[AIR_LOG] = b"x" * (4 << 20)
+        for _ in range(3):
+            conn = socket.create_connection((server.host, server.port), timeout=5.0)
+            conn.sendall(b"GET /download/air.csv HTTP/1.1\r\n\r\n")
+            conn.recv(1024)
+            # abort with a TCP reset while the server is still writing the body
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+        assert fetch(server.host, server.port, RouteTarget.GROUND, timeout=5.0) == GROUND_BYTES
+
+    def test_idle_client_does_not_block_the_next(self, server):
+        with socket.create_connection((server.host, server.port)):  # sends nothing
+            air = fetch(server.host, server.port, RouteTarget.AIR,
+                        timeout=CONNECTION_TIMEOUT_S + 3.0)
+        assert air == AIR_BYTES
 
     def test_empty_air_file_yields_zero_byte_body(self):
         sd = SdCardImage({AIR_LOG: b"", GROUND_LOG: GROUND_BYTES})

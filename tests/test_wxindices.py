@@ -5,13 +5,12 @@ from datetime import datetime
 
 import pytest
 
-from asid.firmware import FirmwareConfig, SensorSample, format_row, setup
+from asid.firmware import format_row
 from asid.wxindices import (
     FreezingLevel,
     LogParseError,
     LogRow,
     ProfileError,
-    SoundingLevel,
     SoundingProfile,
     SurfaceSummary,
     build_profile,
@@ -140,7 +139,7 @@ def _profile(levels, surface=None, when=None):
 
 
 def _level(alt, temp, rh=50.0, p=1000.0):
-    return SoundingLevel(altitude=alt, temperature=temp, humidity=rh, pressure_hpa=p)
+    return LogRow("01.06.2021", "10:16:00", temp, rh, 13.9, p, alt)
 
 
 class TestFreezingLevel:
@@ -203,11 +202,9 @@ class TestSurfaceSummary:
 
 class TestLogParsing:
     def test_round_trip_through_row_format(self):
-        cfg = FirmwareConfig(elevation=0.0)
-        state = setup(cfg, 101325.0)
         samples = [
-            SensorSample("01.06.2021", "10:15:30", 25.3, 45.2, 25.1, 1005.25, 41.67),
-            SensorSample("01.06.2021", "10:15:33", 14.97, 49.3, 13.86, 1007.58, 5.04),
+            LogRow("01.06.2021", "10:15:30", 25.3, 45.2, 25.1, 1005.25, 41.67),
+            LogRow("01.06.2021", "10:15:33", 14.97, 49.3, 13.86, 1007.58, 5.04),
         ]
         blob = b"".join(format_row(s) for s in samples)
         rows = parse_log(blob)
@@ -253,15 +250,9 @@ class TestBuildProfileAndReport:
     def test_profile_uses_cal_altitude(self):
         air = _air_blob([(5.04, 15.0), (10.06, 14.9), (17.88, 14.9)])
         profile = build_profile(air, GROUND_BLOB)
-        assert [l.altitude for l in profile.levels] == [5.04, 10.06, 17.88]
+        assert [l.cal_altitude for l in profile.levels] == [5.04, 10.06, 17.88]
         assert profile.surface.temperature == 15.0
         assert profile.collection_time == datetime(2021, 6, 1, 10, 16, 2)
-
-    def test_per_level_dew_points_present(self):
-        air = _air_blob([(5.0, 15.0), (10.0, 14.9)])
-        profile = build_profile(air, GROUND_BLOB)
-        assert all(l.dew_point is not None and l.dew_point < l.temperature
-                   for l in profile.levels)
 
     def test_shuffled_air_rows_rejected(self):
         air = _air_blob([(10.06, 14.9), (5.04, 15.0)])
