@@ -24,8 +24,6 @@ EXIT_SIMULATION = 3
 EXIT_TRANSPORT = 4
 EXIT_DATA = 5
 
-log = logging.getLogger("asid")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
@@ -229,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except config.ConfigError as exc:
-        log.error("configuration error: %s", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (mission.MissionValidationError, flightsim.BatteryExhaustedError,

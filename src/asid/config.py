@@ -40,7 +40,7 @@ class MissionParams:
     home: tuple[float, float] = DEFAULT_HOME
 
     def __post_init__(self) -> None:
-        check_levels(self.target_alt, self.start_alt, self.step)
+        check_levels(self.target_alt, self.start_alt, self.step, self.capture_dwell)
 
 
 @dataclass(frozen=True)

@@ -69,20 +69,28 @@ class FirmwareConfig:
 
 
 class SdCardImage:
-    """In-memory SD card: a name -> bytes mapping with atomic per-call ops."""
+    """In-memory SD card: a name -> bytes mapping with atomic per-call ops.
+
+    ``append`` grows a file's ``bytearray`` in place, so logging n rows
+    costs linear, not quadratic, time; ``read`` returns a ``bytes`` copy.
+    """
 
     def __init__(self, files: dict[str, bytes] | None = None, *, write_protected: bool = False):
-        self.files: dict[str, bytes] = dict(files or {})
+        self.files: dict[str, bytes | bytearray] = dict(files or {})
         self.write_protected = write_protected
 
     def append(self, name: str, data: bytes) -> bool:
         if self.write_protected:
             return False
-        self.files[name] = self.files.get(name, b"") + data
+        if name in self.files:
+            self.files[name] += data
+        else:
+            self.files[name] = bytearray(data)
         return True
 
     def read(self, name: str) -> bytes | None:
-        return self.files.get(name)
+        data = self.files.get(name)
+        return None if data is None else bytes(data)
 
     def exists(self, name: str) -> bool:
         return name in self.files

@@ -19,10 +19,11 @@ from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ce
 from .atmosphere import G0, HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
 from .firmware import CLOCK_LIMIT_MS
 
-# Altitude controller: proportional speed command (0.5 m/s per metre of
-# error, clamped) tracked by a proportional throttle around the hover
-# feed-forward.  The cascade keeps the approach overdamped, so levels are
-# reached without overshoot.
+# Altitude controller, run by run_mission before every step: proportional
+# speed command (0.5 m/s per metre of error, clamped) tracked by a
+# proportional throttle around the hover feed-forward (the sea-level hover
+# throttle over the density ratio).  The cascade keeps the approach
+# overdamped, so levels are reached without overshoot.
 CLIMB_GAIN = 0.5          # (m/s) per m of altitude error
 CLIMB_SPEED_LIMIT = 4.0   # m/s
 THROTTLE_GAIN = 0.15      # throttle per m/s of speed error
@@ -100,7 +101,7 @@ class CameraEvent:
     heading: float   # deg
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     t: float = 0.0
     altitude: float = 0.0
@@ -115,12 +116,14 @@ def hover_throttle(cfg: AirframeConfig) -> float:
     return 1.0 / thrust_to_weight(cfg)
 
 
-def step(state: SimState, cfg: AirframeConfig, throttle: float, dt: float) -> SimState:
+def step(state: SimState, cfg: AirframeConfig, throttle: float, dt: float,
+         ratio: float) -> SimState:
     """Advance the vertical dynamics by dt (semi-implicit Euler).
 
     Acceleration is (thrust - weight - quadratic frame drag) / mass, with
-    the static thrust de-rated by the local density ratio and converted
-    from gram-force to Newtons.  Battery current scales as
+    the static thrust converted from gram-force to Newtons and de-rated by
+    ``ratio``, the density ratio at ``state.altitude`` (the caller has
+    already evaluated it for its controller).  Battery current scales as
     (throttle / hover throttle)^1.5.
     """
     if not 0.0 < dt <= 0.1:
@@ -128,17 +131,17 @@ def step(state: SimState, cfg: AirframeConfig, throttle: float, dt: float) -> Si
     if not 0.0 <= throttle <= 1.0:
         raise ValueError("throttle must lie in [0, 1]")
     mass_kg = cfg.total_mass / 1000.0
-    thrust_n = throttle * cfg.n_motors * cfg.motor.max_thrust_per_motor * GF_TO_N \
-        * density_ratio(state.altitude)
+    thrust_n = throttle * cfg.n_motors * cfg.motor.max_thrust_per_motor * GF_TO_N * ratio
     v = state.vertical_speed
     accel = (thrust_n - mass_kg * G0 - cfg.frame_drag_coefficient * v * abs(v)) / mass_kg
     v_next = v + accel * dt
     altitude = state.altitude + v_next * dt
     if altitude <= 0.0:  # ground stop
         altitude = 0.0
-        v_next = max(0.0, v_next)
+        v_next = v_next if v_next > 0.0 else 0.0
     current = HOVER_CURRENT_A * (throttle / hover_throttle(cfg)) ** 1.5
-    state.battery_remaining = max(0.0, state.battery_remaining - current * dt / 3.6)
+    battery = state.battery_remaining - current * dt / 3.6
+    state.battery_remaining = battery if battery > 0.0 else 0.0
     state.t += dt
     state.altitude = altitude
     state.vertical_speed = v_next
@@ -168,10 +171,8 @@ class Trajectory:
         return self.samples[max(0, index)][1]
 
     def to_csv(self) -> str:
-        lines = ["t,altitude,vertical_speed,heading"]
-        for t, alt, v, heading in self.samples:
-            lines.append(f"{t:.2f},{alt:.4f},{v:.4f},{heading:.1f}")
-        return "\n".join(lines) + "\n"
+        return "t,altitude,vertical_speed,heading\n" \
+            + "".join(map("%.2f,%.4f,%.4f,%.1f\n".__mod__, self.samples))
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),
@@ -179,16 +180,11 @@ class Trajectory:
         return json.dumps(events, indent=2) + "\n"
 
 
-def _controller_throttle(cfg: AirframeConfig, state: SimState, target_alt: float) -> float:
-    error = target_alt - state.altitude
-    v_cmd = max(-CLIMB_SPEED_LIMIT, min(CLIMB_SPEED_LIMIT, CLIMB_GAIN * error))
-    feed_forward = hover_throttle(cfg) / density_ratio(state.altitude)
-    throttle = feed_forward + THROTTLE_GAIN * (v_cmd - state.vertical_speed)
-    return max(0.0, min(1.0, throttle))
-
-
 def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment) -> Trajectory:
     """Execute a validated plan and return the sampled trajectory.
+
+    Each integrator step evaluates the density ratio once, computes the
+    controller's throttle from it and hands both to ``step``.
 
     Raises MissionValidationError for unflyable plans,
     BatteryExhaustedError (carrying the partial trajectory) when the pack
@@ -200,13 +196,21 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         raise mission.MissionValidationError(violations)
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
+    hover = hover_throttle(cfg)
     samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
     events = state.camera_events
     limit_s = CLOCK_LIMIT_MS / 1000.0
 
     def advance(target_alt: float) -> None:
-        throttle = _controller_throttle(cfg, state, target_alt)
-        step(state, cfg, throttle, DT)
+        # the controller; each clamp picks what min/max would, -0.0 included
+        ratio = density_ratio(state.altitude)
+        v_cmd = CLIMB_GAIN * (target_alt - state.altitude)
+        v_cmd = v_cmd if v_cmd < CLIMB_SPEED_LIMIT else CLIMB_SPEED_LIMIT
+        v_cmd = v_cmd if v_cmd > -CLIMB_SPEED_LIMIT else -CLIMB_SPEED_LIMIT
+        throttle = hover / ratio + THROTTLE_GAIN * (v_cmd - state.vertical_speed)
+        throttle = throttle if throttle < 1.0 else 1.0
+        throttle = throttle if throttle > 0.0 else 0.0
+        step(state, cfg, throttle, DT, ratio)
         samples.append((state.t, state.altitude, state.vertical_speed, state.heading))
         if state.battery_remaining <= 0.0:
             raise BatteryExhaustedError(

@@ -87,7 +87,7 @@ def generate_sounding_profile(target_alt: float,
     camera and dwell; climb to the next level; finally descend back to
     start_alt and land.
     """
-    check_levels(target_alt, start_alt, step)
+    check_levels(target_alt, start_alt, step, capture_dwell)
     lat, lon = home
     levels = [float(start_alt)]
     while levels[-1] < target_alt:
@@ -108,9 +108,14 @@ def generate_sounding_profile(target_alt: float,
     return MissionPlan(home=home, commands=tuple(commands))
 
 
-def check_levels(target_alt: float, start_alt: float, step: float) -> None:
-    """Refuse levels the generator cannot build, or more than MAX_LEVELS of them;
-    the ValueError names the parameter."""
+def check_levels(target_alt: float, start_alt: float, step: float,
+                 capture_dwell: float) -> None:
+    """Refuse levels the generator cannot build, or more than MAX_LEVELS of them,
+    and a negative dwell; the ValueError names the parameter."""
+    if start_alt < 0.0:
+        raise ValueError("start_alt must be non-negative")
+    if capture_dwell < 0.0:
+        raise ValueError("capture_dwell must be non-negative")
     if start_alt > target_alt:
         raise ValueError("start_alt must not exceed target_alt")
     if step <= 0.0:

@@ -185,7 +185,7 @@ def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> by
     try:
         conn.sendall(request)
         conn.shutdown(socket.SHUT_WR)
-        data = b""
+        chunks = []
         while True:
             try:
                 chunk = conn.recv(4096)
@@ -193,9 +193,10 @@ def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> by
                 raise TransportError("timed out waiting for the response") from exc
             if not chunk:
                 break
-            data += chunk
+            chunks.append(chunk)
     finally:
         conn.close()
+    data = b"".join(chunks)
     if b"\r\n\r\n" not in data:
         raise ProtocolError("connection closed without a response header block")
     head, body = data.split(b"\r\n\r\n", 1)

@@ -102,7 +102,7 @@ def test_criterion_05_climb_claims():
     v_near = None
     t_design = None
     while state.altitude < 6096.0:
-        step(state, cfg, 1.0, 0.01)
+        step(state, cfg, 1.0, 0.01, density_ratio(state.altitude))
         if state.altitude < 300.0:
             peak_low = max(peak_low, state.vertical_speed)
         if v_near is None and state.altitude >= near_ceiling:

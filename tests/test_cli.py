@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import asid
 from asid import config, synclink
 from asid.cli import (
     EXIT_CONFIG,
@@ -117,6 +121,8 @@ class TestConfigLoading:
         ({"step": 0.0}, "step"),
         ({"start_alt": 50.0}, "start_alt"),
         ({"step": 0.01, "target_alt": 100.0}, "step"),
+        ({"start_alt": -5.0}, "start_alt"),
+        ({"capture_dwell": -1.0}, "capture_dwell"),
     ])
     def test_mission_out_of_range_exits_config_error(self, mission, field, tmp_path, capsys):
         path = _write_config(tmp_path / "c.json", {"mission": mission})
@@ -126,6 +132,18 @@ class TestConfigLoading:
         assert f"configuration error: mission: {field} " in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_config_error_is_written_once(self, tmp_path):
+        # a separate process, so the CLI's own logging setup is the one in force
+        path = _write_config(tmp_path / "c.json", {"mission": {"step": 0.0}})
+        env = dict(os.environ, PYTHONPATH=str(Path(asid.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "asid.cli", "simulate", "--config", path,
+             "--out", str(tmp_path / "sd")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.count("configuration error") == 1
+        assert "mission: step must be positive" in done.stderr
 
     def test_round_trip_through_dict(self):
         cfg = config.default_run_config()

@@ -6,6 +6,7 @@ import pytest
 from asid.airframe import reference_config, service_ceiling, wind_drift, \
     max_progressive_speed
 from asid import flightsim
+from asid.atmosphere import density_ratio
 from asid.flightsim import (
     BatteryExhaustedError,
     Environment,
@@ -31,7 +32,7 @@ def _terminal_speed_at(altitude: float) -> float:
     previous = -1.0
     while state.vertical_speed - previous > 1e-9:
         previous = state.vertical_speed
-        step(state, CFG, 1.0, 0.05)
+        step(state, CFG, 1.0, 0.05, density_ratio(state.altitude))
         state.altitude = altitude  # hold position; probe the force balance only
     return state.vertical_speed
 
@@ -41,7 +42,7 @@ class TestStep:
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         throttle = hover_throttle(CFG)
         for _ in range(200):
-            step(state, CFG, throttle, 0.01)
+            step(state, CFG, throttle, 0.01, density_ratio(state.altitude))
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -63,17 +64,17 @@ class TestStep:
 
     def test_battery_drains_with_throttle(self):
         state = SimState(battery_remaining=5000.0)
-        step(state, CFG, 1.0, 0.01)
+        step(state, CFG, 1.0, 0.01, density_ratio(state.altitude))
         assert state.battery_remaining < 5000.0
 
     def test_parameter_validation(self):
         state = SimState(battery_remaining=10.0)
         with pytest.raises(ValueError):
-            step(state, CFG, 1.5, 0.01)
+            step(state, CFG, 1.5, 0.01, density_ratio(state.altitude))
         with pytest.raises(ValueError):
-            step(state, CFG, 0.5, 0.0)
+            step(state, CFG, 0.5, 0.0, density_ratio(state.altitude))
         with pytest.raises(ValueError):
-            step(state, CFG, 0.5, 0.2)
+            step(state, CFG, 0.5, 0.2, density_ratio(state.altitude))
 
 
 class TestTrueSample:
@@ -133,7 +134,7 @@ class TestRunMission:
         state = SimState(battery_remaining=5000.0)
         readings = []
         for _ in range(500):
-            step(state, CFG, 0.7, 0.01)
+            step(state, CFG, 0.7, 0.01, density_ratio(state.altitude))
             readings.append(state.battery_remaining)
         assert all(a >= b for a, b in zip(readings, readings[1:]))
 
@@ -190,7 +191,7 @@ class TestRunMission:
         # full-throttle climb to 20,000 ft takes 4-8 minutes
         state = SimState(battery_remaining=1e9)
         while state.altitude < 6096.0:
-            step(state, CFG, 1.0, 0.02)
+            step(state, CFG, 1.0, 0.02, density_ratio(state.altitude))
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
 
 
@@ -214,3 +215,23 @@ class TestTrajectoryExports:
         assert set(events[0]) == {"t", "altitude", "heading"}
         headings = [e["heading"] for e in events]
         assert headings == [90.0, 180.0, 270.0, 0.0]
+
+    @pytest.mark.parametrize("document, csv_sha256, samples_sha256", [
+        ({}, "4c5f7b58565606c0b7dbc967d2932eec2df121f610194bca46cda015ddfc4b9a",
+         "0d0ebe7c958cd513a890d65c0e0cf92dc298a623e00d5c38360aec5ed5d00da3"),
+        ({"mission": {"target_alt": 300, "headings": [90]},
+          "firmware": {"server_threshold": 290}},
+         "dd895e8f4bf4a3091b6405e54018d12c09033c44675ec69aa70849d4dc4481e2",
+         "be0c0044bd47468f0f92368419cda8d27e15b74b94b4c0b37dfdcef86029c32b"),
+    ], ids=["default", "300m_column"])
+    def test_csv_bytes_and_sample_bits_are_pinned(self, document, csv_sha256, samples_sha256):
+        # No golden file holds trajectory.csv.  Its four decimals hide a
+        # last-bit change, so the exact floats (their repr) are pinned too:
+        # reordering any float operation of the integrator shows there.
+        import hashlib
+        from asid import config
+        cfg = config.from_dict(document)
+        plan = generate_sounding_profile(**vars(cfg.mission))
+        traj = run_mission(plan, cfg.airframe, cfg.environment)
+        assert hashlib.sha256(traj.to_csv().encode("ascii")).hexdigest() == csv_sha256
+        assert hashlib.sha256(repr(traj.samples).encode("ascii")).hexdigest() == samples_sha256
