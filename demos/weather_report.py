@@ -19,11 +19,12 @@ result = run_simulation(default_run_config())
 
 # The vertical profile uses the logger's calibrated altitude as its
 # height coordinate; the surface block is the median of the ground rows.
-profile = wxindices.build_profile(result.sd.read("air.csv"), result.sd.read("ground.csv"))
+air, ground = result.sd.read("air.csv"), result.sd.read("ground.csv")
+profile = wxindices.build_profile(air, ground)
 print(f"profile: {len(profile.levels)} levels, "
       f"{profile.levels[0].cal_altitude:.1f} .. {profile.levels[-1].cal_altitude:.1f} m")
 
-report = wxindices.build_report(profile)
+report, written = groundstation.write_report(air, ground, OUT)
 print()
 print(groundstation.render_text_report(report), end="")
 
@@ -33,10 +34,6 @@ print(groundstation.render_text_report(report), end="")
 fl = report.freezing_level
 print(f"\nfreezing level detail: status={fl.status}, altitude={fl.altitude_m:.1f} m")
 
-bundle = groundstation.build_bundle(report, profile,
-                                    sources=("air.csv", "ground.csv"),
-                                    generated_at=report.collection_time)
-written = groundstation.write_bundle(bundle, OUT)
 print(f"\nwrote {len(written)} documents:")
 for path in written:
     print(f"  {path.relative_to(OUT.parent)}")

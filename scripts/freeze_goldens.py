@@ -7,26 +7,21 @@ report rendering, then review the diff before committing.
 
 from pathlib import Path
 
-from asid import groundstation, wxindices
+from asid import groundstation
 from asid.config import default_run_config
+from asid.firmware import AIR_LOG, GROUND_LOG
 from asid.pipeline import run_simulation
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def main() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+def main(out_dir: Path = GOLDEN_DIR) -> None:
     result = run_simulation(default_run_config())
-    result.sd.to_dir(GOLDEN_DIR)
-
-    profile = wxindices.build_profile(result.sd.read("air.csv"), result.sd.read("ground.csv"))
-    report = wxindices.build_report(profile)
-    bundle = groundstation.build_bundle(report, profile, sources=("air.csv", "ground.csv"),
-                                        generated_at=report.collection_time)
-    groundstation.write_bundle(bundle, GOLDEN_DIR)
-    for path in sorted(GOLDEN_DIR.rglob("*")):
+    result.sd.to_dir(out_dir)
+    groundstation.write_report(result.sd.read(AIR_LOG), result.sd.read(GROUND_LOG), out_dir)
+    for path in sorted(out_dir.rglob("*")):
         if path.is_file():
-            print(f"{path.relative_to(GOLDEN_DIR)}: {path.stat().st_size} bytes")
+            print(f"{path.relative_to(out_dir)}: {path.stat().st_size} bytes")
 
 
 if __name__ == "__main__":

@@ -94,13 +94,7 @@ def _cmd_report(args) -> int:
     if not ground_path.is_file():
         raise wxindices.ProfileError(f"missing {ground_path}")
     air = air_path.read_bytes() if air_path.is_file() else b""
-    ground = ground_path.read_bytes()
-    profile = wxindices.build_profile(air, ground)
-    report = wxindices.build_report(profile)
-    bundle = groundstation.build_bundle(report, profile,
-                                        sources=(str(air_path), str(ground_path)),
-                                        generated_at=report.collection_time)
-    written = groundstation.write_bundle(bundle, args.out)
+    report, written = groundstation.write_report(air, ground_path.read_bytes(), args.out)
     print(f"wrote {len(written)} report files to {args.out}")
     print(groundstation.render_text_report(report), end="")
     return EXIT_OK
@@ -133,11 +127,14 @@ def _cmd_sizing(args) -> int:
 
 
 def _cmd_mission_gen(args) -> int:
-    headings = tuple(float(h) for h in args.headings.split(",")) if args.headings else \
-        mission.DEFAULT_HEADINGS
-    plan = mission.generate_sounding_profile(
-        target_alt=args.target, start_alt=args.start, step=args.step,
-        headings=headings, capture_dwell=args.dwell)
+    try:  # a bad option value is a configuration error, as in simulate --config
+        headings = tuple(float(h) for h in args.headings.split(",")) if args.headings else \
+            mission.DEFAULT_HEADINGS
+        plan = mission.generate_sounding_profile(
+            target_alt=args.target, start_alt=args.start, step=args.step,
+            headings=headings, capture_dwell=args.dwell)
+    except ValueError as exc:
+        raise config.ConfigError(f"mission gen: {exc}") from exc
     text = mission.serialize(plan)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -181,7 +181,8 @@ class Trajectory:
 
 
 def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment) -> Trajectory:
-    """Execute a validated plan and return the sampled trajectory.
+    """Validate a plan against the service ceiling, fly it and return the
+    sampled trajectory; this is the one place a plan is checked.
 
     Each integrator step evaluates the density ratio once, computes the
     controller's throttle from it and hands both to ``step``.

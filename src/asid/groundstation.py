@@ -2,7 +2,8 @@
 deterministic SVG profile plots (altitude on the vertical axis).
 
 Everything here is a pure function of (profile, report, timestamp), so
-identical inputs produce byte-identical documents.
+identical inputs produce byte-identical documents.  ``write_report`` is the
+one chain from the synced log bytes to the written documents.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
+from . import wxindices  # resolved per call, where perfbench/tracer.py wraps it
+from .firmware import AIR_LOG, GROUND_LOG
 from .wxindices import FreezingLevel, SoundingProfile, WxReport
 
 PLOT_NAMES = ("height_temperature", "height_humidity", "height_pressure")
@@ -191,3 +194,13 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list[Path]:
         path.write_text(svg, encoding="ascii")
         written.append(path)
     return written
+
+
+def write_report(air_csv: bytes, ground_csv: bytes, out_dir) -> tuple[WxReport, list[Path]]:
+    """Parse the synced logs, build the report and its plots and write them to
+    out_dir; returns the report and the written paths."""
+    profile = wxindices.build_profile(air_csv, ground_csv)
+    report = wxindices.build_report(profile)
+    bundle = build_bundle(report, profile, sources=(AIR_LOG, GROUND_LOG),
+                          generated_at=report.collection_time)
+    return report, write_bundle(bundle, out_dir)

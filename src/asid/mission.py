@@ -66,7 +66,6 @@ class MissionCommand:
 
 @dataclass(frozen=True)
 class MissionPlan:
-    home: tuple[float, float]
     commands: tuple[MissionCommand, ...]
 
     @property
@@ -105,7 +104,7 @@ def generate_sounding_profile(target_alt: float,
                                            alt=levels[index + 1]))
     commands.append(MissionCommand(WAYPOINT, p1=1.0, lat=lat, lon=lon, alt=float(start_alt)))
     commands.append(MissionCommand(LAND, lat=lat, lon=lon))
-    return MissionPlan(home=home, commands=tuple(commands))
+    return MissionPlan(commands=tuple(commands))
 
 
 def check_levels(target_alt: float, start_alt: float, step: float,
@@ -171,5 +170,4 @@ def parse(text: str) -> MissionPlan:
             commands.append(MissionCommand(kind, *values))
         except ValueError as exc:
             raise MissionParseError(number, str(exc)) from None
-    home = (commands[0].lat, commands[0].lon) if commands else (0.0, 0.0)
-    return MissionPlan(home=home, commands=tuple(commands))
+    return MissionPlan(commands=tuple(commands))

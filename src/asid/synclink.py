@@ -162,12 +162,6 @@ class LogServer:
     def close(self) -> None:
         self._sock.close()
 
-    def __enter__(self) -> "LogServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> bytes:
     """Fetch one log file; returns the body bytes.

@@ -273,13 +273,8 @@ def test_criterion_11_pipeline_determinism(tmp_path):
     outputs = []
     for run in ("a", "b"):
         result = run_simulation(config.default_run_config())
-        profile = wxindices.build_profile(result.sd.read(AIR_LOG),
-                                          result.sd.read(GROUND_LOG))
-        report = wxindices.build_report(profile)
-        bundle = groundstation.build_bundle(report, profile, sources=(),
-                                            generated_at=report.collection_time)
         out = tmp_path / run
-        groundstation.write_bundle(bundle, out)
+        groundstation.write_report(result.sd.read(AIR_LOG), result.sd.read(GROUND_LOG), out)
         files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
                  if p.is_file()}
         files["sd/ground.csv"] = result.sd.read(GROUND_LOG)

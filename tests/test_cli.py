@@ -275,6 +275,22 @@ class TestMissionCommands:
                      "--ceiling", "30"]) == EXIT_DATA
         assert "violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--dwell", "-1", "capture_dwell"),
+        ("--step", "0", "step"),
+        ("--start", "-5", "start_alt"),
+        ("--headings", "x", "'x'"),
+    ])
+    def test_gen_bad_value_exits_config_error(self, option, value, named, tmp_path, capsys):
+        out = tmp_path / "plan.csv"
+        assert main(["mission", "gen", "--target", "40", option, value,
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: mission gen: ")
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestServeSyncReport:
     def test_sync_before_serve_is_transport_error(self, tmp_path):

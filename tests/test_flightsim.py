@@ -108,7 +108,7 @@ class TestTrueSample:
 
 class TestRunMission:
     def test_simple_up_and_down(self):
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(LAND),
         ))
@@ -140,7 +140,7 @@ class TestRunMission:
 
     def test_landing_offset_matches_wind_drift(self):
         env = Environment(wind=118.0)
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(LAND),
         ))
@@ -158,7 +158,7 @@ class TestRunMission:
 
     def test_invalid_plan_rejected(self):
         from asid.mission import MissionValidationError
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=7000.0),
             MissionCommand(LAND),
         ))
@@ -179,7 +179,7 @@ class TestRunMission:
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
         # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop
         monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", 60_000)
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(DELAY, p1=120.0),
             MissionCommand(LAND),
@@ -197,7 +197,7 @@ class TestRunMission:
 
 class TestTrajectoryExports:
     def test_csv_shape(self):
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(LAND),
         ))

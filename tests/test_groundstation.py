@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from datetime import datetime
 from pathlib import Path
@@ -24,6 +25,7 @@ from asid.wxindices import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+FREEZE_GOLDENS = Path(__file__).resolve().parent.parent / "scripts" / "freeze_goldens.py"
 
 
 def _profile(n_levels=7):
@@ -153,3 +155,17 @@ class TestGoldenReport:
         plots = render_plots(profile)
         for name in PLOT_NAMES:
             assert plots[name] == (GOLDEN / "plots" / f"{name}.svg").read_text()
+
+    def test_freeze_goldens_reproduces_the_golden_set(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("freeze_goldens", FREEZE_GOLDENS)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.main(tmp_path)
+
+        def files(root):
+            return {path.relative_to(root): path.read_bytes()
+                    for path in sorted(root.rglob("*")) if path.is_file()}
+
+        frozen = files(GOLDEN)
+        assert frozen
+        assert files(tmp_path) == frozen

@@ -79,7 +79,7 @@ class TestValidation:
         assert validate(plan, ceiling=6096.0) == []
 
     def test_wrong_first_command(self):
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(WAYPOINT, alt=10.0),
             MissionCommand(LAND),
         ))
@@ -88,7 +88,7 @@ class TestValidation:
         assert TAKEOFF in violations[0]
 
     def test_ceiling_violation(self):
-        plan = MissionPlan(home=(0.0, 0.0), commands=(
+        plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(WAYPOINT, alt=7000.0),
             MissionCommand(LAND),
@@ -110,7 +110,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_empty_plan_round_trips(self):
-        plan = MissionPlan(home=(0.0, 0.0), commands=())
+        plan = MissionPlan(commands=())
         assert parse(serialize(plan)) == plan
 
     def test_generated_plan_round_trips(self):
@@ -138,8 +138,7 @@ class TestSerialization:
                     lon=rng.uniform(-180, 180),
                     alt=rng.uniform(0, 500),
                 ))
-            plan = MissionPlan(home=(commands[0].lat, commands[0].lon),
-                               commands=tuple(commands))
+            plan = MissionPlan(commands=tuple(commands))
             assert parse(serialize(plan)) == plan
 
     def test_nineteen_row_reference_table_parses(self):

@@ -41,6 +41,23 @@ class TestRunSimulation:
         with pytest.raises(MissionValidationError):
             run_simulation(_cfg(target_alt=7000.0))
 
+    def test_plan_is_validated_once(self, monkeypatch):
+        from asid import airframe, flightsim, mission, pipeline
+        calls = {"validate": 0, "ceiling": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mission, "validate", counted("validate", mission.validate))
+        ceiling = counted("ceiling", airframe.service_ceiling)
+        monkeypatch.setattr(flightsim, "service_ceiling", ceiling)
+        monkeypatch.setattr(pipeline, "service_ceiling", ceiling)
+        run_simulation(config.default_run_config())
+        assert calls == {"validate": 1, "ceiling": 1}
+
     def test_air_rows_reflect_threshold_order(self):
         result = run_simulation(_cfg())
         rows = [line for line in result.sd.read(AIR_LOG).split(b"\r\n") if line]
