@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .atmosphere import HYPSO_SCALE, linear_altitude, mslp_from_station
 from .wxindices import LogRow, heat_index
+
+if TYPE_CHECKING:
+    from .flightsim import RawReading
 
 GROUND_LOG = "ground.csv"
 AIR_LOG = "air.csv"
@@ -30,6 +34,7 @@ SERVER_BUZZ_MS = 5000
 # every row stamp stays inside the calendar
 CLOCK_LIMIT_MS = 86_400_000
 RTC_LATEST_START = datetime.max.replace(microsecond=0) - timedelta(milliseconds=CLOCK_LIMIT_MS)
+DAY_US = 86_400_000_000  # microseconds in a calendar day
 
 # Print::printFloat prints "ovf" beyond this magnitude
 ARDUINO_FLOAT_LIMIT = 4294967040.0
@@ -120,14 +125,34 @@ class FirmwareState:
     phase: Phase
     mslp_hpa: float
     interval: float
+    rtc_day_us: int  # us from the midnight before rtc_start to rtc_start
     ground_count: int = 0
+    dates: dict[int, str] = field(default_factory=dict)  # DD.MM.YYYY by days past rtc_start
 
 
 def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
     """Power-on: reduce the first raw pressure to sea level and arm the logger."""
     mslp = mslp_from_station(first_pressure_pa, cfg.elevation, cfg.pressure_correction)
+    start = cfg.rtc_start
+    day_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 \
+        + start.microsecond
     return FirmwareState(cfg=cfg, phase=Phase.GROUND, mslp_hpa=mslp,
-                         interval=cfg.interval_start)
+                         interval=cfg.interval_start, rtc_day_us=day_us)
+
+
+def _printf_exact(value: float, decimals: int) -> bool:
+    """True when "%.*f" prints ``value`` as the device does.
+
+    "%.*f" rounds the exact binary value, the device rounds ``repr(value)``
+    half up.  The two differ only when ``repr(value)`` is itself a tie
+    (``decimals + 1`` fraction digits, the last one 5): a rounding boundary
+    strictly between the value and its repr would be a shorter round-trip
+    string.  Exponent forms, non-finite values and "ovf" are left out too.
+    """
+    if not abs(value) <= ARDUINO_FLOAT_LIMIT:  # NaN fails this too
+        return False
+    text = repr(value)
+    return not ("e" in text or text[-1] == "5" and text[-decimals - 2:-decimals - 1] == ".")
 
 
 def arduino_print_float(value: float, decimals: int) -> str:
@@ -136,30 +161,46 @@ def arduino_print_float(value: float, decimals: int) -> str:
     Like Print::printFloat, non-finite values print as "nan"/"inf" and
     magnitudes above 4294967040 as "ovf".
     """
-    if not abs(value) <= ARDUINO_FLOAT_LIMIT:  # NaN fails this too
+    if _printf_exact(value, decimals):
+        return "%.*f" % (decimals, value)
+    if not abs(value) <= ARDUINO_FLOAT_LIMIT:
         return "nan" if math.isnan(value) else "inf" if math.isinf(value) else "ovf"
     quantum = Decimal(1).scaleb(-decimals)
     return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+def _checked_hpa(state: FirmwareState, humidity: float, pressure_pa: float,
+                 clock_ms: int) -> float:
+    """The checks of every poll, in the device's order; returns the corrected hPa."""
+    if clock_ms > CLOCK_LIMIT_MS:
+        raise RuntimeError(f"the run outlasts the logger clock's {CLOCK_LIMIT_MS} ms limit")
+    corrected_hpa = pressure_pa * state.cfg.pressure_correction / 100.0
+    if corrected_hpa <= 0.0:
+        raise ValueError("pressure must be positive")
+    if not 0.0 <= humidity <= 100.0:  # heat_index's range
+        raise ValueError("relative humidity must lie in [0, 100] %")
+    return corrected_hpa
 
 
 def make_sample(state: FirmwareState, temperature: float, humidity: float,
                 pressure_pa: float, clock_ms: int) -> LogRow:
     """Process raw readings into the row the logger writes.
 
-    Humidity outside [0, 100] % (refused by heat_index) and a non-positive
-    corrected pressure raise ValueError; a clock past CLOCK_LIMIT_MS raises
-    RuntimeError, since the run no longer fits the logger's calendar.
+    Humidity outside [0, 100] % and a non-positive corrected pressure raise
+    ValueError; a clock past CLOCK_LIMIT_MS raises RuntimeError, since the
+    run no longer fits the logger's calendar.  The stamps are those strftime
+    prints for rtc_start + clock_ms; the date is formatted once per day.
     """
-    cfg = state.cfg
-    if clock_ms > CLOCK_LIMIT_MS:
-        raise RuntimeError(f"the run outlasts the logger clock's {CLOCK_LIMIT_MS} ms limit")
-    corrected_hpa = pressure_pa * cfg.pressure_correction / 100.0
-    if corrected_hpa <= 0.0:
-        raise ValueError("pressure must be positive")
-    stamp = cfg.rtc_start + timedelta(milliseconds=clock_ms)
+    corrected_hpa = _checked_hpa(state, humidity, pressure_pa, clock_ms)
+    day, us = divmod(state.rtc_day_us + clock_ms * 1000, DAY_US)
+    date = state.dates.get(day)
+    if date is None:
+        stamp = state.cfg.rtc_start + timedelta(days=day)
+        date = state.dates[day] = stamp.strftime("%d.%m.%Y")
+    seconds = us // 1_000_000
     return LogRow(
-        date=stamp.strftime("%d.%m.%Y"),
-        time=stamp.strftime("%H:%M:%S"),
+        date=date,
+        time="%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
         temperature=temperature,
         humidity=humidity,
         heat_index=heat_index(temperature, humidity),
@@ -170,28 +211,34 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
 
 def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
-    parts = (
-        row.date,
-        row.time,
-        arduino_print_float(row.temperature, 1),
-        arduino_print_float(row.humidity, 1),
-        arduino_print_float(row.heat_index, 1),
-        arduino_print_float(row.pressure_hpa, 2),
-        arduino_print_float(row.cal_altitude, 2),
-    )
-    return ("".join(p + "," for p in parts) + "\r\n").encode("ascii")
+    t, h, hi, p, a = row.temperature, row.humidity, row.heat_index, row.pressure_hpa, \
+        row.cal_altitude
+    if _printf_exact(t, 1) and _printf_exact(h, 1) and _printf_exact(hi, 1) \
+            and _printf_exact(p, 2) and _printf_exact(a, 2):
+        text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % (row.date, row.time, t, h, hi, p, a)
+    else:
+        parts = (row.date, row.time, arduino_print_float(t, 1), arduino_print_float(h, 1),
+                 arduino_print_float(hi, 1), arduino_print_float(p, 2),
+                 arduino_print_float(a, 2))
+        text = "".join(part + "," for part in parts) + "\r\n"
+    return text.encode("ascii")
 
 
-def tick(state: FirmwareState, row: LogRow, sd: SdCardImage) -> list[tuple]:
-    """One pass of the device loop: advances ``state`` in place.
+def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
+         sd: SdCardImage) -> list[tuple]:
+    """One pass of the device loop on one raw reading: advances ``state`` in place.
 
-    Returns the effect list; "wait" effects tell the caller how long the
-    device blocks before the next pass.  A failed SD write emits
-    "write_failure" and leaves the state unchanged.
+    Every poll makes make_sample's checks, but the row itself (stamps, heat
+    index) is built only when it is written.  Returns the effect list;
+    "wait" effects tell the caller how long the device blocks before the
+    next pass.  A failed SD write emits "write_failure" and leaves the state
+    unchanged.
     """
     cfg = state.cfg
     effects: list[tuple] = []
     if state.phase is Phase.GROUND:
+        row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
+                          clock_ms)
         effects.append(("buzzer", GROUND_BUZZ_MS))
         if sd.append(GROUND_LOG, format_row(row)):
             effects.append(("log", GROUND_LOG))
@@ -201,8 +248,12 @@ def tick(state: FirmwareState, row: LogRow, sd: SdCardImage) -> list[tuple]:
                 state.phase = Phase.AIR
         else:
             effects.append(("write_failure", GROUND_LOG))
-    elif state.phase is Phase.AIR:
-        if row.cal_altitude > state.interval:
+    else:
+        corrected_hpa = _checked_hpa(state, reading.humidity, reading.pressure, clock_ms)
+        if state.phase is Phase.AIR \
+                and linear_altitude(corrected_hpa, state.mslp_hpa) > state.interval:
+            row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
+                              clock_ms)
             if sd.append(AIR_LOG, format_row(row)):
                 effects.append(("log", AIR_LOG))
                 effects.append(("wait", cfg.air_delay_ms))

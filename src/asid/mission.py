@@ -8,6 +8,7 @@ the first (TAKEOFF) row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 TAKEOFF = "TAKEOFF"
@@ -56,6 +57,9 @@ class MissionCommand:
     def __post_init__(self) -> None:
         if self.kind not in COMMAND_KINDS:
             raise ValueError(f"unknown command kind {self.kind!r}")
+        for name in ("p1", "p2", "p3", "p4", "lat", "lon", "alt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alt < 0.0:
             raise ValueError("altitude must be non-negative")
         if self.kind == CONDITION_YAW and not 0.0 <= self.p1 < 360.0:
@@ -109,8 +113,12 @@ def generate_sounding_profile(target_alt: float,
 
 def check_levels(target_alt: float, start_alt: float, step: float,
                  capture_dwell: float) -> None:
-    """Refuse levels the generator cannot build, or more than MAX_LEVELS of them,
-    and a negative dwell; the ValueError names the parameter."""
+    """Refuse non-finite values, levels the generator cannot build, or more than
+    MAX_LEVELS of them, and a negative dwell; the ValueError names the parameter."""
+    for name, value in (("target_alt", target_alt), ("start_alt", start_alt), ("step", step),
+                        ("capture_dwell", capture_dwell)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if start_alt < 0.0:
         raise ValueError("start_alt must be non-negative")
     if capture_dwell < 0.0:

@@ -72,9 +72,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         on_ground = state.phase is Phase.GROUND
         altitude = trajectory.altitude_at((clock - flight_start) / 1000.0)
         reading = flightsim.true_sample(env, altitude, rng)
-        row = firmware.make_sample(state, reading.temperature, reading.humidity,
-                                   reading.pressure, clock)
-        effects = firmware.tick(state, row, sd)
+        effects = firmware.tick(state, reading, clock, sd)
         clock += max(_effect_wait_ms(effects), LOOP_POLL_MS)
         if on_ground:
             flight_start = clock

@@ -280,6 +280,10 @@ class TestMissionCommands:
         ("--step", "0", "step"),
         ("--start", "-5", "start_alt"),
         ("--headings", "x", "'x'"),
+        ("--target", "nan", "target_alt"),
+        ("--step", "nan", "step"),
+        ("--start", "nan", "start_alt"),
+        ("--dwell", "nan", "capture_dwell"),
     ])
     def test_gen_bad_value_exits_config_error(self, option, value, named, tmp_path, capsys):
         out = tmp_path / "plan.csv"
@@ -290,6 +294,16 @@ class TestMissionCommands:
         assert named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_validate_non_finite_value_is_data_error(self, value, tmp_path, capsys):
+        plan = tmp_path / "plan.csv"
+        plan.write_text("command,p1,p2,p3,p4,lat,lon,alt\n"
+                        f"TAKEOFF,0,0,0,0,0,0,{value}\nDELAY,1,0,0,0,0,0,0\nLAND,0,0,0,0,0,0,0\n")
+        assert main(["mission", "validate", "--file", str(plan)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: line 2: alt must be finite")
+        assert "mission ok" not in captured.out
 
 
 class TestServeSyncReport:

@@ -1,9 +1,15 @@
-from datetime import datetime
+import math
+import random
+from datetime import datetime, timedelta, timezone
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
+from asid import firmware
+from asid.atmosphere import LINEAR_ALTIMETER_SLOPE
 from asid.firmware import (
     AIR_LOG,
+    ARDUINO_FLOAT_LIMIT,
     CLOCK_LIMIT_MS,
     GROUND_LOG,
     RTC_LATEST_START,
@@ -16,6 +22,7 @@ from asid.firmware import (
     setup,
     tick,
 )
+from asid.flightsim import RawReading
 from asid.wxindices import LogRow
 
 
@@ -31,6 +38,16 @@ def _sample(cal_altitude, clock_s=0, temperature=15.0, humidity=50.0):
     )
 
 
+def _reading(state, cal_altitude, temperature=15.0, humidity=50.0):
+    """A raw reading the logger calibrates to ``cal_altitude``, or to a hair below
+    it, so that a reading at a threshold does not pass it."""
+    corrected_hpa = state.mslp_hpa - LINEAR_ALTIMETER_SLOPE * cal_altitude
+    pressure = corrected_hpa * 100.0 / state.cfg.pressure_correction
+    while make_sample(state, temperature, humidity, pressure, 0).cal_altitude > cal_altitude:
+        pressure = math.nextafter(pressure, math.inf)
+    return RawReading(temperature, humidity, pressure)
+
+
 def _run_flight(altitudes, cfg=None):
     """Drive the state machine over a cal-altitude sequence (one tick per entry
     after the ground phase completes).  Returns the state, the card and the
@@ -41,11 +58,11 @@ def _run_flight(altitudes, cfg=None):
     buzzes = []
     clock = 0
     while state.phase is Phase.GROUND:
-        effects = tick(state, _sample(0.0, clock // 1000), sd)
+        effects = tick(state, _reading(state, 0.0), clock, sd)
         buzzes += [e[1] for e in effects if e[0] == "buzzer"]
         clock += 3500
     for altitude in altitudes:
-        effects = tick(state, _sample(altitude, clock // 1000), sd)
+        effects = tick(state, _reading(state, altitude), clock, sd)
         buzzes += [e[1] for e in effects if e[0] == "buzzer"]
         clock += 3000 if any(e[0] == "log" for e in effects) else 100
     return state, sd, buzzes
@@ -75,7 +92,7 @@ class TestGroundPhase:
         state = setup(cfg, 101325.0)
         for i in range(6):
             assert state.phase is Phase.GROUND
-            effects = tick(state, _sample(0.0), sd)
+            effects = tick(state, _reading(state, 0.0), 0, sd)
             kinds = [e[0] for e in effects]
             assert kinds == ["buzzer", "log", "wait"]
             assert ("wait", 3000) in effects
@@ -86,7 +103,7 @@ class TestGroundPhase:
         cfg = FirmwareConfig(elevation=0.0)
         sd = SdCardImage(write_protected=True)
         state = setup(cfg, 101325.0)
-        effects = tick(state, _sample(0.0), sd)
+        effects = tick(state, _reading(state, 0.0), 0, sd)
         assert ("write_failure", GROUND_LOG) in effects
         assert state.ground_count == 0
         assert state.phase is Phase.GROUND
@@ -129,6 +146,23 @@ class TestAirPhase:
         state, sd, _ = _run_flight(altitudes)
         assert sd.read(AIR_LOG).count(b"\r\n") == 7  # nothing after the server starts
 
+    def test_unwritten_poll_still_checks_its_reading(self, monkeypatch):
+        state, sd, _ = _run_flight([])
+        assert state.phase is Phase.AIR
+        calls = []
+        monkeypatch.setattr(firmware, "format_row", lambda row: calls.append("format_row"))
+        monkeypatch.setattr(firmware, "make_sample", lambda *args: calls.append("make_sample"))
+        low = _reading(state, 1.0)  # below the 5 m interval: no row is written
+        assert tick(state, low, 20_000, sd) == []
+        with pytest.raises(RuntimeError):
+            tick(state, low, CLOCK_LIMIT_MS + 1, sd)
+        with pytest.raises(ValueError):
+            tick(state, RawReading(15.0, 50.0, 0.0), 20_000, sd)
+        with pytest.raises(ValueError):
+            tick(state, RawReading(15.0, 101.0, low.pressure), 20_000, sd)
+        assert calls == []
+        assert not sd.exists(AIR_LOG)
+
 
 class TestRowFormat:
     def test_reference_row(self):
@@ -148,6 +182,10 @@ class TestRowFormat:
         assert arduino_print_float(25.349, 1) == "25.3"
         assert arduino_print_float(-1.25, 1) == "-1.3"
         assert arduino_print_float(0.05, 1) == "0.1"
+        # ties of repr that "%.*f" rounds the other way
+        assert arduino_print_float(0.125, 2) == "0.13"   # exact binary tie, "%.2f" rounds to even
+        assert arduino_print_float(-0.125, 2) == "-0.13"
+        assert arduino_print_float(2.675, 2) == "2.68"   # binary value lies below the tie
 
     def test_out_of_range_prints_like_arduino(self):
         assert arduino_print_float(float("nan"), 1) == "nan"
@@ -166,6 +204,59 @@ class TestRowFormat:
         a = format_row(_sample(41.67, temperature=25.3, humidity=45.2))
         b = format_row(_sample(39.76, temperature=14.8, humidity=48.1))
         assert len(a) == len(b)
+
+
+def _reference_print(value, decimals):
+    """The device's printFloat: repr rounded half up, or nan/inf/ovf."""
+    if math.isnan(value):
+        return "nan"
+    if math.isinf(value):
+        return "inf"
+    if abs(value) > ARDUINO_FLOAT_LIMIT:
+        return "ovf"
+    quantum = Decimal(1).scaleb(-decimals)
+    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+def _printer_cases():
+    rng = random.Random(20210601)
+    values = [rng.uniform(-lim, lim) for lim in (1.0, 100.0, 1e4, 1e7, ARDUINO_FLOAT_LIMIT)
+              for _ in range(1500)]
+    values += [k / 100 for k in range(-3000, 3000)] + [k / 1000 for k in range(-3000, 3000)]
+    # exact ties, at one, two and three decimals
+    values += [k / 20 + 0.025 for k in range(-1000, 1000)]
+    values += [k / 200 + 0.0025 for k in range(-1000, 1000)]
+    values += [k / 10 + 0.05 for k in range(-1000, 1000)]
+    values += [k / 100 + 0.005 for k in range(-1000, 1000)]
+    values += [0.0, -0.0, -0.04, -0.049, -0.004, -0.0049, 0.05, -0.05, 0.005, -0.005,
+               5e-324, -5e-324, 1e-5, -1e-5, 2.5e-5, -7.5e-7, 5e-05, 1.5e-10, 1e16,
+               ARDUINO_FLOAT_LIMIT, -ARDUINO_FLOAT_LIMIT,
+               math.nextafter(ARDUINO_FLOAT_LIMIT, math.inf),
+               math.nextafter(-ARDUINO_FLOAT_LIMIT, -math.inf),
+               float("nan"), float("inf"), float("-inf")]
+    return values
+
+
+class TestFastPrinter:
+    """The "%.*f" printer and the one-string row against the Decimal reference."""
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_matches_the_decimal_reference(self, decimals):
+        mismatches = [(value, arduino_print_float(value, decimals))
+                      for value in _printer_cases()
+                      if arduino_print_float(value, decimals) != _reference_print(value, decimals)]
+        assert mismatches == []
+
+    def test_format_row_matches_the_reference_fields(self):
+        rng = random.Random(7)
+        cases = _printer_cases()
+        for _ in range(3000):
+            row = LogRow("01.06.2021", "10:15:30", *(rng.choice(cases) for _ in range(5)))
+            fields = [row.date, row.time] + [
+                _reference_print(value, decimals) for value, decimals in (
+                    (row.temperature, 1), (row.humidity, 1), (row.heat_index, 1),
+                    (row.pressure_hpa, 2), (row.cal_altitude, 2))]
+            assert format_row(row) == ("".join(f + "," for f in fields) + "\r\n").encode()
 
 
 class TestMakeSample:
@@ -193,6 +284,31 @@ class TestMakeSample:
         assert (sample.date, sample.time) == ("31.12.9999", "23:59:59")
         with pytest.raises(RuntimeError):
             make_sample(state, 15.0, 50.0, 101325.0, CLOCK_LIMIT_MS + 1)
+
+    @pytest.mark.parametrize("rtc_start", [
+        datetime(2021, 6, 1, 23, 59, 59),                       # across midnight
+        datetime(2024, 2, 28, 23, 30, 0),                       # into a leap day
+        datetime(2021, 12, 31, 22, 0, 0),                       # into a new year
+        datetime(2021, 6, 1, 10, 15, tzinfo=timezone(timedelta(hours=3))),
+        datetime(2021, 6, 1, 23, 59, 59, 999_500),              # microseconds
+        datetime(999, 12, 31, 12, 0, 0),                        # a year before 1000
+        RTC_LATEST_START,
+    ], ids=["midnight", "leap_day", "new_year", "tz_aware", "microseconds", "year_999",
+            "latest_start"])
+    def test_stamps_match_strftime(self, rtc_start):
+        state = setup(FirmwareConfig(elevation=0.0, rtc_start=rtc_start), 101325.0)
+        rng = random.Random(3)
+        midnight = datetime.combine(rtc_start.date() + timedelta(days=1), datetime.min.time())
+        to_midnight = (midnight - rtc_start.replace(tzinfo=None)) // timedelta(milliseconds=1)
+        clocks = [rng.randrange(CLOCK_LIMIT_MS + 1) for _ in range(300)]
+        clocks += [0, 1, 999, 1000, CLOCK_LIMIT_MS - 1, CLOCK_LIMIT_MS]
+        clocks += [ms for ms in range(to_midnight - 2, to_midnight + 3)
+                   if 0 <= ms <= CLOCK_LIMIT_MS]
+        for ms in clocks:
+            stamp = rtc_start + timedelta(milliseconds=ms)
+            row = make_sample(state, 15.0, 50.0, 101325.0, ms)
+            assert (row.date, row.time) == (stamp.strftime("%d.%m.%Y"),
+                                            stamp.strftime("%H:%M:%S")), ms
 
 
 class TestSdCardImage:

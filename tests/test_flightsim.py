@@ -235,3 +235,23 @@ class TestTrajectoryExports:
         traj = run_mission(plan, cfg.airframe, cfg.environment)
         assert hashlib.sha256(traj.to_csv().encode("ascii")).hexdigest() == csv_sha256
         assert hashlib.sha256(repr(traj.samples).encode("ascii")).hexdigest() == samples_sha256
+
+    @pytest.mark.parametrize("document, air_sha256, ground_sha256", [
+        ({"firmware": {"ground_samples": 2000},
+          "environment": {"rng_seed": 7, "sensor_noise": {"temperature": 0.1, "humidity": 0.5,
+                                                          "pressure": 2.0}}},
+         "98598c899c9107c22d1791e893c350b903b476356ea28cb406a26f79efb64d8d",
+         "e211286e3ab6e1e81444aa04fc8244aa753859e517fb9da4a23d9f55c669b3d4"),
+        ({"mission": {"target_alt": 300, "headings": [90]},
+          "firmware": {"server_threshold": 290}},
+         "4d5a61bb864e1841eaf136bc1d52051d88261f03fe930703de7abfc97ff43b67",
+         "19dd583778e09f9d58f14b436f21e5c684f512a473bce9db2010a2902216cd42"),
+    ], ids=["2000_ground_rows", "300m_column"])
+    def test_card_log_bytes_are_pinned(self, document, air_sha256, ground_sha256):
+        # The golden card holds 6 ground rows and 7 air rows; these pin the
+        # logger's rows (stamps, rounding, which polls are written) at scale.
+        import hashlib
+        from asid import config, pipeline
+        sd = pipeline.run_simulation(config.from_dict(document)).sd
+        assert hashlib.sha256(sd.read("air.csv")).hexdigest() == air_sha256
+        assert hashlib.sha256(sd.read("ground.csv")).hexdigest() == ground_sha256

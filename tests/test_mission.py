@@ -167,3 +167,10 @@ class TestSerialization:
         with pytest.raises(MissionParseError) as err:
             parse("command,p1,p2,p3,p4,lat,lon,alt\nTAKEOFF,0,0,0,0,0,0,0\nNOPE,0,0,0,0,0,0,0\n")
         assert err.value.line == 3
+
+    def test_parse_refuses_non_finite_fields(self):
+        for row in ("DELAY,nan,0,0,0,0,0,0", "WAYPOINT,1,0,0,0,inf,0,10",
+                    "TAKEOFF,0,0,0,0,0,0,nan"):
+            with pytest.raises(MissionParseError, match="must be finite") as err:
+                parse(f"command,p1,p2,p3,p4,lat,lon,alt\n{row}\n")
+            assert err.value.line == 2
