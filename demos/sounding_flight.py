@@ -11,14 +11,14 @@ altitude.
 from pathlib import Path
 
 from asid.config import default_run_config
-from asid.mission import generate_sounding_profile, serialize
+from asid.mission import MissionParams, generate_sounding_profile, serialize
 from asid.pipeline import simulate
 
 OUT = Path(__file__).resolve().parent / "output" / "sounding_flight"
 
 # The mission: take off to 10 m, photograph the horizon at each compass
 # heading, climb 10 m, repeat up to 40 m, then come home.
-plan = generate_sounding_profile(target_alt=40.0)
+plan = generate_sounding_profile(MissionParams(target_alt=40.0))
 print(f"mission: {len(plan.commands)} commands, "
       f"{sum(c.kind == 'DO_DIGICAM_CONTROL' for c in plan.commands)} captures")
 print(serialize(plan).splitlines()[0])

@@ -15,6 +15,7 @@ from .atmosphere import G0, TROPOPAUSE_M, density_ratio
 
 IN_TO_M = 0.0254          # inches to metres
 GF_TO_N = G0 / 1000.0     # gram-force to Newtons
+USABLE_FRACTION = 0.8     # of the pack capacity a flight may draw
 
 # Lower bounds of the Beaufort bands in km/h, index 0..12.
 BEAUFORT_LOWER_KMH = (0.0, 1.0, 6.0, 12.0, 20.0, 29.0, 39.0, 50.0, 62.0, 75.0, 89.0, 103.0, 118.0)
@@ -234,14 +235,14 @@ def battery_max_load(battery: BatterySpec) -> float:
     return battery.capacity_ah * battery.c_rate
 
 
-def endurance(battery: BatterySpec, avg_current: float, usable_fraction: float = 0.8) -> float:
+def endurance(battery: BatterySpec, avg_current: float) -> float:
     """Flight time in seconds at a steady average current draw."""
     if avg_current <= 0.0:
         raise ValueError("average current must be positive")
     if avg_current > battery_max_load(battery):
         raise ValueError(f"current {avg_current} A exceeds the pack limit "
                          f"{battery_max_load(battery)} A")
-    return battery.capacity_ah / avg_current * 3600.0 * usable_fraction
+    return battery.capacity_ah / avg_current * 3600.0 * USABLE_FRACTION
 
 
 def expected_flights(mtbf_h: float, flight_minutes: float) -> int:

@@ -8,8 +8,10 @@ log level (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,6 +43,20 @@ def _configure_logging() -> None:
 
 def _load_config(path: str | None) -> config.RunConfig:
     return config.load(path) if path else config.default_run_config()
+
+
+@contextlib.contextmanager
+def _option_values(command: str, args, *options: str):
+    """Refuse a non-finite named option of ``args``, and turn a ValueError the block
+    raises on the values into a ConfigError naming ``command``: a bad option value
+    is a configuration error, as in a ``simulate --config`` document."""
+    try:
+        for option in options:
+            if not math.isfinite(getattr(args, option)):
+                raise ValueError(f"--{option.replace('_', '-')} must be finite")
+        yield
+    except ValueError as exc:
+        raise config.ConfigError(f"{command}: {exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -104,9 +120,17 @@ def _cmd_sizing(args) -> int:
     cfg = _load_config(args.config).airframe
     tw = airframe.thrust_to_weight(cfg)
     ceiling = airframe.service_ceiling(cfg)
-    target = cfg.total_mass * args.margin
-    required = airframe.required_static_thrust(target, args.design_altitude)
     vmax = airframe.max_progressive_speed(cfg)
+    winds = [airframe.beaufort_to_kmh(bft) for bft in range(9, 13)]
+    with _option_values("sizing", args, "margin", "design_altitude", "avg_current",
+                        "flight_minutes", "drift_duration"):
+        if args.margin <= 0.0:
+            raise ValueError("--margin must be positive")
+        target = cfg.total_mass * args.margin
+        required = airframe.required_static_thrust(target, args.design_altitude)
+        endurance = airframe.endurance(cfg.battery, args.avg_current)
+        flights = airframe.expected_flights(cfg.mtbf_hours, args.flight_minutes)
+        drifts = [airframe.wind_drift(wind, vmax, args.drift_duration) for wind in winds]
     print(f"Thrust/weight (sea level)     : {tw:.2f}")
     print(f"Service ceiling               : {ceiling:.0f} m ({ceiling / 0.3048:.0f} ft)")
     print(f"Required static thrust        : {required:.0f} g total "
@@ -114,27 +138,21 @@ def _cmd_sizing(args) -> int:
           f"{target:.0f} g at {args.design_altitude:.0f} m")
     print(f"Max progressive speed         : {vmax:.1f} km/h")
     print(f"Battery max load              : {airframe.battery_max_load(cfg.battery):.0f} A")
-    print(f"Endurance at {args.avg_current:.0f} A           : "
-          f"{airframe.endurance(cfg.battery, args.avg_current):.0f} s")
-    print(f"Expected flights ({args.flight_minutes:.0f} min each): "
-          f"{airframe.expected_flights(cfg.mtbf_hours, args.flight_minutes)}")
+    print(f"Endurance at {args.avg_current:.0f} A           : {endurance:.0f} s")
+    print(f"Expected flights ({args.flight_minutes:.0f} min each): {flights}")
     print(f"Drift over {args.drift_duration:.0f} s flight:")
-    for bft in range(9, 13):
-        wind = airframe.beaufort_to_kmh(bft)
-        drift = airframe.wind_drift(wind, vmax, args.drift_duration)
+    for bft, wind, drift in zip(range(9, 13), winds, drifts):
         print(f"  Bft {bft:2d} ({wind:5.1f} km/h)        : {drift:.0f} m")
     return EXIT_OK
 
 
 def _cmd_mission_gen(args) -> int:
-    try:  # a bad option value is a configuration error, as in simulate --config
+    with _option_values("mission gen", args):  # MissionParams checks the values
         headings = tuple(float(h) for h in args.headings.split(",")) if args.headings else \
             mission.DEFAULT_HEADINGS
-        plan = mission.generate_sounding_profile(
+        plan = mission.generate_sounding_profile(mission.MissionParams(
             target_alt=args.target, start_alt=args.start, step=args.step,
-            headings=headings, capture_dwell=args.dwell)
-    except ValueError as exc:
-        raise config.ConfigError(f"mission gen: {exc}") from exc
+            headings=headings, capture_dwell=args.dwell))
     text = mission.serialize(plan)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -145,6 +163,9 @@ def _cmd_mission_gen(args) -> int:
 
 
 def _cmd_mission_validate(args) -> int:
+    with _option_values("mission validate", args, "ceiling"):
+        if args.ceiling < 0.0:
+            raise ValueError("--ceiling must be non-negative")
     try:
         plan = mission.parse(Path(args.file).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -200,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     mission_sub = p.add_subparsers(dest="mission_command", required=True)
     g = mission_sub.add_parser("gen", help="generate a sounding profile")
     g.add_argument("--target", type=float, required=True)
-    g.add_argument("--start", type=float, default=10.0)
-    g.add_argument("--step", type=float, default=10.0)
+    g.add_argument("--start", type=float, default=mission.MissionParams.start_alt)
+    g.add_argument("--step", type=float, default=mission.MissionParams.step)
     g.add_argument("--headings", help="comma-separated headings in degrees")
-    g.add_argument("--dwell", type=float, default=3.0)
+    g.add_argument("--dwell", type=float, default=mission.MissionParams.capture_dwell)
     g.add_argument("--out")
     g.set_defaults(func=_cmd_mission_gen)
     v = mission_sub.add_parser("validate", help="validate a mission file")

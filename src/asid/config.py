@@ -21,26 +21,11 @@ from pathlib import Path
 from .airframe import AirframeConfig, reference_config
 from .firmware import FirmwareConfig
 from .flightsim import Environment
-from .mission import DEFAULT_HEADINGS, DEFAULT_HOME, check_levels
+from .mission import MissionParams
 
 
 class ConfigError(ValueError):
     """A configuration document failed validation."""
-
-
-@dataclass(frozen=True)
-class MissionParams:
-    """Inputs for the sounding-profile generator."""
-
-    target_alt: float = 40.0
-    start_alt: float = 10.0
-    step: float = 10.0
-    headings: tuple[float, ...] = DEFAULT_HEADINGS
-    capture_dwell: float = 3.0
-    home: tuple[float, float] = DEFAULT_HOME
-
-    def __post_init__(self) -> None:
-        check_levels(self.target_alt, self.start_alt, self.step, self.capture_dwell)
 
 
 @dataclass(frozen=True)
@@ -52,17 +37,11 @@ class RunConfig:
 
 
 def default_run_config() -> RunConfig:
-    """The shipped reference setup: calm standard day, 40 m sounding.
-
-    The logger section uses site elevation 0 so the calibrated altimeter
-    reads height above ground; a non-zero elevation offsets every
-    calibrated altitude by roughly the site height and fires the logging
-    thresholds before take-off.
-    """
+    """The shipped reference setup: calm standard day, 40 m sounding."""
     return RunConfig(
         airframe=reference_config(),
         environment=Environment(),
-        firmware=FirmwareConfig(elevation=0.0),
+        firmware=FirmwareConfig(),
         mission=MissionParams(),
     )
 
@@ -86,9 +65,7 @@ def _convert(hint, value, path: str):
         except ValueError as exc:
             raise ConfigError(f"{path} must be an ISO datetime string: {exc}") from exc
     if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
-        item_hint, *rest = typing.get_args(hint)
-        if rest != [Ellipsis] and len(value) != 1 + len(rest):
-            raise ConfigError(f"{path} must have {1 + len(rest)} items, got {len(value)}")
+        item_hint, _ = typing.get_args(hint)  # every tuple field is tuple[X, ...]
         return tuple(_convert(item_hint, item, f"{path}[{i}]") for i, item in enumerate(value))
     expected = _EXPECTED.get(hint, "an array")
     raise ConfigError(f"{path} must be {expected}, got {json.dumps(value, default=repr)}")

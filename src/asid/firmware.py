@@ -29,6 +29,9 @@ PHOTO_MANIFEST = "photos.json"
 
 GROUND_BUZZ_MS = 500
 SERVER_BUZZ_MS = 5000
+GROUND_DELAY_MS = 3000   # blocking delay after each ground row
+AIR_DELAY_MS = 3000      # blocking delay after each air row
+INTERVAL_START_M = 5.0   # first air threshold
 
 # the longest run the logger clock covers (one day past rtc_start), so that
 # every row stamp stays inside the calendar
@@ -48,23 +51,18 @@ class Phase(enum.Enum):
 
 @dataclass(frozen=True)
 class FirmwareConfig:
-    elevation: float = 45.0            # m, site elevation for the MSLP reduction
+    elevation: float = 0.0             # m, site elevation; 0 reads height above ground
     pressure_correction: float = 0.995
     interval_step: float = 5.0         # m between air log rows
-    interval_start: float = 5.0        # m, first air threshold
     server_threshold: float = 35.0     # m, interval beyond which the server starts
     ground_samples: int = 6
-    ground_delay_ms: int = 3000
-    air_delay_ms: int = 3000
     rtc_start: datetime = datetime(2021, 6, 1, 10, 15, 0)
 
     def __post_init__(self) -> None:
-        if min(self.interval_step, self.interval_start, self.server_threshold) <= 0.0:
+        if min(self.interval_step, self.server_threshold) <= 0.0:
             raise ValueError("interval fields must be positive")
         if self.ground_samples < 1:
             raise ValueError("ground_samples must be at least 1")
-        if self.ground_delay_ms < 0 or self.air_delay_ms < 0:
-            raise ValueError("delays must be non-negative")
         if not 0.9 < self.pressure_correction <= 1.1:
             raise ValueError("pressure_correction must lie in (0.9, 1.1]")
         if not 0.0 <= self.elevation < HYPSO_SCALE:
@@ -137,7 +135,7 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
     day_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 \
         + start.microsecond
     return FirmwareState(cfg=cfg, phase=Phase.GROUND, mslp_hpa=mslp,
-                         interval=cfg.interval_start, rtc_day_us=day_us)
+                         interval=INTERVAL_START_M, rtc_day_us=day_us)
 
 
 def _printf_exact(value: float, decimals: int) -> bool:
@@ -188,15 +186,15 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
 
     Humidity outside [0, 100] % and a non-positive corrected pressure raise
     ValueError; a clock past CLOCK_LIMIT_MS raises RuntimeError, since the
-    run no longer fits the logger's calendar.  The stamps are those strftime
-    prints for rtc_start + clock_ms; the date is formatted once per day.
+    run no longer fits the logger's calendar.  The stamps are rtc_start +
+    clock_ms, the year in four digits; the date is formatted once per day.
     """
     corrected_hpa = _checked_hpa(state, humidity, pressure_pa, clock_ms)
     day, us = divmod(state.rtc_day_us + clock_ms * 1000, DAY_US)
     date = state.dates.get(day)
     if date is None:
-        stamp = state.cfg.rtc_start + timedelta(days=day)
-        date = state.dates[day] = stamp.strftime("%d.%m.%Y")
+        stamp = state.cfg.rtc_start.date() + timedelta(days=day)
+        date = state.dates[day] = "%02d.%02d.%04d" % (stamp.day, stamp.month, stamp.year)
     seconds = us // 1_000_000
     return LogRow(
         date=date,
@@ -242,7 +240,7 @@ def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
         effects.append(("buzzer", GROUND_BUZZ_MS))
         if sd.append(GROUND_LOG, format_row(row)):
             effects.append(("log", GROUND_LOG))
-            effects.append(("wait", cfg.ground_delay_ms))
+            effects.append(("wait", GROUND_DELAY_MS))
             state.ground_count += 1
             if state.ground_count >= cfg.ground_samples:
                 state.phase = Phase.AIR
@@ -256,7 +254,7 @@ def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
                               clock_ms)
             if sd.append(AIR_LOG, format_row(row)):
                 effects.append(("log", AIR_LOG))
-                effects.append(("wait", cfg.air_delay_ms))
+                effects.append(("wait", AIR_DELAY_MS))
                 state.interval += cfg.interval_step
             else:
                 effects.append(("write_failure", AIR_LOG))

@@ -122,10 +122,11 @@ def render_text_report(report: WxReport) -> str:
     """Fixed-template plain-text report; field order never changes."""
     lapse = (f"{report.fitted_lapse_rate * 1000.0:.2f} C/km"
              if report.fitted_lapse_rate is not None else "n/a")
+    t = report.collection_time  # a four-digit year on every C library, unlike %Y
     lines = [
         "AERIAL WEATHER REPORT",
         "=====================",
-        f"Collected: {report.collection_time:%d.%m.%Y %H:%M:%S}",
+        f"Collected: {t.day:02d}.{t.month:02d}.{t.year:04d} {t:%H:%M:%S}",
         "",
         "Surface (ground-log medians)",
         f"  Temperature      : {report.surface_temperature:.1f} C",

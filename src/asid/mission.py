@@ -77,59 +77,60 @@ class MissionPlan:
         return max((c.alt for c in self.commands), default=0.0)
 
 
-def generate_sounding_profile(target_alt: float,
-                              start_alt: float = 10.0,
-                              step: float = 10.0,
-                              headings: tuple[float, ...] = DEFAULT_HEADINGS,
-                              capture_dwell: float = 3.0,
-                              home: tuple[float, float] = DEFAULT_HOME) -> MissionPlan:
-    """Build the stepped photographic sounding.
+@dataclass(frozen=True)
+class MissionParams:
+    """The generator's inputs; a ValueError names a parameter that is non-finite,
+    negative, or leaves no levels the generator can build (or more than MAX_LEVELS)."""
+
+    target_alt: float = 40.0
+    start_alt: float = 10.0
+    step: float = 10.0
+    headings: tuple[float, ...] = DEFAULT_HEADINGS
+    capture_dwell: float = 3.0
+
+    def __post_init__(self) -> None:
+        for name in ("target_alt", "start_alt", "step", "capture_dwell"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.start_alt < 0.0:
+            raise ValueError("start_alt must be non-negative")
+        if self.capture_dwell < 0.0:
+            raise ValueError("capture_dwell must be non-negative")
+        if self.start_alt > self.target_alt:
+            raise ValueError("start_alt must not exceed target_alt")
+        if self.step <= 0.0:
+            raise ValueError("step must be positive")
+        if self.target_alt - self.start_alt > self.step * (MAX_LEVELS - 1):
+            raise ValueError(f"step is too small: more than {MAX_LEVELS} levels from start_alt "
+                             f"to target_alt")
+
+
+def generate_sounding_profile(params: MissionParams) -> MissionPlan:
+    """Build the stepped photographic sounding at DEFAULT_HOME.
 
     Take off to start_alt, then at every level (start, start+step, ...,
     clamped to target) rotate to each heading, pause 1 s, trigger the
     camera and dwell; climb to the next level; finally descend back to
     start_alt and land.
     """
-    check_levels(target_alt, start_alt, step, capture_dwell)
-    lat, lon = home
-    levels = [float(start_alt)]
-    while levels[-1] < target_alt:
-        levels.append(min(levels[-1] + step, float(target_alt)))
+    lat, lon = DEFAULT_HOME
+    levels = [float(params.start_alt)]
+    while levels[-1] < params.target_alt:
+        levels.append(min(levels[-1] + params.step, float(params.target_alt)))
 
-    commands = [MissionCommand(TAKEOFF, lat=lat, lon=lon, alt=float(start_alt))]
+    commands = [MissionCommand(TAKEOFF, lat=lat, lon=lon, alt=levels[0])]
     for index, level in enumerate(levels):
-        for heading in headings:
+        for heading in params.headings:
             commands.append(MissionCommand(CONDITION_YAW, p1=float(heading) % 360.0, p3=1.0))
             commands.append(MissionCommand(DELAY, p1=1.0))
             commands.append(MissionCommand(DO_DIGICAM_CONTROL, lat=lat, lon=lon, alt=level))
-            commands.append(MissionCommand(DELAY, p1=float(capture_dwell)))
+            commands.append(MissionCommand(DELAY, p1=float(params.capture_dwell)))
         if index + 1 < len(levels):
             commands.append(MissionCommand(WAYPOINT, p1=1.0, lat=lat, lon=lon,
                                            alt=levels[index + 1]))
-    commands.append(MissionCommand(WAYPOINT, p1=1.0, lat=lat, lon=lon, alt=float(start_alt)))
+    commands.append(MissionCommand(WAYPOINT, p1=1.0, lat=lat, lon=lon, alt=levels[0]))
     commands.append(MissionCommand(LAND, lat=lat, lon=lon))
     return MissionPlan(commands=tuple(commands))
-
-
-def check_levels(target_alt: float, start_alt: float, step: float,
-                 capture_dwell: float) -> None:
-    """Refuse non-finite values, levels the generator cannot build, or more than
-    MAX_LEVELS of them, and a negative dwell; the ValueError names the parameter."""
-    for name, value in (("target_alt", target_alt), ("start_alt", start_alt), ("step", step),
-                        ("capture_dwell", capture_dwell)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if start_alt < 0.0:
-        raise ValueError("start_alt must be non-negative")
-    if capture_dwell < 0.0:
-        raise ValueError("capture_dwell must be non-negative")
-    if start_alt > target_alt:
-        raise ValueError("start_alt must not exceed target_alt")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if target_alt - start_alt > step * (MAX_LEVELS - 1):
-        raise ValueError(f"step is too small: more than {MAX_LEVELS} levels from start_alt "
-                         f"to target_alt")
 
 
 def validate(plan: MissionPlan, ceiling: float) -> list[str]:

@@ -54,7 +54,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     env = cfg.environment
     rng = random.Random(env.rng_seed)
 
-    plan = mission.generate_sounding_profile(**vars(cfg.mission))
+    plan = mission.generate_sounding_profile(cfg.mission)
     log.info("mission: %d commands", len(plan.commands))
 
     trajectory = flightsim.run_mission(plan, cfg.airframe, env)

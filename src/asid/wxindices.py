@@ -91,15 +91,14 @@ class LogRow:
         return datetime.strptime(f"{self.date} {self.time}", "%d.%m.%Y %H:%M:%S")
 
 
-def parse_log(data: bytes | str) -> list[LogRow]:
+def parse_log(data: bytes) -> list[LogRow]:
     """Parse logger CSV content (rows end with a trailing comma + CRLF).
 
     A number the logger could not print (``nan``, ``inf``, ``ovf``) is a
     LogParseError, like any other malformed field.
     """
-    text = data.decode("ascii") if isinstance(data, bytes) else data
     rows: list[LogRow] = []
-    for number, line in enumerate(text.split("\r\n"), start=1):
+    for number, line in enumerate(data.decode("ascii").split("\r\n"), start=1):
         if line == "":
             continue
         fields = line.split(",")
@@ -215,7 +214,7 @@ def freezing_level(profile: SoundingProfile) -> FreezingLevel:
     return FreezingLevel("extrapolated", alt)
 
 
-def build_profile(air_csv: bytes | str, ground_csv: bytes | str) -> SoundingProfile:
+def build_profile(air_csv: bytes, ground_csv: bytes) -> SoundingProfile:
     """Assemble a vertical profile from the two logger files.
 
     Air-log altitudes must be strictly increasing; the calibrated altitude

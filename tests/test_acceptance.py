@@ -302,8 +302,9 @@ def test_criterion_12_property_suites():
         assert required_static_thrust(thrust_at_altitude(1500.0, h), h) == \
             pytest.approx(1500.0, rel=1e-9)
 
-    from asid.mission import generate_sounding_profile, parse, serialize, validate
-    plan = generate_sounding_profile(target_alt=35.0)
+    from asid.mission import MissionParams, generate_sounding_profile, parse, serialize, \
+        validate
+    plan = generate_sounding_profile(MissionParams(target_alt=35.0))
     assert validate(plan, ceiling=6096.0) == []
     assert parse(serialize(plan)) == plan
 

@@ -207,7 +207,6 @@ class TestBatteryAndReliability:
 
     def test_endurance(self):
         pack = BatterySpec(5000.0, 50.0)
-        assert endurance(pack, 30.0, usable_fraction=1.0) == pytest.approx(600.0)
         assert endurance(pack, 30.0) == pytest.approx(480.0)
         limit = battery_max_load(pack)
         assert endurance(pack, limit) == pytest.approx(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import asid
-from asid import config, synclink
+from asid import config, firmware, synclink
 from asid.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -48,7 +48,12 @@ class TestConfigLoading:
                     {"environment": {"surface_temp": 25.0}},
                     {"airframe": {"color": "red"}},
                     {"firmware": {"wifi_password": "x"}},
-                    {"mission": {"speed": 9}}):
+                    {"mission": {"speed": 9}},
+                    # fixed on the device, so not keys
+                    {"mission": {"home": [38.0, 21.0]}},
+                    {"firmware": {"interval_start": 5.0}},
+                    {"firmware": {"ground_delay_ms": 3000}},
+                    {"firmware": {"air_delay_ms": 3000}}):
             with pytest.raises(config.ConfigError):
                 config.load(_write_config(tmp_path / "c.json", doc))
 
@@ -149,6 +154,32 @@ class TestConfigLoading:
         cfg = config.default_run_config()
         assert config.from_dict(config.to_dict(cfg)) == cfg
 
+    def test_knob_inventory(self):
+        # every settable leaf; a new knob shows up here as a reviewed diff
+        def leaves(document, prefix=""):
+            for key, value in document.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(leaves(config.to_dict(config.default_run_config()))) == [
+            "airframe.battery.c_rate", "airframe.battery.capacity_mah",
+            "airframe.body_drag_area", "airframe.frame_drag_coefficient",
+            "airframe.motor.max_thrust_per_motor", "airframe.mtbf_hours", "airframe.n_motors",
+            "airframe.prop.diameter", "airframe.prop.max_rpm", "airframe.prop.pitch",
+            "airframe.total_mass",
+            "environment.humidity_lapse", "environment.rng_seed",
+            "environment.sensor_noise.humidity", "environment.sensor_noise.pressure",
+            "environment.sensor_noise.temperature", "environment.surface_humidity",
+            "environment.surface_pressure", "environment.surface_temperature",
+            "environment.temperature_lapse", "environment.wind",
+            "firmware.elevation", "firmware.ground_samples", "firmware.interval_step",
+            "firmware.pressure_correction", "firmware.rtc_start", "firmware.server_threshold",
+            "mission.capture_dwell", "mission.headings", "mission.start_alt", "mission.step",
+            "mission.target_alt",
+        ]
+
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json", encoding="utf-8")
@@ -209,9 +240,11 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "sd")]) == EXIT_SIMULATION
 
-    def test_run_past_the_logger_clock_exits_simulation_error(self, tmp_path, capsys):
+    def test_run_past_the_logger_clock_exits_simulation_error(self, tmp_path, capsys,
+                                                              monkeypatch):
         # the second ground row would be stamped after the end of the calendar
-        doc = {"firmware": {"rtc_start": "9999-12-30T23:59:59", "ground_delay_ms": 90_000_000}}
+        monkeypatch.setattr(firmware, "GROUND_DELAY_MS", 90_000_000)
+        doc = {"firmware": {"rtc_start": "9999-12-30T23:59:59"}}
         cfg_path = _write_config(tmp_path / "c.json", doc)
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "sd")]) == EXIT_SIMULATION
@@ -239,6 +272,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path, "--out", str(sd_dir)]) == EXIT_OK
         assert main(["report", "--in", str(sd_dir), "--out", str(out)]) == EXIT_OK
         assert (out / "report.json").is_file()
+
+    def test_year_before_1000_simulates_and_reports(self, tmp_path):
+        # the card prints the year in four digits whatever the C library's %Y does
+        cfg_path = _write_config(tmp_path / "c.json",
+                                 {"firmware": {"rtc_start": "0999-06-01T10:15:00"}})
+        sd_dir, out = tmp_path / "sd", tmp_path / "report"
+        assert main(["simulate", "--config", cfg_path, "--out", str(sd_dir)]) == EXIT_OK
+        assert (sd_dir / "ground.csv").read_bytes().startswith(b"01.06.0999,10:15:00,")
+        assert main(["report", "--in", str(sd_dir), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["collection_time"] \
+            .startswith("0999-06-01T")
+        assert "Collected: 01.06.0999 " in (out / "report.txt").read_text()
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path / "c.json", {"environment": {"oops": 1}})
@@ -294,6 +339,32 @@ class TestMissionCommands:
         assert named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mission", "validate", "--ceiling", "nan"], "mission validate: --ceiling must be finite"),
+        (["mission", "validate", "--ceiling", "-1"],
+         "mission validate: --ceiling must be non-negative"),
+        (["sizing", "--margin", "nan"], "sizing: --margin must be finite"),
+        (["sizing", "--margin", "inf"], "sizing: --margin must be finite"),
+        (["sizing", "--margin", "-1"], "sizing: --margin must be positive"),
+        (["sizing", "--avg-current", "nan"], "sizing: --avg-current must be finite"),
+        (["sizing", "--design-altitude", "1e9"], "sizing: altitude 1000000000.0 m outside"),
+        (["sizing", "--avg-current", "1e9"], "sizing: current 1000000000.0 A exceeds"),
+        (["sizing", "--flight-minutes", "0"], "sizing: mtbf and flight duration must be"),
+        (["sizing", "--drift-duration", "-1"], "sizing: duration must be non-negative"),
+    ], ids=["ceiling_nan", "ceiling_negative", "margin_nan", "margin_inf", "margin_negative",
+            "current_nan", "altitude_1e9", "current_1e9", "minutes_0", "drift_negative"])
+    def test_bad_option_value_exits_config_error(self, argv, message, tmp_path, capsys):
+        if argv[0] == "mission":
+            plan = tmp_path / "plan.csv"
+            main(["mission", "gen", "--target", "40", "--out", str(plan)])
+            argv = argv + ["--file", str(plan)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {message}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_validate_non_finite_value_is_data_error(self, value, tmp_path, capsys):

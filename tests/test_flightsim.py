@@ -17,7 +17,7 @@ from asid.flightsim import (
     step,
     true_sample,
 )
-from asid.mission import MissionCommand, MissionPlan, TAKEOFF, DELAY, LAND, \
+from asid.mission import MissionCommand, MissionParams, MissionPlan, TAKEOFF, DELAY, LAND, \
     generate_sounding_profile
 
 CFG = reference_config()
@@ -118,7 +118,7 @@ class TestRunMission:
         assert traj.samples[-1][1] == 0.0
 
     def test_generator_plan_camera_events(self):
-        plan = generate_sounding_profile(target_alt=35.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=35.0))
         traj = run_mission(plan, CFG, CALM)
         assert len(traj.camera_events) == 16
         # events cluster at the four capture levels
@@ -126,7 +126,7 @@ class TestRunMission:
         assert levels == [10, 20, 30, 35]
 
     def test_altitude_never_exceeds_plan_max(self):
-        plan = generate_sounding_profile(target_alt=40.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=40.0))
         traj = run_mission(plan, CFG, CALM)
         assert traj.max_altitude <= plan.max_altitude + 0.5
 
@@ -149,7 +149,7 @@ class TestRunMission:
         assert traj.landing_offset == expected
 
     def test_bit_identical_across_runs(self):
-        plan = generate_sounding_profile(target_alt=30.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=30.0))
         a = run_mission(plan, CFG, CALM)
         b = run_mission(plan, CFG, CALM)
         assert a.samples == b.samples
@@ -169,7 +169,7 @@ class TestRunMission:
         import dataclasses
         from asid.airframe import BatterySpec
         tiny = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=20.0, c_rate=50.0))
-        plan = generate_sounding_profile(target_alt=40.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=40.0))
         with pytest.raises(BatteryExhaustedError) as err:
             run_mission(plan, tiny, CALM)
         trajectory = err.value.trajectory
@@ -208,7 +208,7 @@ class TestTrajectoryExports:
 
     def test_camera_manifest_is_json(self):
         import json
-        plan = generate_sounding_profile(target_alt=10.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=10.0))
         traj = run_mission(plan, CFG, CALM)
         events = json.loads(traj.camera_manifest())
         assert len(events) == 4
@@ -231,7 +231,7 @@ class TestTrajectoryExports:
         import hashlib
         from asid import config
         cfg = config.from_dict(document)
-        plan = generate_sounding_profile(**vars(cfg.mission))
+        plan = generate_sounding_profile(cfg.mission)
         traj = run_mission(plan, cfg.airframe, cfg.environment)
         assert hashlib.sha256(traj.to_csv().encode("ascii")).hexdigest() == csv_sha256
         assert hashlib.sha256(repr(traj.samples).encode("ascii")).hexdigest() == samples_sha256

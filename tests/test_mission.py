@@ -10,6 +10,7 @@ from asid.mission import (
     TAKEOFF,
     WAYPOINT,
     MissionCommand,
+    MissionParams,
     MissionParseError,
     MissionPlan,
     generate_sounding_profile,
@@ -25,13 +26,14 @@ def _captures(plan):
 
 class TestGenerator:
     def test_single_level(self):
-        plan = generate_sounding_profile(target_alt=10.0, start_alt=10.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=10.0, start_alt=10.0))
         assert len(_captures(plan)) == 4
         assert plan.commands[0].kind == TAKEOFF
         assert plan.commands[-1].kind == LAND
 
     def test_three_levels_with_delay_pattern(self):
-        plan = generate_sounding_profile(target_alt=30.0, start_alt=10.0, step=10.0)
+        plan = generate_sounding_profile(
+            MissionParams(target_alt=30.0, start_alt=10.0, step=10.0))
         captures = _captures(plan)
         assert len(captures) == 12
         # every capture is preceded by DELAY 1 and followed by DELAY 3
@@ -42,25 +44,27 @@ class TestGenerator:
                 assert commands[index + 1].kind == DELAY and commands[index + 1].p1 == 3.0
 
     def test_clamped_last_level(self):
-        plan = generate_sounding_profile(target_alt=35.0, start_alt=10.0, step=10.0)
+        plan = generate_sounding_profile(
+            MissionParams(target_alt=35.0, start_alt=10.0, step=10.0))
         captures = _captures(plan)
         assert len(captures) == 16
         assert sorted(set(c.alt for c in captures)) == [10.0, 20.0, 30.0, 35.0]
 
     def test_heading_sequence_normalised(self):
-        plan = generate_sounding_profile(target_alt=10.0, headings=(90.0, 180.0, 270.0, 360.0))
+        plan = generate_sounding_profile(
+            MissionParams(target_alt=10.0, headings=(90.0, 180.0, 270.0, 360.0)))
         yaws = [c.p1 for c in plan.commands if c.kind == CONDITION_YAW]
         assert yaws == [90.0, 180.0, 270.0, 0.0]
 
     def test_descends_to_start_before_landing(self):
-        plan = generate_sounding_profile(target_alt=40.0, start_alt=10.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=40.0, start_alt=10.0))
         assert plan.commands[-2].kind == WAYPOINT
         assert plan.commands[-2].alt == 10.0
 
     def test_capture_count_rule(self):
         for target, start, step, headings in ((50.0, 10.0, 10.0, 4), (25.0, 5.0, 7.0, 3)):
-            plan = generate_sounding_profile(target, start, step,
-                                             headings=tuple(range(0, headings * 10, 10)))
+            plan = generate_sounding_profile(MissionParams(
+                target, start, step, headings=tuple(range(0, headings * 10, 10))))
             levels = 1
             level = start
             while level < target:
@@ -70,12 +74,12 @@ class TestGenerator:
 
     def test_start_above_target_rejected(self):
         with pytest.raises(ValueError):
-            generate_sounding_profile(target_alt=10.0, start_alt=20.0)
+            generate_sounding_profile(MissionParams(target_alt=10.0, start_alt=20.0))
 
 
 class TestValidation:
     def test_generated_plans_validate(self):
-        plan = generate_sounding_profile(target_alt=40.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=40.0))
         assert validate(plan, ceiling=6096.0) == []
 
     def test_wrong_first_command(self):
@@ -114,11 +118,11 @@ class TestSerialization:
         assert parse(serialize(plan)) == plan
 
     def test_generated_plan_round_trips(self):
-        plan = generate_sounding_profile(target_alt=40.0)
+        plan = generate_sounding_profile(MissionParams(target_alt=40.0))
         assert parse(serialize(plan)) == plan
 
     def test_serialize_is_identity_on_canonical_text(self):
-        text = serialize(generate_sounding_profile(target_alt=40.0))
+        text = serialize(generate_sounding_profile(MissionParams(target_alt=40.0)))
         assert serialize(parse(text)) == text
 
     def test_random_plans_round_trip(self):
