@@ -27,7 +27,40 @@ EXIT_TRANSPORT = 4
 EXIT_DATA = 5
 
 
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(args: list[str]) -> list[str]:
+    """Write ``--option -1e9`` as ``--option=-1e9``.
+
+    argparse reads a token that starts with "-" as an option name unless it
+    has the form ``-1`` or ``-1.5``, so ``-1e9`` or ``-inf`` after an option
+    would be refused as a missing value (exit 1) before the option's own
+    check could name it; the attached form is always read as the value.
+    """
+    out: list[str] = []
+    for token in args:
+        last = out[-1] if out else ""
+        if last.startswith("--") and len(last) > 2 and "=" not in last \
+                and _is_negative_number(token):
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(_attach_negative_values(args), namespace)
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -10,13 +10,14 @@ yields bit-identical trajectories.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
     thrust_to_weight, wind_drift
-from .atmosphere import G0, HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
+from .atmosphere import HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
 from .firmware import CLOCK_LIMIT_MS
 
 # Altitude controller, run by run_mission before every step: proportional
@@ -116,9 +117,28 @@ def hover_throttle(cfg: AirframeConfig) -> float:
     return 1.0 / thrust_to_weight(cfg)
 
 
-def step(state: SimState, cfg: AirframeConfig, throttle: float, dt: float,
+@dataclass(frozen=True, slots=True)
+class FlightConstants:
+    """The airframe figures ``step`` reads, computed once per flight."""
+
+    mass_kg: float
+    weight_n: float         # N, mass_kg * G0
+    drag: float             # frame_drag_coefficient, N s^2/m^2
+    n_motors: int
+    max_thrust: float       # gram-force per motor at sea level, full throttle
+    hover_throttle: float   # hover_throttle(cfg)
+
+    @classmethod
+    def of(cls, cfg: AirframeConfig) -> "FlightConstants":
+        return cls(mass_kg=cfg.total_mass / 1000.0, weight_n=cfg.weight_n,
+                   drag=cfg.frame_drag_coefficient, n_motors=cfg.n_motors,
+                   max_thrust=cfg.motor.max_thrust_per_motor, hover_throttle=hover_throttle(cfg))
+
+
+def step(state: SimState, air: FlightConstants, throttle: float, dt: float,
          ratio: float) -> SimState:
-    """Advance the vertical dynamics by dt (semi-implicit Euler).
+    """Advance the vertical dynamics by dt (semi-implicit Euler); the one
+    function that advances altitude, speed, battery and time.
 
     Acceleration is (thrust - weight - quadratic frame drag) / mass, with
     the static thrust converted from gram-force to Newtons and de-rated by
@@ -130,16 +150,15 @@ def step(state: SimState, cfg: AirframeConfig, throttle: float, dt: float,
         raise ValueError("dt must lie in (0, 0.1] s")
     if not 0.0 <= throttle <= 1.0:
         raise ValueError("throttle must lie in [0, 1]")
-    mass_kg = cfg.total_mass / 1000.0
-    thrust_n = throttle * cfg.n_motors * cfg.motor.max_thrust_per_motor * GF_TO_N * ratio
+    thrust_n = throttle * air.n_motors * air.max_thrust * GF_TO_N * ratio
     v = state.vertical_speed
-    accel = (thrust_n - mass_kg * G0 - cfg.frame_drag_coefficient * v * abs(v)) / mass_kg
+    accel = (thrust_n - air.weight_n - air.drag * v * abs(v)) / air.mass_kg
     v_next = v + accel * dt
     altitude = state.altitude + v_next * dt
     if altitude <= 0.0:  # ground stop
         altitude = 0.0
         v_next = v_next if v_next > 0.0 else 0.0
-    current = HOVER_CURRENT_A * (throttle / hover_throttle(cfg)) ** 1.5
+    current = HOVER_CURRENT_A * (throttle / air.hover_throttle) ** 1.5
     battery = state.battery_remaining - current * dt / 3.6
     state.battery_remaining = battery if battery > 0.0 else 0.0
     state.t += dt
@@ -184,8 +203,9 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     """Validate a plan against the service ceiling, fly it and return the
     sampled trajectory; this is the one place a plan is checked.
 
-    Each integrator step evaluates the density ratio once, computes the
-    controller's throttle from it and hands both to ``step``.
+    Each motion command flies one integration loop.  Every pass of it
+    evaluates the density ratio once, computes the controller's throttle
+    from it and hands both to ``step``.
 
     Raises MissionValidationError for unflyable plans,
     BatteryExhaustedError (carrying the partial trajectory) when the pack
@@ -196,60 +216,65 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     if violations:
         raise mission.MissionValidationError(violations)
 
+    air = FlightConstants.of(cfg)
+    hover = air.hover_throttle
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
-    hover = hover_throttle(cfg)
     samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
+    append = samples.append
     events = state.camera_events
     limit_s = CLOCK_LIMIT_MS / 1000.0
-
-    def advance(target_alt: float) -> None:
-        # the controller; each clamp picks what min/max would, -0.0 included
-        ratio = density_ratio(state.altitude)
-        v_cmd = CLIMB_GAIN * (target_alt - state.altitude)
-        v_cmd = v_cmd if v_cmd < CLIMB_SPEED_LIMIT else CLIMB_SPEED_LIMIT
-        v_cmd = v_cmd if v_cmd > -CLIMB_SPEED_LIMIT else -CLIMB_SPEED_LIMIT
-        throttle = hover / ratio + THROTTLE_GAIN * (v_cmd - state.vertical_speed)
-        throttle = throttle if throttle < 1.0 else 1.0
-        throttle = throttle if throttle > 0.0 else 0.0
-        step(state, cfg, throttle, DT, ratio)
-        samples.append((state.t, state.altitude, state.vertical_speed, state.heading))
-        if state.battery_remaining <= 0.0:
-            raise BatteryExhaustedError(
-                Trajectory(samples=samples, camera_events=events,
-                           landing_offset=_drift(state.t)))
-        if state.t > limit_s:
-            raise RuntimeError(f"flight passed {limit_s:g} s, the logger clock's limit")
 
     def _drift(duration: float) -> float:
         return wind_drift(env.wind, max_progressive_speed(cfg), duration)
 
     target = 0.0
     for cmd in plan.commands:
-        deadline = state.t + COMMAND_TIMEOUT_S
-        if cmd.kind == mission.CONDITION_YAW:
+        kind = cmd.kind
+        if kind == mission.CONDITION_YAW:
             state.heading = cmd.p1 % 360.0
-        elif cmd.kind == mission.DO_DIGICAM_CONTROL:
+            continue
+        if kind == mission.DO_DIGICAM_CONTROL:
             events.append(CameraEvent(t=state.t, altitude=state.altitude,
                                       heading=state.heading))
-        elif cmd.kind == mission.DELAY:
-            end = state.t + cmd.p1
-            while state.t < end:
-                advance(target)
-        elif cmd.kind in (mission.TAKEOFF, mission.WAYPOINT):
-            target = cmd.alt
-            while abs(state.altitude - target) > DEADBAND_M:
-                advance(target)
-                if state.t > deadline:
-                    raise RuntimeError(f"{cmd.kind} to {target:g} m did not converge")
-        elif cmd.kind == mission.LAND:
+            continue
+        # A motion command holds `target` until `end` (DELAY, no deadline)
+        # or until the altitude is within `band` of it (a climb or the
+        # landing; altitude is never negative, so LAND's band is its
+        # 0.05 m floor).  `stop` is the earlier of the command's deadline
+        # and the logger clock's limit.
+        if kind == mission.DELAY:
+            end, band, stop, overdue = state.t + cmd.p1, -1.0, limit_s, ""
+        elif kind == mission.LAND:
             target = 0.0
-            while state.altitude > 0.05:
-                advance(0.0)
-                if state.t > deadline:
-                    raise RuntimeError("landing did not converge")
+            end, band, stop = math.inf, 0.05, min(state.t + COMMAND_TIMEOUT_S, limit_s)
+            overdue = "landing did not converge"
+        else:  # TAKEOFF or WAYPOINT
+            target = cmd.alt
+            end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
+            overdue = f"{kind} to {target:g} m did not converge"
+        while state.t < end and abs(state.altitude - target) > band:
+            # the controller; each clamp picks what min/max would, -0.0 included
+            ratio = density_ratio(state.altitude)
+            v_cmd = CLIMB_GAIN * (target - state.altitude)
+            v_cmd = v_cmd if v_cmd < CLIMB_SPEED_LIMIT else CLIMB_SPEED_LIMIT
+            v_cmd = v_cmd if v_cmd > -CLIMB_SPEED_LIMIT else -CLIMB_SPEED_LIMIT
+            throttle = hover / ratio + THROTTLE_GAIN * (v_cmd - state.vertical_speed)
+            throttle = throttle if throttle < 1.0 else 1.0
+            throttle = throttle if throttle > 0.0 else 0.0
+            step(state, air, throttle, DT, ratio)
+            append((state.t, state.altitude, state.vertical_speed, state.heading))
+            if state.battery_remaining <= 0.0:
+                raise BatteryExhaustedError(
+                    Trajectory(samples=samples, camera_events=events,
+                               landing_offset=_drift(state.t)))
+            if state.t > stop:
+                if state.t > limit_s:
+                    raise RuntimeError(f"flight passed {limit_s:g} s, the logger clock's limit")
+                raise RuntimeError(overdue)
+        if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            samples.append((state.t, 0.0, 0.0, state.heading))
+            append((state.t, 0.0, 0.0, state.heading))
 
     return Trajectory(samples=samples, camera_events=events,
                       landing_offset=_drift(state.t))

@@ -58,8 +58,9 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     log.info("mission: %d commands", len(plan.commands))
 
     trajectory = flightsim.run_mission(plan, cfg.airframe, env)
-    log.info("flight: %.1f s, peak %.2f m, %d camera events",
-             trajectory.duration, trajectory.max_altitude, len(trajectory.camera_events))
+    if log.isEnabledFor(logging.INFO):  # max_altitude is a pass over every sample
+        log.info("flight: %.1f s, peak %.2f m, %d camera events",
+                 trajectory.duration, trajectory.max_altitude, len(trajectory.camera_events))
 
     sd = SdCardImage()
     first = flightsim.true_sample(env, 0.0, rng)

@@ -22,7 +22,7 @@ from asid.airframe import (
 )
 from asid.atmosphere import density_ratio, isa_density, isa_pressure
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
-from asid.flightsim import Environment, SimState, step
+from asid.flightsim import Environment, FlightConstants, SimState, step
 from asid.pipeline import run_simulation
 from asid.synclink import RouteTarget, fetch, handle_connection, route
 from asid.wxindices import (
@@ -95,6 +95,7 @@ def test_criterion_04_ceiling_claim():
 
 def test_criterion_05_climb_claims():
     cfg = reference_config()
+    air = FlightConstants.of(cfg)
     near_ceiling = 0.75 * service_ceiling(cfg)
     state = SimState(battery_remaining=1e9)
     start = time.perf_counter()
@@ -102,7 +103,7 @@ def test_criterion_05_climb_claims():
     v_near = None
     t_design = None
     while state.altitude < 6096.0:
-        step(state, cfg, 1.0, 0.01, density_ratio(state.altitude))
+        step(state, air, 1.0, 0.01, density_ratio(state.altitude))
         if state.altitude < 300.0:
             peak_low = max(peak_low, state.vertical_speed)
         if v_near is None and state.altitude >= near_ceiling:

@@ -366,6 +366,30 @@ class TestMissionCommands:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    # argparse takes only "-1" and "-1.5" forms for negative numbers; any
+    # other negative float after an option must still reach the option's check
+    @pytest.mark.parametrize("argv, message", [
+        (["sizing", "--design-altitude", "-1e9"], "sizing: altitude -1000000000.0 m outside"),
+        (["sizing", "--margin", "-1e0"], "sizing: --margin must be positive"),
+        (["mission", "gen", "--target", "-4e1"],
+         "mission gen: start_alt must not exceed target_alt"),
+        (["mission", "gen", "--target", "-inf"], "mission gen: target_alt must be finite"),
+        (["mission", "validate", "--ceiling", "-1e3"],
+         "mission validate: --ceiling must be non-negative"),
+    ], ids=["sizing_altitude", "sizing_margin", "gen_target", "gen_target_inf",
+            "validate_ceiling"])
+    def test_negative_exponent_value_exits_config_error(self, argv, message, tmp_path,
+                                                        capsys):
+        if argv[:2] == ["mission", "validate"]:
+            plan = tmp_path / "plan.csv"
+            main(["mission", "gen", "--target", "40", "--out", str(plan)])
+            argv = argv + ["--file", str(plan)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {message}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_validate_non_finite_value_is_data_error(self, value, tmp_path, capsys):
         plan = tmp_path / "plan.csv"

@@ -10,6 +10,7 @@ from asid.atmosphere import density_ratio
 from asid.flightsim import (
     BatteryExhaustedError,
     Environment,
+    FlightConstants,
     SensorNoise,
     SimState,
     hover_throttle,
@@ -21,6 +22,7 @@ from asid.mission import MissionCommand, MissionParams, MissionPlan, TAKEOFF, DE
     generate_sounding_profile
 
 CFG = reference_config()
+AIR = FlightConstants.of(CFG)
 CALM = Environment()
 
 FT = 0.3048
@@ -32,7 +34,7 @@ def _terminal_speed_at(altitude: float) -> float:
     previous = -1.0
     while state.vertical_speed - previous > 1e-9:
         previous = state.vertical_speed
-        step(state, CFG, 1.0, 0.05, density_ratio(state.altitude))
+        step(state, AIR, 1.0, 0.05, density_ratio(state.altitude))
         state.altitude = altitude  # hold position; probe the force balance only
     return state.vertical_speed
 
@@ -42,7 +44,7 @@ class TestStep:
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         throttle = hover_throttle(CFG)
         for _ in range(200):
-            step(state, CFG, throttle, 0.01, density_ratio(state.altitude))
+            step(state, AIR, throttle, 0.01, density_ratio(state.altitude))
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -64,17 +66,17 @@ class TestStep:
 
     def test_battery_drains_with_throttle(self):
         state = SimState(battery_remaining=5000.0)
-        step(state, CFG, 1.0, 0.01, density_ratio(state.altitude))
+        step(state, AIR, 1.0, 0.01, density_ratio(state.altitude))
         assert state.battery_remaining < 5000.0
 
     def test_parameter_validation(self):
         state = SimState(battery_remaining=10.0)
         with pytest.raises(ValueError):
-            step(state, CFG, 1.5, 0.01, density_ratio(state.altitude))
+            step(state, AIR, 1.5, 0.01, density_ratio(state.altitude))
         with pytest.raises(ValueError):
-            step(state, CFG, 0.5, 0.0, density_ratio(state.altitude))
+            step(state, AIR, 0.5, 0.0, density_ratio(state.altitude))
         with pytest.raises(ValueError):
-            step(state, CFG, 0.5, 0.2, density_ratio(state.altitude))
+            step(state, AIR, 0.5, 0.2, density_ratio(state.altitude))
 
 
 class TestTrueSample:
@@ -134,7 +136,7 @@ class TestRunMission:
         state = SimState(battery_remaining=5000.0)
         readings = []
         for _ in range(500):
-            step(state, CFG, 0.7, 0.01, density_ratio(state.altitude))
+            step(state, AIR, 0.7, 0.01, density_ratio(state.altitude))
             readings.append(state.battery_remaining)
         assert all(a >= b for a, b in zip(readings, readings[1:]))
 
@@ -176,6 +178,38 @@ class TestRunMission:
         assert trajectory.samples
         assert trajectory.samples[-1][1] > 0.0  # stopped mid-air
 
+    def test_battery_exhaustion_partial_trajectory_is_pinned(self):
+        # the partial flight up to the step that empties a 20 mAh pack: a
+        # moved exhaustion check (one step early or late) changes all three
+        import dataclasses
+        import hashlib
+        from asid.airframe import BatterySpec
+        tiny = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=20.0, c_rate=50.0))
+        windy = Environment(wind=118.0)  # above max_progressive_speed: the drone drifts
+        with pytest.raises(BatteryExhaustedError) as err:
+            run_mission(generate_sounding_profile(MissionParams()), tiny, windy)
+        trajectory = err.value.trajectory
+        assert len(trajectory.samples) == 332
+        assert hashlib.sha256(repr(trajectory.samples).encode("ascii")).hexdigest() \
+            == "b603ce0e2d89296dfcfc1979ed81a221231bf792d0e38d81c9ea017c9a752e85"
+        assert trajectory.landing_offset == 26.8874374019806
+
+    def test_a_landed_flight_calls_step_once_per_integrator_sample(self, monkeypatch):
+        # one initial sample, one per step and the LAND ground-stop sample;
+        # the benchmark's flightsim.steps count is this count of step calls
+        calls = 0
+        original = flightsim.step
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flightsim, "step", counted)
+        traj = run_mission(generate_sounding_profile(MissionParams()), CFG, CALM)
+        assert traj.samples[-1][1] == 0.0
+        assert calls == len(traj.samples) - 2
+
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
         # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop
         monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", 60_000)
@@ -187,11 +221,28 @@ class TestRunMission:
         with pytest.raises(RuntimeError, match="logger clock"):
             run_mission(plan, CFG, CALM)
 
+    @pytest.mark.parametrize("takeoff_alt, timeout_s, limit_ms, message", [
+        (10.0, 1.0, 60_000, "TAKEOFF to 10 m did not converge"),
+        (0.5, 3.0, 60_000, "landing did not converge"),
+        (10.0, 1.0, 1_000, "logger clock"),  # both passed: the clock limit is named
+    ], ids=["takeoff", "land", "clock_limit_first"])
+    def test_a_command_past_its_deadline_stops_the_flight(self, monkeypatch, takeoff_alt,
+                                                           timeout_s, limit_ms, message):
+        monkeypatch.setattr(flightsim, "COMMAND_TIMEOUT_S", timeout_s)
+        monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", limit_ms)
+        plan = MissionPlan(commands=(
+            MissionCommand(TAKEOFF, alt=takeoff_alt),
+            MissionCommand(DELAY, p1=5.0),  # a DELAY longer than the timeout has no deadline
+            MissionCommand(LAND),
+        ))
+        with pytest.raises(RuntimeError, match=message):
+            run_mission(plan, CFG, CALM)
+
     def test_time_to_design_altitude_in_expected_band(self):
         # full-throttle climb to 20,000 ft takes 4-8 minutes
         state = SimState(battery_remaining=1e9)
         while state.altitude < 6096.0:
-            step(state, CFG, 1.0, 0.02, density_ratio(state.altitude))
+            step(state, AIR, 1.0, 0.02, density_ratio(state.altitude))
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
 
 
