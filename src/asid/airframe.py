@@ -47,6 +47,8 @@ class PropSpec:
     def __post_init__(self) -> None:
         if min(self.diameter, self.pitch, self.max_rpm) <= 0.0:
             raise ValueError("all propeller fields must be positive")
+        if self.diameter / self.pitch > 1e200:  # prop_thrust's ^1.5 overflows past about 1e206
+            raise ValueError("diameter / pitch is too large for the thrust formula")
 
 
 @dataclass(frozen=True)
@@ -249,4 +251,6 @@ def expected_flights(mtbf_h: float, flight_minutes: float) -> int:
     """Failure-free flights implied by the MTBF at a given flight duration."""
     if mtbf_h <= 0.0 or flight_minutes <= 0.0:
         raise ValueError("mtbf and flight duration must be positive")
+    if math.isinf(mtbf_h * 60.0 / flight_minutes):
+        raise ValueError("mtbf / flight duration is too large to count the flights")
     return math.floor(mtbf_h * 60.0 / flight_minutes)

@@ -1,8 +1,8 @@
 """Command-line front end: simulate, serve, sync, report, sizing, mission.
 
-Exit codes: 0 success, 1 usage, 2 configuration, 3 simulation,
-4 transport, 5 data/parse.  The ASID_LOG environment variable sets the
-log level (debug/info/warning/error).
+Exit codes: 0 success, 1 usage, 2 configuration (or an OSError on a given path
+or port), 3 simulation, 4 transport, 5 data; any other exception is a bug and
+prints a traceback.  ASID_LOG sets the log level (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import airframe, config, firmware, flightsim, groundstation, mission, pipeline, \
-    synclink, wxindices
+from . import airframe, config, firmware, groundstation, mission, pipeline, synclink, \
+    wxindices
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,9 +107,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise config.ConfigError("serve: --port must lie in [0, 65535]")
     sd_dir = Path(args.sdcard)
-    if not sd_dir.is_dir():
-        raise config.ConfigError(f"{args.sdcard} is not a directory")
     sd = firmware.SdCardImage.from_dir(sd_dir)
 
     def on_ground_served() -> None:
@@ -130,6 +130,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_sync(args) -> int:
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # before a fetch consumes the logs
     result = synclink.sync(args.host, args.port, args.out)
     print(f"synced air.csv ({len(result.air)} bytes) and "
           f"ground.csv ({len(result.ground)} bytes) to {args.out}")
@@ -199,10 +200,8 @@ def _cmd_mission_validate(args) -> int:
     with _option_values("mission validate", args, "ceiling"):
         if args.ceiling < 0.0:
             raise ValueError("--ceiling must be non-negative")
-    try:
-        plan = mission.parse(Path(args.file).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise wxindices.ProfileError(f"cannot read mission file: {exc}") from exc
+    # a byte that is not UTF-8 lands in a checked field and fails its own line
+    plan = mission.parse(Path(args.file).read_text(encoding="utf-8", errors="replace"))
     violations = mission.validate(plan, ceiling=args.ceiling)
     if violations:
         for violation in violations:
@@ -275,23 +274,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # ProtocolError is a RuntimeError, ConnectionError an OSError: data and transport first
     try:
         return args.func(args)
-    except config.ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (mission.MissionValidationError, flightsim.BatteryExhaustedError,
-            airframe.NoCeilingError) as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except (synclink.TransportError, ConnectionError) as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except (synclink.ProtocolError, wxindices.LogParseError, wxindices.ProfileError,
-            mission.MissionParseError, ValueError) as exc:
+            mission.MissionParseError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except RuntimeError as exc:
+    except ConnectionError as exc:
+        print(f"transport error: {exc}", file=sys.stderr)
+        return EXIT_TRANSPORT
+    except (config.ConfigError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (mission.MissionValidationError, airframe.NoCeilingError, RuntimeError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

@@ -92,6 +92,8 @@ def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawRea
     pressure = env.surface_pressure * 100.0 \
         * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT \
         + rng.gauss(0.0, 1.0) * env.sensor_noise.pressure
+    if pressure <= 0.0:
+        raise RuntimeError(f"sensor noise drove the pressure to {pressure:g} Pa")
     return RawReading(temperature=temperature, humidity=humidity, pressure=pressure)
 
 

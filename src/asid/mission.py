@@ -120,8 +120,8 @@ def generate_sounding_profile(params: MissionParams) -> MissionPlan:
 
     commands = [MissionCommand(TAKEOFF, lat=lat, lon=lon, alt=levels[0])]
     for index, level in enumerate(levels):
-        for heading in params.headings:
-            commands.append(MissionCommand(CONDITION_YAW, p1=float(heading) % 360.0, p3=1.0))
+        for heading in params.headings:  # the second % folds a tiny negative's 360.0 to 0.0
+            commands.append(MissionCommand(CONDITION_YAW, p1=heading % 360.0 % 360.0, p3=1.0))
             commands.append(MissionCommand(DELAY, p1=1.0))
             commands.append(MissionCommand(DO_DIGICAM_CONTROL, lat=lat, lon=lon, alt=level))
             commands.append(MissionCommand(DELAY, p1=float(params.capture_dwell)))

@@ -97,7 +97,6 @@ def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
     """Run the pipeline and write the SD image plus trajectory.csv to out_dir."""
     result = run_simulation(cfg)
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     result.sd.to_dir(directory)
     (directory / "trajectory.csv").write_text(result.trajectory.to_csv(), encoding="ascii")
     return result

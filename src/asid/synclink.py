@@ -38,10 +38,6 @@ class RouteTarget(enum.Enum):
     GROUND = "ground"
 
 
-class TransportError(ConnectionError):
-    """Could not reach or keep a connection to the file server."""
-
-
 class ProtocolError(RuntimeError):
     """The server answered, but not with a usable 200 response."""
 
@@ -166,28 +162,24 @@ class LogServer:
 def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> bytes:
     """Fetch one log file; returns the body bytes.
 
-    Raises TransportError when the server is unreachable and ProtocolError
-    when the response lacks a 200 status + header block (which is what a
-    deleted file looks like on the wire).
+    Raises ConnectionError when the server is unreachable, resets or
+    stalls, and ProtocolError when the response lacks a 200 status + header
+    block (which is what a deleted file looks like on the wire).
     """
     path = AIR_REQUEST_PATH if which is RouteTarget.AIR else GROUND_REQUEST_PATH
     request = f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii")
     try:
         conn = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
-        raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
+        raise ConnectionError(f"cannot connect to {host}:{port}: {exc}") from exc
     try:
         conn.sendall(request)
         conn.shutdown(socket.SHUT_WR)
         chunks = []
-        while True:
-            try:
-                chunk = conn.recv(4096)
-            except socket.timeout as exc:
-                raise TransportError("timed out waiting for the response") from exc
-            if not chunk:
-                break
+        while chunk := conn.recv(4096):
             chunks.append(chunk)
+    except OSError as exc:  # a reset or a stall past the timeout, always a transport failure
+        raise ConnectionError(f"connection to {host}:{port} failed: {exc}") from exc
     finally:
         conn.close()
     data = b"".join(chunks)

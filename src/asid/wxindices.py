@@ -95,10 +95,14 @@ def parse_log(data: bytes) -> list[LogRow]:
     """Parse logger CSV content (rows end with a trailing comma + CRLF).
 
     A number the logger could not print (``nan``, ``inf``, ``ovf``) is a
-    LogParseError, like any other malformed field.
+    LogParseError, like any other malformed field; so is a non-ASCII byte.
     """
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:  # the row number counts the CRLFs before the byte
+        raise LogParseError(data.count(b"\r\n", 0, exc.start) + 1, "non-ASCII byte") from None
     rows: list[LogRow] = []
-    for number, line in enumerate(data.decode("ascii").split("\r\n"), start=1):
+    for number, line in enumerate(text.split("\r\n"), start=1):
         if line == "":
             continue
         fields = line.split(",")
@@ -129,7 +133,7 @@ class SurfaceSummary:
 def surface_summary(ground_rows: list[LogRow]) -> SurfaceSummary:
     """Medians of the variables the report reads; even counts average the middle pair."""
     if not ground_rows:
-        raise ValueError("surface summary needs at least one ground row")
+        raise ProfileError("surface summary needs at least one ground row")
     return SurfaceSummary(
         temperature=statistics.median(r.temperature for r in ground_rows),
         humidity=statistics.median(r.humidity for r in ground_rows),
@@ -194,8 +198,6 @@ def freezing_level(profile: SoundingProfile) -> FreezingLevel:
     isothermal column) cannot freeze aloft and yields "indeterminate".
     """
     levels = profile.levels
-    if len(levels) < 2:
-        raise ProfileError("freezing level needs at least 2 levels")
     for lower, upper in zip(levels, levels[1:]):
         t0, t1 = lower.temperature, upper.temperature
         if t0 == 0.0:
@@ -228,9 +230,11 @@ def build_profile(air_csv: bytes, ground_csv: bytes) -> SoundingProfile:
             raise ProfileError(
                 f"air-log altitudes must increase: {previous.cal_altitude} then "
                 f"{current.cal_altitude}")
-    last_rows = air_rows if air_rows else ground_rows
-    return SoundingProfile(levels=tuple(air_rows), surface=surface,
-                           collection_time=last_rows[-1].timestamp)
+    try:
+        return SoundingProfile(levels=tuple(air_rows), surface=surface,
+                               collection_time=(air_rows or ground_rows)[-1].timestamp)
+    except ValueError as exc:  # strptime refuses the last row's stamp
+        raise ProfileError(f"last {'air' if air_rows else 'ground'}-log row: {exc}") from None
 
 
 def build_report(profile: SoundingProfile) -> WxReport:
@@ -243,14 +247,17 @@ def build_report(profile: SoundingProfile) -> WxReport:
     else:
         fl = FreezingLevel("indeterminate")
         lapse = None
-    return WxReport(
-        surface_temperature=s.temperature,
-        surface_humidity=s.humidity,
-        surface_pressure=s.pressure_hpa,
-        dew_point=dew_point(s.temperature, s.humidity),
-        freezing_level=fl,
-        discomfort_index=discomfort_index(s.temperature, s.humidity),
-        heat_index=heat_index(s.temperature, s.humidity),
-        fitted_lapse_rate=lapse,
-        collection_time=profile.collection_time,
-    )
+    try:
+        return WxReport(
+            surface_temperature=s.temperature,
+            surface_humidity=s.humidity,
+            surface_pressure=s.pressure_hpa,
+            dew_point=dew_point(s.temperature, s.humidity),
+            freezing_level=fl,
+            discomfort_index=discomfort_index(s.temperature, s.humidity),
+            heat_index=heat_index(s.temperature, s.humidity),
+            fitted_lapse_rate=lapse,
+            collection_time=profile.collection_time,
+        )
+    except ValueError as exc:  # an index refuses the ground-log medians
+        raise ProfileError(f"ground-log medians: {exc}") from None

@@ -80,6 +80,14 @@ class TestPropThrust:
         vp = pitch_speed(self.PROP, 8000.0)
         assert prop_thrust(self.PROP, 8000.0, vp * 1.2) < 0.0
 
+    def test_ratio_the_correction_cannot_raise_refused(self):
+        # (d / (3.29546 pitch))^1.5 overflows for d / pitch past about 1e206
+        for diameter, pitch in ((1e300, 4.5), (5.0, 1e-300), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="diameter / pitch"):
+                PropSpec(diameter=diameter, pitch=pitch, max_rpm=10000.0)
+        edge = PropSpec(diameter=1.0, pitch=1e-200, max_rpm=10000.0)  # d / pitch = 1e200
+        assert math.isfinite(prop_thrust(edge, 10000.0))
+
     def test_rpm_bounds(self):
         with pytest.raises(ValueError):
             prop_thrust(self.PROP, 30000.0)
@@ -220,6 +228,12 @@ class TestBatteryAndReliability:
         assert expected_flights(160.0, 10.0) == 960
         assert expected_flights(1.0, 60.0) == 1
         assert expected_flights(160.0, 8.0) == 1200
+
+    def test_expected_flights_past_the_float_range_refused(self):
+        # the count is inf; math.floor(inf) would raise OverflowError
+        for mtbf_h, flight_minutes in ((160.0, 1e-320), (1e308, 1.0)):
+            with pytest.raises(ValueError, match="too large to count"):
+                expected_flights(mtbf_h, flight_minutes)
 
 
 def test_spec_validation():

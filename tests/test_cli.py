@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import asid
-from asid import config, firmware, synclink
+from asid import config, firmware, pipeline, synclink
 from asid.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -470,3 +471,135 @@ class TestServeSyncReport:
             stop.set()
             thread.join(timeout=2.0)
             server.close()
+
+
+def _exit_code(argv, capsys):
+    """main(argv), checked to print no traceback; returns (code, stderr)."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+class TestFailureFamilies:
+    """Each failure family has one exit code: data 5, transport 4, configuration 2
+    (an OSError on a path or port included), simulation 3."""
+
+    @pytest.mark.parametrize("command", ["simulate", "report", "mission gen", "sync"])
+    def test_out_below_a_regular_file_exits_config_error(self, command, tmp_path, capsys):
+        (tmp_path / "file").write_text("x")
+        bad = str(tmp_path / "file" / "out")
+        argv = {"simulate": ["simulate", "--out", bad],
+                "report": ["report", "--in", str(GOLDEN), "--out", bad],
+                "mission gen": ["mission", "gen", "--target", "20", "--out", bad],
+                "sync": ["sync", "--port", "1", "--out", bad]}[command]
+        code, err = _exit_code(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: ") and "Not a directory" in err
+
+    def test_sync_to_a_bad_out_keeps_both_logs_on_the_card(self, tmp_path, capsys):
+        sd = SdCardImage({firmware.AIR_LOG: (GOLDEN / "air.csv").read_bytes(),
+                          firmware.GROUND_LOG: (GOLDEN / "ground.csv").read_bytes()})
+        server = synclink.LogServer(sd, port=0)
+        stop = threading.Event()
+        thread = threading.Thread(target=server.serve_forever, args=(stop,), daemon=True)
+        thread.start()
+        try:
+            (tmp_path / "file").write_text("x")
+            argv = ["sync", "--host", server.host, "--port", str(server.port), "--out"]
+            assert _exit_code(argv + [str(tmp_path / "file" / "out")], capsys)[0] == EXIT_CONFIG
+            assert sd.names() == [firmware.AIR_LOG, firmware.GROUND_LOG]
+            assert _exit_code(argv + [str(tmp_path / "synced")], capsys)[0] == EXIT_OK
+            assert (tmp_path / "synced" / "ground.csv").read_bytes() == \
+                (GOLDEN / "ground.csv").read_bytes()
+        finally:
+            stop.set()
+            thread.join(timeout=2.0)
+            server.close()
+
+    def test_serve_refuses_a_busy_port_a_bad_port_and_a_missing_card(self, tmp_path, capsys):
+        card = str(tmp_path)  # an empty card; each case fails before the first accept
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = str(busy.getsockname()[1])
+            code, err = _exit_code(["serve", "--sdcard", card, "--port", port], capsys)
+            assert code == EXIT_CONFIG and "Address already in use" in err
+        code, err = _exit_code(["serve", "--sdcard", card, "--port", "70000"], capsys)
+        assert (code, err) == (EXIT_CONFIG,
+                               "configuration error: serve: --port must lie in [0, 65535]\n")
+        code, err = _exit_code(["serve", "--sdcard", str(tmp_path / "missing")], capsys)
+        assert code == EXIT_CONFIG and "No such file or directory" in err
+
+    def test_mission_validate_missing_file_and_bad_byte(self, tmp_path, capsys):
+        code, err = _exit_code(["mission", "validate", "--file", str(tmp_path / "no.csv")],
+                               capsys)
+        assert code == EXIT_CONFIG and "No such file or directory" in err
+        plan = tmp_path / "plan.csv"
+        main(["mission", "gen", "--target", "20", "--out", str(plan)])
+        lines = plan.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b"\xff,", 1)
+        plan.write_bytes(b"\n".join(lines))
+        code, err = _exit_code(["mission", "validate", "--file", str(plan)], capsys)
+        assert code == EXIT_DATA and err.startswith("data error: line 4: ")
+
+    @pytest.mark.parametrize("case, message", [
+        ("non_ascii", "data error: row 3: non-ASCII byte\n"),
+        ("bad_last_stamp", "data error: last ground-log row: time data "),
+        ("empty", "data error: surface summary needs at least one ground row\n"),
+        ("humidity_above_100", "data error: ground-log medians: relative humidity must lie "),
+    ], ids=["non_ascii", "bad_last_stamp", "empty", "humidity_above_100"])
+    def test_report_on_bad_ground_log_exits_data_error(self, case, message, tmp_path, capsys):
+        rows = (GOLDEN / "ground.csv").read_bytes().split(b"\r\n")[:-1]
+        if case == "non_ascii":
+            rows[2] = rows[2].replace(b",", b"\xe9,", 1)
+        elif case == "bad_last_stamp":
+            rows[-1] = rows[-1].replace(b":", b"x", 1)
+        elif case == "empty":
+            rows = []
+        else:
+            rows = [row.replace(b",50.0,", b",150.0,") for row in rows]
+        (tmp_path / "ground.csv").write_bytes(b"".join(row + b"\r\n" for row in rows))
+        out = tmp_path / "out"
+        code, err = _exit_code(["report", "--in", str(tmp_path), "--out", str(out)], capsys)
+        assert code == EXIT_DATA and err.startswith(message)
+        assert not out.exists()
+
+    def test_noise_below_zero_pressure_exits_simulation_error(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json",
+                             {"environment": {"sensor_noise": {"pressure": 1e7}}})
+        code, err = _exit_code(["simulate", "--config", path, "--out", str(tmp_path / "sd")],
+                               capsys)
+        assert code == EXIT_SIMULATION
+        assert err.startswith("simulation error: sensor noise drove the pressure to -")
+
+    def test_tiny_negative_heading_folds_to_zero(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json", {"mission": {"headings": [-1e-14]}})
+        assert _exit_code(["simulate", "--config", path, "--out", str(tmp_path / "sd")],
+                          capsys)[0] == EXIT_OK
+        plan = tmp_path / "plan.csv"
+        assert _exit_code(["mission", "gen", "--target", "20", "--headings=-1e-14",
+                           "--out", str(plan)], capsys)[0] == EXIT_OK
+        assert "CONDITION_YAW,0.0," in plan.read_text()
+        assert "CONDITION_YAW,360.0," not in plan.read_text()
+
+    def test_airframe_overflow_exits_config_error(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json", {"airframe": {"prop": {"diameter": 1e300}}})
+        for argv, message in (
+                (["simulate", "--config", path, "--out", str(tmp_path / "sd")],
+                 "airframe.prop: diameter / pitch is too large"),
+                (["sizing", "--config", path], "airframe.prop: diameter / pitch is too large"),
+                (["sizing", "--flight-minutes", "1e-320"],
+                 "sizing: mtbf / flight duration is too large")):
+            code, err = _exit_code(argv, capsys)
+            assert code == EXIT_CONFIG, argv
+            assert err.startswith(f"configuration error: {message}")
+
+    def test_value_error_inside_a_command_is_a_bug(self, monkeypatch):
+        def broken(cfg, out_dir):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(pipeline, "simulate", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["simulate", "--out", "unused"])

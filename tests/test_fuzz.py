@@ -1,9 +1,9 @@
-"""Seeded fuzz over the four input boundaries, in process and time-bounded.
+"""Seeded fuzz over the input boundaries, in process and time-bounded.
 
-Each case list is drawn from a fixed seed, so a failure names a case that
-reproduces.  The contract under test: bad input ends in the documented
-error (ConfigError, exit 5, a dropped connection), never in another
-exception.
+Each case list is drawn from a fixed seed or enumerated, so a failure names
+a case that reproduces.  The contract under test: bad input ends in the
+documented error (ConfigError, exit 2, 3 or 5, a dropped connection), never
+in another exception.
 """
 
 import copy
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from asid import config, mission
-from asid.cli import EXIT_DATA, EXIT_OK, main
+from asid.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_SIMULATION, main
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
 from asid.synclink import AIR_REQUEST_PATH, GROUND_REQUEST_PATH, RouteTarget, \
     handle_connection, route
@@ -45,6 +45,19 @@ def _mutate_document(rng: random.Random, document: dict) -> dict:
         else:
             node[key + "_"] = rng.choice(JSON_VALUES)
     return document
+
+
+# finite values a JSON document may hold at any numeric leaf of the run config
+EXTREME_FLOATS = (-1e-14, 1e-300, 1e300, -1e300)
+
+
+def _float_leaves(node, path=()):
+    """The paths of every float in a config document, array items included."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from _float_leaves(value, path + (key,))
+        elif isinstance(value, float):
+            yield path + (key,)
 
 
 def _mutate_bytes(rng: random.Random, data: bytes) -> bytes:
@@ -86,6 +99,26 @@ def test_config_documents_give_a_run_config_or_a_config_error():
         assert isinstance(result, config.RunConfig), (case, document)
         outcomes.add("ok")
     assert outcomes == {"ok", "error"}
+
+
+def test_extreme_config_values_simulate_or_exit_config_or_simulation_error(tmp_path):
+    base = json.loads(json.dumps(config.to_dict(config.default_run_config())))
+    path, out = tmp_path / "c.json", tmp_path / "sd"
+    codes = set()
+    for leaf in _float_leaves(base):
+        for value in EXTREME_FLOATS:
+            if leaf == ("mission", "capture_dwell") and value == 1e300:
+                continue  # a valid dwell that flies to the logger clock's limit, ~35 s
+            document = copy.deepcopy(base)
+            node = document
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            path.write_text(json.dumps(document), encoding="utf-8")
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION), (leaf, value, code)
+            codes.add(code)
+    assert codes == {EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION}
 
 
 def test_mission_files_validate_or_exit_data_error(tmp_path, capsys):

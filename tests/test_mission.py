@@ -52,9 +52,10 @@ class TestGenerator:
 
     def test_heading_sequence_normalised(self):
         plan = generate_sounding_profile(
-            MissionParams(target_alt=10.0, headings=(90.0, 180.0, 270.0, 360.0)))
+            MissionParams(target_alt=10.0, headings=(90.0, 180.0, 270.0, 360.0, -1e-14)))
         yaws = [c.p1 for c in plan.commands if c.kind == CONDITION_YAW]
-        assert yaws == [90.0, 180.0, 270.0, 0.0]
+        # -1e-14 % 360.0 rounds to 360.0, which a yaw command refuses
+        assert yaws == [90.0, 180.0, 270.0, 0.0, 0.0]
 
     def test_descends_to_start_before_landing(self):
         plan = generate_sounding_profile(MissionParams(target_alt=40.0, start_alt=10.0))

@@ -13,7 +13,6 @@ from asid.synclink import (
     LogServer,
     ProtocolError,
     RouteTarget,
-    TransportError,
     fetch,
     handle_connection,
     route,
@@ -243,5 +242,13 @@ class TestLoopback:
 
 
 def test_fetch_refused_connection_is_transport_error():
-    with pytest.raises(TransportError):
+    with pytest.raises(ConnectionError):
         fetch("127.0.0.1", 1, RouteTarget.AIR, timeout=0.5)
+
+
+def test_fetch_from_a_silent_server_is_a_connection_error():
+    with socket.socket() as silent:  # connections queue in the backlog, never answered
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(1)
+        with pytest.raises(ConnectionError, match="timed out"):
+            fetch("127.0.0.1", silent.getsockname()[1], RouteTarget.AIR, timeout=0.3)
