@@ -35,9 +35,8 @@ print(f"\nserving on {server.host}:{server.port}")
 
 try:
     # Air must be fetched before ground: serving ground deletes both files.
-    synced = sync(server.host, server.port, OUT)
-    print(f"synced air.csv ({len(synced.air)} bytes) and "
-          f"ground.csv ({len(synced.ground)} bytes) into {OUT}")
+    air, ground = sync(server.host, server.port, OUT)
+    print(f"synced air.csv ({len(air)} bytes) and ground.csv ({len(ground)} bytes) into {OUT}")
     print(f"card after sync: {sd.names()}")
 
     try:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atmosphere import G0, TROPOPAUSE_M, density_ratio
+from .atmosphere import G0, LAPSE_RATE, PRESSURE_EXPONENT, SEA_LEVEL_TEMPERATURE, TROPOPAUSE_M, \
+    density_ratio
 
 IN_TO_M = 0.0254          # inches to metres
 GF_TO_N = G0 / 1000.0     # gram-force to Newtons
@@ -152,26 +153,17 @@ def required_static_thrust(target_thrust_at_alt: float, h: float) -> float:
 def service_ceiling(cfg: AirframeConfig) -> float:
     """Altitude (m) where the density-scaled thrust/weight ratio crosses 1.
 
-    Bisection, resolved far below 1 m so that T/W at the returned altitude
-    is 1 within 1e-6.
+    The exact inverse of ``density_ratio`` at 1 / thrust_to_weight:
+    T0/L * (1 - tw0^(-1/(g/(RL) - 1))).
     """
     tw0 = thrust_to_weight(cfg)
     if tw0 <= 1.0:
         raise NoCeilingError(f"sea-level thrust/weight {tw0:.3f} <= 1; cannot climb")
-
-    def tw(h: float) -> float:
-        return tw0 * density_ratio(h)
-
-    if tw(TROPOPAUSE_M) > 1.0:
+    exponent = -1.0 / (PRESSURE_EXPONENT - 1.0)
+    ceiling = SEA_LEVEL_TEMPERATURE / LAPSE_RATE * (1.0 - tw0 ** exponent)
+    if ceiling > TROPOPAUSE_M:
         raise NoCeilingError("ceiling lies above the troposphere model range")
-    lo, hi = 0.0, TROPOPAUSE_M
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if tw(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return ceiling
 
 
 def max_progressive_speed(cfg: AirframeConfig) -> float:

@@ -130,10 +130,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_sync(args) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)  # before a fetch consumes the logs
-    result = synclink.sync(args.host, args.port, args.out)
-    print(f"synced air.csv ({len(result.air)} bytes) and "
-          f"ground.csv ({len(result.ground)} bytes) to {args.out}")
+    air, ground = synclink.sync(args.host, args.port, args.out)
+    print(f"synced air.csv ({len(air)} bytes) and ground.csv ({len(ground)} bytes) to {args.out}")
     return EXIT_OK
 
 

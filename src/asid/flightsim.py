@@ -171,7 +171,7 @@ def step(state: SimState, air: FlightConstants, throttle: float, dt: float,
 
 @dataclass
 class Trajectory:
-    """Record of a simulated flight, one sample per DT."""
+    """Record of a simulated flight, one sample per DT from the start sample on."""
 
     samples: list[tuple[float, float, float, float]]  # (t, altitude, v, heading)
     camera_events: list[CameraEvent]
@@ -179,15 +179,13 @@ class Trajectory:
 
     @property
     def duration(self) -> float:
-        return self.samples[-1][0] if self.samples else 0.0
+        return self.samples[-1][0]
 
     @property
     def max_altitude(self) -> float:
-        return max(s[1] for s in self.samples) if self.samples else 0.0
+        return max(s[1] for s in self.samples)
 
     def altitude_at(self, t: float) -> float:
-        if not self.samples:
-            return 0.0
         index = min(int(round(t / DT)), len(self.samples) - 1)
         return self.samples[max(0, index)][1]
 
@@ -209,12 +207,18 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     evaluates the density ratio once, computes the controller's throttle
     from it and hands both to ``step``.
 
-    Raises MissionValidationError for unflyable plans,
+    Raises MissionValidationError for unflyable plans (a plan whose DELAY
+    time alone passes the logger clock's limit among them),
     BatteryExhaustedError (carrying the partial trajectory) when the pack
     empties mid-flight, and RuntimeError when the flight outlasts the
     logger clock (CLOCK_LIMIT_MS).
     """
+    limit_s = CLOCK_LIMIT_MS / 1000.0
     violations = mission.validate(plan, ceiling=service_ceiling(cfg))
+    delay = sum(cmd.p1 for cmd in plan.commands if cmd.kind == mission.DELAY)
+    if delay > limit_s:
+        violations.append(f"DELAY commands total {delay:g} s, past the logger clock's "
+                          f"{limit_s:g} s limit")
     if violations:
         raise mission.MissionValidationError(violations)
 
@@ -224,7 +228,6 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
     append = samples.append
     events = state.camera_events
-    limit_s = CLOCK_LIMIT_MS / 1000.0
 
     def _drift(duration: float) -> float:
         return wind_drift(env.wind, max_progressive_speed(cfg), duration)

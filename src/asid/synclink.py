@@ -29,6 +29,7 @@ REQUEST_LIMIT = 8192  # bytes; the device has no bound, this one stops runaway b
 CONNECTION_TIMEOUT_S = 2.0
 AIR_REQUEST_PATH = "/download/air.csv"
 GROUND_REQUEST_PATH = "/ground.csv"
+STATUS_LINE = b"HTTP/1.1 200 OK"  # the only status the device sends
 
 log = logging.getLogger(__name__)
 
@@ -54,35 +55,20 @@ def route(request_text: str) -> RouteTarget:
 
 @dataclass(frozen=True)
 class HttpFileResponse:
-    status_line: str
-    headers: tuple[tuple[str, str], ...]
+    """What the device writes for one log file."""
+
+    name: str
     body: bytes
 
     def wire_writes(self) -> list[bytes]:
-        """The exact write sequence: one per header line, blank line, then chunks."""
-        writes = [(self.status_line + "\r\n").encode("ascii")]
-        writes += [f"{k}: {v}\r\n".encode("ascii") for k, v in self.headers]
-        writes.append(b"\r\n")
+        """The exact write sequence: the status line, three header lines naming
+        the file and a blank line, one write each, then the body in 1760-byte chunks."""
+        writes = [STATUS_LINE + b"\r\n", b"Content-Type: text/csv\r\n",
+                  f'Content-Disposition: attachment; filename="{self.name}"\r\n'.encode("ascii"),
+                  b"Connection: close\r\n", b"\r\n"]
         for offset in range(0, len(self.body), CHUNK_SIZE):
             writes.append(self.body[offset:offset + CHUNK_SIZE])
         return writes
-
-
-def serve_file(name: str, sd: SdCardImage) -> HttpFileResponse | None:
-    """The response for a log file; None when the file is absent (the
-    connection is then dropped with nothing written)."""
-    data = sd.read(name)
-    if data is None:
-        return None
-    return HttpFileResponse(
-        status_line="HTTP/1.1 200 OK",
-        headers=(
-            ("Content-Type", "text/csv"),
-            ("Content-Disposition", f'attachment; filename="{name}"'),
-            ("Connection", "close"),
-        ),
-        body=data,
-    )
 
 
 def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarget | None:
@@ -107,10 +93,10 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarg
         first_line = buffer.split(b"\n", 1)[0].decode("latin-1")
         target = route(first_line)
         name = AIR_LOG if target is RouteTarget.AIR else GROUND_LOG
-        response = serve_file(name, sd)
-        if response is None:
+        body = sd.read(name)
+        if body is None:  # the device drops the connection with nothing written
             return target
-        for piece in response.wire_writes():
+        for piece in HttpFileResponse(name, body).wire_writes():
             conn.sendall(piece)
         if name == GROUND_LOG:
             sd.remove(AIR_LOG)
@@ -187,28 +173,26 @@ def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> by
         raise ProtocolError("connection closed without a response header block")
     head, body = data.split(b"\r\n\r\n", 1)
     status = head.split(b"\r\n", 1)[0]
-    if status != b"HTTP/1.1 200 OK":
+    if status != STATUS_LINE:
         raise ProtocolError(f"unexpected status line {status!r}")
     return body
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    air: bytes
-    ground: bytes
+def sync(host: str, port: int, out_dir, timeout: float = 10.0) -> tuple[bytes, bytes]:
+    """Fetch air.csv strictly before ground.csv into ``out_dir``; returns (air, ground).
 
-
-def sync(host: str, port: int, out_dir=None, timeout: float = 10.0) -> SyncResult:
-    """Fetch air.csv strictly before ground.csv, then persist both.
-
-    Any failure aborts the sync with nothing written.
+    ``out_dir`` is made before the first fetch, and air.csv is written to its
+    final name before ground.csv is requested, since serving ground.csv
+    deletes both logs on the card.  ground.csv is written to a temporary name
+    in ``out_dir`` and then renamed, so a failed rename leaves its bytes on
+    disk under the temporary name (the error names both paths).
     """
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
     air = fetch(host, port, RouteTarget.AIR, timeout)
+    (directory / AIR_LOG).write_bytes(air)
     ground = fetch(host, port, RouteTarget.GROUND, timeout)
-    result = SyncResult(air=air, ground=ground)
-    if out_dir is not None:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / AIR_LOG).write_bytes(air)
-        (directory / GROUND_LOG).write_bytes(ground)
-    return result
+    partial = directory / f"{GROUND_LOG}.part"
+    partial.write_bytes(ground)
+    partial.replace(directory / GROUND_LOG)
+    return air, ground

@@ -9,12 +9,16 @@ discomfort index is Thom's formulation.
 from __future__ import annotations
 
 import math
+import re
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
 
 MAGNUS_A = 17.62
 MAGNUS_B = 243.12  # degC
+
+# a CRLF not followed by a DD.MM.YYYY,HH:MM:SS stamp, an empty line or the end
+_BAD_STAMP = re.compile(r"\r\n(?!\d\d\.\d\d\.\d{4},\d\d:\d\d:\d\d,|\r\n|\Z)")
 
 
 class LogParseError(ValueError):
@@ -95,7 +99,9 @@ def parse_log(data: bytes) -> list[LogRow]:
     """Parse logger CSV content (rows end with a trailing comma + CRLF).
 
     A number the logger could not print (``nan``, ``inf``, ``ovf``) is a
-    LogParseError, like any other malformed field; so is a non-ASCII byte.
+    LogParseError, like any other malformed field; so is a non-ASCII byte,
+    and a date or time that does not read DD.MM.YYYY or HH:MM:SS (a shape
+    check over the whole text, so the digits are not parsed per row).
     """
     try:
         text = data.decode("ascii")
@@ -118,6 +124,13 @@ def parse_log(data: bytes) -> list[LogRow]:
         if not all(map(math.isfinite, values)):
             raise LogParseError(number, f"non-finite field in {line!r}")
         rows.append(LogRow(fields[0], fields[1], *values))
+    text = "\r\n" + text  # so the first row has a CRLF before it too
+    bad = _BAD_STAMP.search(text)
+    if bad is not None:
+        line = text[bad.end():].split("\r\n", 1)[0]
+        raise LogParseError(text.count("\r\n", 0, bad.end()),
+                            f"date and time {','.join(line.split(',')[:2])!r} do not read "
+                            f"DD.MM.YYYY,HH:MM:SS")
     return rows
 
 

@@ -253,6 +253,17 @@ class TestSimulate:
         assert "logger clock" in err
         assert "Traceback" not in err
 
+    def test_delay_time_past_the_logger_clock_exits_before_flight(self, tmp_path, capsys):
+        # a pack that never empties would otherwise fly to the clock's limit
+        doc = {"mission": {"capture_dwell": 1e300},
+               "airframe": {"battery": {"capacity_mah": 1e300}}}
+        cfg_path = _write_config(tmp_path / "c.json", doc)
+        code, err = _exit_code(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sd")],
+                               capsys)
+        assert code == EXIT_SIMULATION
+        assert err.startswith("simulation error: DELAY commands total 1.6e+301 s, past the "
+                              "logger clock's 86400 s limit")
+
     @pytest.mark.parametrize("environment", [
         {"surface_temperature": 1e308},
         {"surface_pressure": 1e308},
@@ -320,6 +331,16 @@ class TestMissionCommands:
         assert main(["mission", "validate", "--file", str(out),
                      "--ceiling", "30"]) == EXIT_DATA
         assert "violation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("body, violation", [
+        ("", "plan has no commands"),
+        ("TAKEOFF,0,0,0,0,0,0,10\nDELAY,1,0,0,0,0,0,0\n", "last command must be LAND, got DELAY"),
+    ], ids=["empty", "no_land"])
+    def test_validate_an_unflyable_plan_is_data_error(self, body, violation, tmp_path, capsys):
+        plan = tmp_path / "plan.csv"
+        plan.write_text("command,p1,p2,p3,p4,lat,lon,alt\n" + body)
+        assert main(["mission", "validate", "--file", str(plan)]) == EXIT_DATA
+        assert capsys.readouterr().out == f"violation: {violation}\n"
 
     @pytest.mark.parametrize("option, value, named", [
         ("--dwell", "-1", "capture_dwell"),
@@ -518,6 +539,30 @@ class TestFailureFamilies:
             thread.join(timeout=2.0)
             server.close()
 
+    def test_sync_that_cannot_write_ground_keeps_its_bytes_on_disk(self, tmp_path, capsys):
+        # serving ground.csv empties the card, so the synced bytes must already be on disk
+        logs = {name: (GOLDEN / name).read_bytes()
+                for name in (firmware.AIR_LOG, firmware.GROUND_LOG)}
+        server = synclink.LogServer(SdCardImage(dict(logs)), port=0)
+        stop = threading.Event()
+        thread = threading.Thread(target=server.serve_forever, args=(stop,), daemon=True)
+        thread.start()
+        out = tmp_path / "synced"
+        (out / firmware.GROUND_LOG).mkdir(parents=True)
+        try:
+            code, err = _exit_code(["sync", "--host", server.host, "--port", str(server.port),
+                                    "--out", str(out)], capsys)
+        finally:
+            stop.set()
+            thread.join(timeout=2.0)
+            server.close()
+        partial = out / f"{firmware.GROUND_LOG}.part"
+        assert code == EXIT_CONFIG
+        assert str(partial) in err and str(out / firmware.GROUND_LOG) in err
+        assert server.sd.names() == []
+        assert (out / firmware.AIR_LOG).read_bytes() == logs[firmware.AIR_LOG]
+        assert partial.read_bytes() == logs[firmware.GROUND_LOG]
+
     def test_serve_refuses_a_busy_port_a_bad_port_and_a_missing_card(self, tmp_path, capsys):
         card = str(tmp_path)  # an empty card; each case fails before the first accept
         with socket.socket() as busy:
@@ -549,13 +594,17 @@ class TestFailureFamilies:
         ("bad_last_stamp", "data error: last ground-log row: time data "),
         ("empty", "data error: surface summary needs at least one ground row\n"),
         ("humidity_above_100", "data error: ground-log medians: relative humidity must lie "),
-    ], ids=["non_ascii", "bad_last_stamp", "empty", "humidity_above_100"])
+        ("bad_row_stamp", "data error: row 2: date and time '99.99.zzzz,10:15:03' do not read "
+                          "DD.MM.YYYY,HH:MM:SS\n"),
+    ], ids=["non_ascii", "bad_last_stamp", "empty", "humidity_above_100", "bad_row_stamp"])
     def test_report_on_bad_ground_log_exits_data_error(self, case, message, tmp_path, capsys):
         rows = (GOLDEN / "ground.csv").read_bytes().split(b"\r\n")[:-1]
         if case == "non_ascii":
             rows[2] = rows[2].replace(b",", b"\xe9,", 1)
-        elif case == "bad_last_stamp":
-            rows[-1] = rows[-1].replace(b":", b"x", 1)
+        elif case == "bad_last_stamp":  # the right shape, but no such month
+            rows[-1] = rows[-1].replace(b".06.", b".13.", 1)
+        elif case == "bad_row_stamp":
+            rows[1] = b"99.99.zzzz" + rows[1][len(b"01.06.2021"):]
         elif case == "empty":
             rows = []
         else:

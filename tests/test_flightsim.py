@@ -18,8 +18,8 @@ from asid.flightsim import (
     step,
     true_sample,
 )
-from asid.mission import MissionCommand, MissionParams, MissionPlan, TAKEOFF, DELAY, LAND, \
-    generate_sounding_profile
+from asid.mission import MissionCommand, MissionParams, MissionPlan, MissionValidationError, \
+    TAKEOFF, DELAY, LAND, generate_sounding_profile
 
 CFG = reference_config()
 AIR = FlightConstants.of(CFG)
@@ -211,31 +211,47 @@ class TestRunMission:
         assert calls == len(traj.samples) - 2
 
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
-        # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop
+        # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop.
+        # The DELAY fits the limit, so the plan validates, but not after the climb.
         monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", 60_000)
         plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=10.0),
-            MissionCommand(DELAY, p1=120.0),
+            MissionCommand(DELAY, p1=59.0),
             MissionCommand(LAND),
         ))
         with pytest.raises(RuntimeError, match="logger clock"):
             run_mission(plan, CFG, CALM)
 
-    @pytest.mark.parametrize("takeoff_alt, timeout_s, limit_ms, message", [
-        (10.0, 1.0, 60_000, "TAKEOFF to 10 m did not converge"),
-        (0.5, 3.0, 60_000, "landing did not converge"),
-        (10.0, 1.0, 1_000, "logger clock"),  # both passed: the clock limit is named
+    # a DELAY longer than the timeout has no deadline; none may pass the clock limit
+    @pytest.mark.parametrize("takeoff_alt, timeout_s, limit_ms, delay_s, message", [
+        (10.0, 1.0, 60_000, 5.0, "TAKEOFF to 10 m did not converge"),
+        (0.5, 3.0, 60_000, 5.0, "landing did not converge"),
+        (10.0, 1.0, 1_000, 1.0, "logger clock"),  # both passed: the clock limit is named
     ], ids=["takeoff", "land", "clock_limit_first"])
     def test_a_command_past_its_deadline_stops_the_flight(self, monkeypatch, takeoff_alt,
-                                                           timeout_s, limit_ms, message):
+                                                           timeout_s, limit_ms, delay_s,
+                                                           message):
         monkeypatch.setattr(flightsim, "COMMAND_TIMEOUT_S", timeout_s)
         monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", limit_ms)
         plan = MissionPlan(commands=(
             MissionCommand(TAKEOFF, alt=takeoff_alt),
-            MissionCommand(DELAY, p1=5.0),  # a DELAY longer than the timeout has no deadline
+            MissionCommand(DELAY, p1=delay_s),
             MissionCommand(LAND),
         ))
         with pytest.raises(RuntimeError, match=message):
+            run_mission(plan, CFG, CALM)
+
+    def test_delay_time_past_the_logger_clock_limit_is_refused_before_flight(self, monkeypatch):
+        monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", 60_000)
+        monkeypatch.setattr(flightsim, "step", None)  # a refused plan never integrates
+        plan = MissionPlan(commands=(
+            MissionCommand(TAKEOFF, alt=10.0),
+            MissionCommand(DELAY, p1=30.0),
+            MissionCommand(DELAY, p1=30.5),
+            MissionCommand(LAND),
+        ))
+        with pytest.raises(MissionValidationError,
+                           match="DELAY commands total 60.5 s, past the logger clock's 60 s"):
             run_mission(plan, CFG, CALM)
 
     def test_time_to_design_altitude_in_expected_band(self):

@@ -10,13 +10,13 @@ from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
 from asid.synclink import (
     CHUNK_SIZE,
     CONNECTION_TIMEOUT_S,
+    HttpFileResponse,
     LogServer,
     ProtocolError,
     RouteTarget,
     fetch,
     handle_connection,
     route,
-    serve_file,
     sync,
 )
 
@@ -76,8 +76,7 @@ class TestRoute:
 
 class TestServeFile:
     def test_header_block_byte_exact(self):
-        response = serve_file(AIR_LOG, _sd())
-        writes = response.wire_writes()
+        writes = HttpFileResponse(AIR_LOG, AIR_BYTES).wire_writes()
         assert writes[0] == b"HTTP/1.1 200 OK\r\n"
         assert writes[1] == b"Content-Type: text/csv\r\n"
         assert writes[2] == b'Content-Disposition: attachment; filename="air.csv"\r\n'
@@ -85,28 +84,21 @@ class TestServeFile:
         assert writes[4] == b"\r\n"
 
     def test_body_chunked_at_1760(self):
-        sd = SdCardImage({AIR_LOG: b"x" * 3521, GROUND_LOG: GROUND_BYTES})
-        response = serve_file(AIR_LOG, sd)
-        body_writes = response.wire_writes()[5:]
+        body_writes = HttpFileResponse(AIR_LOG, b"x" * 3521).wire_writes()[5:]
         assert [len(w) for w in body_writes] == [1760, 1760, 1]
 
     def test_chunks_concatenate_to_file(self):
         for size in (0, 1, 1759, 1760, 1761, 3520, 3521, 5000):
-            sd = SdCardImage({AIR_LOG: bytes(range(256)) * (size // 256 + 1)})
-            sd.files[AIR_LOG] = sd.files[AIR_LOG][:size]
-            original = sd.files[AIR_LOG]
-            response = serve_file(AIR_LOG, sd)
-            assert b"".join(response.wire_writes()[5:]) == original
-            assert all(len(w) == CHUNK_SIZE for w in response.wire_writes()[5:-1])
+            original = (bytes(range(256)) * (size // 256 + 1))[:size]
+            body_writes = HttpFileResponse(AIR_LOG, original).wire_writes()[5:]
+            assert b"".join(body_writes) == original
+            assert all(len(w) == CHUNK_SIZE for w in body_writes[:-1])
 
     def test_serving_air_keeps_files(self):
         sd = _sd()
-        serve_file(AIR_LOG, sd)
+        handle_connection(ScriptedConn(b"GET /download/air.csv HTTP/1.1\r\n\r\n"), sd)
         assert sd.exists(AIR_LOG)
         assert sd.exists(GROUND_LOG)
-
-    def test_missing_file_returns_none(self):
-        assert serve_file(AIR_LOG, SdCardImage()) is None
 
 
 class TestHandleConnection:
@@ -147,6 +139,15 @@ class TestHandleConnection:
         assert target is RouteTarget.AIR
         assert conn.writes == []
         assert conn.closed
+
+    def test_missing_ground_file_deletes_nothing(self):
+        sd = SdCardImage({AIR_LOG: AIR_BYTES})
+        conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n")
+        served = []
+        assert handle_connection(conn, sd, lambda: served.append(True)) is RouteTarget.GROUND
+        assert conn.writes == []
+        assert sd.read(AIR_LOG) == AIR_BYTES
+        assert served == []
 
     def test_empty_file_sends_headers_only(self):
         sd = SdCardImage({AIR_LOG: b""})
@@ -197,17 +198,16 @@ class TestLoopback:
             fetch(server.host, server.port, RouteTarget.AIR, timeout=5.0)
 
     def test_sync_persists_both(self, server, tmp_path):
-        result = sync(server.host, server.port, tmp_path, timeout=5.0)
-        assert result.air == AIR_BYTES
-        assert result.ground == GROUND_BYTES
+        assert sync(server.host, server.port, tmp_path, timeout=5.0) == (AIR_BYTES, GROUND_BYTES)
         assert (tmp_path / AIR_LOG).read_bytes() == AIR_BYTES
         assert (tmp_path / GROUND_LOG).read_bytes() == GROUND_BYTES
+        assert sorted(path.name for path in tmp_path.iterdir()) == [AIR_LOG, GROUND_LOG]
 
     def test_sync_succeeds_exactly_once(self, server, tmp_path):
         sync(server.host, server.port, tmp_path, timeout=5.0)
         with pytest.raises(ProtocolError):
             sync(server.host, server.port, tmp_path / "second", timeout=5.0)
-        assert not (tmp_path / "second").exists()  # nothing written on failure
+        assert list((tmp_path / "second").iterdir()) == []  # no log written on failure
 
     def test_client_reset_mid_response_keeps_serving(self, server):
         server.sd.files[AIR_LOG] = b"x" * (4 << 20)
@@ -244,6 +244,24 @@ class TestLoopback:
 def test_fetch_refused_connection_is_transport_error():
     with pytest.raises(ConnectionError):
         fetch("127.0.0.1", 1, RouteTarget.AIR, timeout=0.5)
+
+
+def test_fetch_of_a_non_200_status_is_a_protocol_error():
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1024)
+                conn.sendall(b"HTTP/1.1 404 Not Found\r\nConnection: close\r\n\r\n")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        with pytest.raises(ProtocolError, match="unexpected status line b'HTTP/1.1 404"):
+            fetch("127.0.0.1", listener.getsockname()[1], RouteTarget.AIR, timeout=5.0)
+        thread.join(timeout=2.0)
 
 
 def test_fetch_from_a_silent_server_is_a_connection_error():
