@@ -1,8 +1,9 @@
 """Command-line front end: simulate, serve, sync, report, sizing, mission.
 
-Exit codes: 0 success, 1 usage, 2 configuration (or an OSError on a given path
-or port), 3 simulation, 4 transport, 5 data; any other exception is a bug and
-prints a traceback.  ASID_LOG sets the log level (debug/info/warning/error).
+Exit codes: 0 success (also when the reader of stdout goes away), 1 usage,
+2 configuration (or an OSError on a given path or port), 3 simulation,
+4 transport, 5 data; any other exception is a bug and prints a traceback.
+ASID_LOG sets the log level (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def _configure_logging() -> None:
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so no later flush (the
+    interpreter's last one included) writes to a closed pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 def _load_config(path: str | None) -> config.RunConfig:
@@ -272,9 +283,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # ProtocolError is a RuntimeError, ConnectionError an OSError: data and transport first
+    # BrokenPipeError is a ConnectionError, ConnectionError an OSError: order matters
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # stdout only: fetch turns every socket error into ConnectionError
+        _drop_stdout()
+        return EXIT_OK
     except (synclink.ProtocolError, wxindices.LogParseError, wxindices.ProfileError,
             mission.MissionParseError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
@@ -285,7 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     except (config.ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (mission.MissionValidationError, airframe.NoCeilingError, RuntimeError) as exc:
+    except (mission.MissionValidationError, airframe.NoCeilingError,
+            firmware.SimulationError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

@@ -39,6 +39,11 @@ CLOCK_LIMIT_MS = 86_400_000
 RTC_LATEST_START = datetime.max.replace(microsecond=0) - timedelta(milliseconds=CLOCK_LIMIT_MS)
 DAY_US = 86_400_000_000  # microseconds in a calendar day
 
+
+class SimulationError(RuntimeError):
+    """The simulated run cannot go on: the flight or the logger passed a limit of
+    the device, the pack emptied, or sensor noise left the physical range."""
+
 # Print::printFloat prints "ovf" beyond this magnitude
 ARDUINO_FLOAT_LIMIT = 4294967040.0
 
@@ -171,7 +176,7 @@ def _checked_hpa(state: FirmwareState, humidity: float, pressure_pa: float,
                  clock_ms: int) -> float:
     """The checks of every poll, in the device's order; returns the corrected hPa."""
     if clock_ms > CLOCK_LIMIT_MS:
-        raise RuntimeError(f"the run outlasts the logger clock's {CLOCK_LIMIT_MS} ms limit")
+        raise SimulationError(f"the run outlasts the logger clock's {CLOCK_LIMIT_MS} ms limit")
     corrected_hpa = pressure_pa * state.cfg.pressure_correction / 100.0
     if corrected_hpa <= 0.0:
         raise ValueError("pressure must be positive")
@@ -185,7 +190,7 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
     """Process raw readings into the row the logger writes.
 
     Humidity outside [0, 100] % and a non-positive corrected pressure raise
-    ValueError; a clock past CLOCK_LIMIT_MS raises RuntimeError, since the
+    ValueError; a clock past CLOCK_LIMIT_MS raises SimulationError, since the
     run no longer fits the logger's calendar.  The stamps are rtc_start +
     clock_ms, the year in four digits; the date is formatted once per day.
     """

@@ -13,14 +13,15 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
     thrust_to_weight, wind_drift
 from .atmosphere import HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
-from .firmware import CLOCK_LIMIT_MS
+from .firmware import CLOCK_LIMIT_MS, SimulationError
 
-# Altitude controller, run by run_mission before every step: proportional
+# Altitude controller, run by step before every integrator update: proportional
 # speed command (0.5 m/s per metre of error, clamped) tracked by a
 # proportional throttle around the hover feed-forward (the sea-level hover
 # throttle over the density ratio).  The cascade keeps the approach
@@ -34,7 +35,7 @@ HOVER_CURRENT_A = 20.0    # A, battery draw at the hover throttle
 COMMAND_TIMEOUT_S = 300.0
 
 
-class BatteryExhaustedError(RuntimeError):
+class BatteryExhaustedError(SimulationError):
     """Battery ran out mid-flight; carries the truncated trajectory."""
 
     def __init__(self, trajectory: "Trajectory"):
@@ -93,7 +94,7 @@ def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawRea
         * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT \
         + rng.gauss(0.0, 1.0) * env.sensor_noise.pressure
     if pressure <= 0.0:
-        raise RuntimeError(f"sensor noise drove the pressure to {pressure:g} Pa")
+        raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
     return RawReading(temperature=temperature, humidity=humidity, pressure=pressure)
 
 
@@ -137,36 +138,54 @@ class FlightConstants:
                    max_thrust=cfg.motor.max_thrust_per_motor, hover_throttle=hover_throttle(cfg))
 
 
-def step(state: SimState, air: FlightConstants, throttle: float, dt: float,
-         ratio: float) -> SimState:
-    """Advance the vertical dynamics by dt (semi-implicit Euler); the one
-    function that advances altitude, speed, battery and time.
+def step(state: SimState, air: FlightConstants, target: float, end: float, band: float,
+         stop: float, samples: list[tuple[float, float, float, float]]) -> bool:
+    """Fly one motion command and append one sample per DT to ``samples``; the
+    one function that advances altitude, speed, battery and time.
 
-    Acceleration is (thrust - weight - quadratic frame drag) / mass, with
-    the static thrust converted from gram-force to Newtons and de-rated by
-    ``ratio``, the density ratio at ``state.altitude`` (the caller has
-    already evaluated it for its controller).  Battery current scales as
-    (throttle / hover throttle)^1.5.
+    The command holds ``target`` until ``end`` or until the altitude is within
+    ``band`` of it.  Each pass evaluates the density ratio, runs the
+    controller on it and takes a semi-implicit Euler step: acceleration is
+    (thrust - weight - quadratic frame drag) / mass, with the static thrust
+    converted from gram-force to Newtons and de-rated by the density ratio,
+    and the battery current scales as (throttle / hover throttle)^1.5.  The
+    state is read into locals once and written back when the command ends.
+
+    Returns True when the command is done, and False when the flight must
+    stop: the pack is empty (checked first) or the time passed ``stop``.
     """
-    if not 0.0 < dt <= 0.1:
-        raise ValueError("dt must lie in (0, 0.1] s")
-    if not 0.0 <= throttle <= 1.0:
-        raise ValueError("throttle must lie in [0, 1]")
-    thrust_n = throttle * air.n_motors * air.max_thrust * GF_TO_N * ratio
-    v = state.vertical_speed
-    accel = (thrust_n - air.weight_n - air.drag * v * abs(v)) / air.mass_kg
-    v_next = v + accel * dt
-    altitude = state.altitude + v_next * dt
-    if altitude <= 0.0:  # ground stop
-        altitude = 0.0
-        v_next = v_next if v_next > 0.0 else 0.0
-    current = HOVER_CURRENT_A * (throttle / air.hover_throttle) ** 1.5
-    battery = state.battery_remaining - current * dt / 3.6
-    state.battery_remaining = battery if battery > 0.0 else 0.0
-    state.t += dt
-    state.altitude = altitude
-    state.vertical_speed = v_next
-    return state
+    t, altitude, v = state.t, state.altitude, state.vertical_speed
+    heading, battery = state.heading, state.battery_remaining
+    n_motors, max_thrust, hover = air.n_motors, air.max_thrust, air.hover_throttle
+    weight_n, drag, mass_kg = air.weight_n, air.drag, air.mass_kg
+    gain, limit, throttle_gain, dt = CLIMB_GAIN, CLIMB_SPEED_LIMIT, THROTTLE_GAIN, DT
+    append = samples.append
+    done = True
+    while t < end and abs(altitude - target) > band:
+        # the controller; each clamp picks what min/max would, -0.0 included
+        ratio = density_ratio(altitude)
+        v_cmd = gain * (target - altitude)
+        v_cmd = v_cmd if v_cmd < limit else limit
+        v_cmd = v_cmd if v_cmd > -limit else -limit
+        throttle = hover / ratio + throttle_gain * (v_cmd - v)
+        throttle = throttle if throttle < 1.0 else 1.0
+        throttle = throttle if throttle > 0.0 else 0.0
+        thrust_n = throttle * n_motors * max_thrust * GF_TO_N * ratio
+        v = v + (thrust_n - weight_n - drag * v * abs(v)) / mass_kg * dt
+        altitude = altitude + v * dt
+        if altitude <= 0.0:  # ground stop
+            altitude = 0.0
+            v = v if v > 0.0 else 0.0
+        battery = battery - HOVER_CURRENT_A * (throttle / hover) ** 1.5 * dt / 3.6
+        battery = battery if battery > 0.0 else 0.0
+        t += dt
+        append((t, altitude, v, heading))
+        if battery <= 0.0 or t > stop:
+            done = False
+            break
+    state.t, state.altitude, state.vertical_speed = t, altitude, v
+    state.battery_remaining = battery
+    return done
 
 
 @dataclass
@@ -190,8 +209,10 @@ class Trajectory:
         return self.samples[max(0, index)][1]
 
     def to_csv(self) -> str:
+        # one % over the whole table: no per-row string is built
+        rows = "%.2f,%.4f,%.4f,%.1f\n" * len(self.samples)
         return "t,altitude,vertical_speed,heading\n" \
-            + "".join(map("%.2f,%.4f,%.4f,%.1f\n".__mod__, self.samples))
+            + rows % tuple(chain.from_iterable(self.samples))
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),
@@ -203,15 +224,13 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     """Validate a plan against the service ceiling, fly it and return the
     sampled trajectory; this is the one place a plan is checked.
 
-    Each motion command flies one integration loop.  Every pass of it
-    evaluates the density ratio once, computes the controller's throttle
-    from it and hands both to ``step``.
+    Each motion command is one call of ``step``.
 
     Raises MissionValidationError for unflyable plans (a plan whose DELAY
     time alone passes the logger clock's limit among them),
     BatteryExhaustedError (carrying the partial trajectory) when the pack
-    empties mid-flight, and RuntimeError when the flight outlasts the
-    logger clock (CLOCK_LIMIT_MS).
+    empties mid-flight, and SimulationError when a command passes its
+    deadline or the flight outlasts the logger clock (CLOCK_LIMIT_MS).
     """
     limit_s = CLOCK_LIMIT_MS / 1000.0
     violations = mission.validate(plan, ceiling=service_ceiling(cfg))
@@ -223,10 +242,8 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         raise mission.MissionValidationError(violations)
 
     air = FlightConstants.of(cfg)
-    hover = air.hover_throttle
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
     samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
-    append = samples.append
     events = state.camera_events
 
     def _drift(duration: float) -> float:
@@ -257,29 +274,18 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             target = cmd.alt
             end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
             overdue = f"{kind} to {target:g} m did not converge"
-        while state.t < end and abs(state.altitude - target) > band:
-            # the controller; each clamp picks what min/max would, -0.0 included
-            ratio = density_ratio(state.altitude)
-            v_cmd = CLIMB_GAIN * (target - state.altitude)
-            v_cmd = v_cmd if v_cmd < CLIMB_SPEED_LIMIT else CLIMB_SPEED_LIMIT
-            v_cmd = v_cmd if v_cmd > -CLIMB_SPEED_LIMIT else -CLIMB_SPEED_LIMIT
-            throttle = hover / ratio + THROTTLE_GAIN * (v_cmd - state.vertical_speed)
-            throttle = throttle if throttle < 1.0 else 1.0
-            throttle = throttle if throttle > 0.0 else 0.0
-            step(state, air, throttle, DT, ratio)
-            append((state.t, state.altitude, state.vertical_speed, state.heading))
+        if not step(state, air, target, end, band, stop, samples):
             if state.battery_remaining <= 0.0:
                 raise BatteryExhaustedError(
                     Trajectory(samples=samples, camera_events=events,
                                landing_offset=_drift(state.t)))
-            if state.t > stop:
-                if state.t > limit_s:
-                    raise RuntimeError(f"flight passed {limit_s:g} s, the logger clock's limit")
-                raise RuntimeError(overdue)
+            if state.t > limit_s:
+                raise SimulationError(f"flight passed {limit_s:g} s, the logger clock's limit")
+            raise SimulationError(overdue)
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            append((state.t, 0.0, 0.0, state.heading))
+            samples.append((state.t, 0.0, 0.0, state.heading))
 
     return Trajectory(samples=samples, camera_events=events,
                       landing_offset=_drift(state.t))

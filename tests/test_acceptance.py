@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from asid import config, groundstation, synclink, wxindices
+from asid import config, flightsim, groundstation, synclink, wxindices
 from asid.airframe import (
     reference_config,
     required_static_thrust,
@@ -93,23 +93,21 @@ def test_criterion_04_ceiling_claim():
                f"T/W there = {tw_at_ceiling:.9f}")
 
 
-def test_criterion_05_climb_claims():
+def test_criterion_05_climb_claims(monkeypatch):
+    # one full-throttle climb command: with no speed limit the controller's
+    # throttle clamps at 1.0 toward a target at twice the design altitude
     cfg = reference_config()
     air = FlightConstants.of(cfg)
     near_ceiling = 0.75 * service_ceiling(cfg)
+    monkeypatch.setattr(flightsim, "CLIMB_SPEED_LIMIT", math.inf)
     state = SimState(battery_remaining=1e9)
+    samples = []
     start = time.perf_counter()
-    peak_low = 0.0
-    v_near = None
-    t_design = None
-    while state.altitude < 6096.0:
-        step(state, air, 1.0, 0.01, density_ratio(state.altitude))
-        if state.altitude < 300.0:
-            peak_low = max(peak_low, state.vertical_speed)
-        if v_near is None and state.altitude >= near_ceiling:
-            v_near = state.vertical_speed
-    t_design = state.t
+    assert step(state, air, 2.0 * 6096.0, math.inf, 6096.0, math.inf, samples)
     elapsed = time.perf_counter() - start
+    peak_low = max([v for _, h, v, _ in samples if h < 300.0], default=0.0)
+    v_near = next(v for _, h, v, _ in samples if h >= near_ceiling)
+    t_design = state.t
     assert abs(peak_low / FT - 120.0) / 120.0 < 0.15
     assert abs(v_near / FT - 55.0) / 55.0 < 0.20
     assert elapsed < 5.0

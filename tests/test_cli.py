@@ -652,3 +652,62 @@ class TestFailureFamilies:
         monkeypatch.setattr(pipeline, "simulate", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["simulate", "--out", "unused"])
+
+    def test_runtime_error_inside_a_command_is_a_bug(self, monkeypatch):
+        # only the simulation family exits 3; any other RuntimeError prints a traceback
+        def broken(cfg, out_dir):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(pipeline, "simulate", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["simulate", "--out", "unused"])
+
+    def test_an_empty_pack_exits_simulation_error(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.json",
+                             {"airframe": {"battery": {"capacity_mah": 1.0}}})
+        code, err = _exit_code(["simulate", "--config", path, "--out", str(tmp_path / "sd")],
+                               capsys)
+        assert code == EXIT_SIMULATION
+        assert err == "simulation error: battery exhausted before the plan completed\n"
+
+    def test_a_closed_stdout_exits_zero_in_silence(self, monkeypatch, capsys):
+        # `asid sizing | head -c 1`: the reader is gone before the output is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        closed = os.fdopen(write_end, "w", buffering=1)
+        try:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["sizing"]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            closed.write("later output\n")  # the descriptor now writes to os.devnull
+            closed.flush()
+        finally:
+            closed.close()
+
+    def test_a_broken_sync_connection_is_still_a_transport_error(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        class Peer:
+            def sendall(self, data):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(synclink.socket, "create_connection", lambda *a, **k: Peer())
+        code, err = _exit_code(["sync", "--port", "1", "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_TRANSPORT
+        assert err == "transport error: connection to 127.0.0.1:1 failed: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_a_closed_stdout_pipe_exits_zero_in_a_subprocess(self, unbuffered):
+        # the parent closes its read end at once, so every write of the child fails;
+        # a block-buffered stdout fails only at the flush
+        env = dict(os.environ, PYTHONPATH=str(Path(asid.__file__).parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        child = subprocess.Popen([sys.executable, "-m", "asid.cli", "sizing"], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=30) == EXIT_OK
+        assert err == b""

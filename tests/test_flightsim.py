@@ -3,23 +3,25 @@ import random
 
 import pytest
 
-from asid.airframe import reference_config, service_ceiling, wind_drift, \
+from asid.airframe import GF_TO_N, reference_config, service_ceiling, wind_drift, \
     max_progressive_speed
 from asid import flightsim
 from asid.atmosphere import density_ratio
 from asid.flightsim import (
+    DEADBAND_M,
+    DT,
     BatteryExhaustedError,
     Environment,
     FlightConstants,
     SensorNoise,
     SimState,
-    hover_throttle,
+    SimulationError,
     run_mission,
     step,
     true_sample,
 )
 from asid.mission import MissionCommand, MissionParams, MissionPlan, MissionValidationError, \
-    TAKEOFF, DELAY, LAND, generate_sounding_profile
+    TAKEOFF, WAYPOINT, DELAY, LAND, generate_sounding_profile
 
 CFG = reference_config()
 AIR = FlightConstants.of(CFG)
@@ -29,22 +31,32 @@ FT = 0.3048
 
 
 def _terminal_speed_at(altitude: float) -> float:
-    """Converge the vertical speed at a frozen altitude (full throttle)."""
-    state = SimState(altitude=altitude, battery_remaining=1e9)
-    previous = -1.0
-    while state.vertical_speed - previous > 1e-9:
-        previous = state.vertical_speed
-        step(state, AIR, 1.0, 0.05, density_ratio(state.altitude))
-        state.altitude = altitude  # hold position; probe the force balance only
-    return state.vertical_speed
+    """Full-throttle climb speed at which thrust less weight equals the frame drag."""
+    thrust_n = AIR.n_motors * AIR.max_thrust * GF_TO_N * density_ratio(altitude)
+    return math.sqrt((thrust_n - AIR.weight_n) / AIR.drag)
+
+
+def full_throttle_climb(monkeypatch, top: float) -> tuple[SimState, list]:
+    """Fly ``step`` from the ground to ``top`` with the throttle held at 1.0.
+
+    With no speed limit the controller asks for far more than full throttle
+    toward a target at 2 * top, so the clamp holds it at exactly 1.0; the
+    band ends the command at the first sample at or above ``top``.
+    """
+    monkeypatch.setattr(flightsim, "CLIMB_SPEED_LIMIT", math.inf)
+    state = SimState(battery_remaining=1e9)
+    samples = []
+    assert step(state, AIR, 2.0 * top, math.inf, top, math.inf, samples)
+    return state, samples
 
 
 class TestStep:
     def test_hover_balance_keeps_speed_zero(self):
+        # a 2 s DELAY on the ground from rest: the controller asks for the hover throttle
         state = SimState(altitude=0.0, battery_remaining=5000.0)
-        throttle = hover_throttle(CFG)
-        for _ in range(200):
-            step(state, AIR, throttle, 0.01, density_ratio(state.altitude))
+        samples = []
+        assert step(state, AIR, 0.0, 2.0, -1.0, math.inf, samples)
+        assert len(samples) == 200
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -53,11 +65,13 @@ class TestStep:
         assert terminal / FT == pytest.approx(120.0, rel=0.15)
         # the drag default is calibrated to land almost exactly on the claim
         assert terminal / FT == pytest.approx(120.0, abs=0.5)
+        assert round(terminal / FT, 3) == 119.999
 
     def test_near_ceiling_terminal_climb_is_55_ft_per_s(self):
         near_ceiling = 0.75 * service_ceiling(CFG)
         terminal = _terminal_speed_at(near_ceiling)
         assert terminal / FT == pytest.approx(55.0, rel=0.20)
+        assert round(terminal / FT, 2) == 53.96
 
     def test_terminal_speed_monotone_decreasing_in_altitude(self):
         altitudes = [i * 1000.0 for i in range(7)]
@@ -66,17 +80,24 @@ class TestStep:
 
     def test_battery_drains_with_throttle(self):
         state = SimState(battery_remaining=5000.0)
-        step(state, AIR, 1.0, 0.01, density_ratio(state.altitude))
+        assert step(state, AIR, 10.0, math.inf, DEADBAND_M, math.inf, [])
         assert state.battery_remaining < 5000.0
 
-    def test_parameter_validation(self):
-        state = SimState(battery_remaining=10.0)
-        with pytest.raises(ValueError):
-            step(state, AIR, 1.5, 0.01, density_ratio(state.altitude))
-        with pytest.raises(ValueError):
-            step(state, AIR, 0.5, 0.0, density_ratio(state.altitude))
-        with pytest.raises(ValueError):
-            step(state, AIR, 0.5, 0.2, density_ratio(state.altitude))
+    def test_full_throttle_climb_approaches_the_terminal_speed(self, monkeypatch):
+        _, samples = full_throttle_climb(monkeypatch, 300.0)
+        peak = max(v for _, _, v, _ in samples)
+        assert peak < _terminal_speed_at(0.0)
+        assert peak == pytest.approx(_terminal_speed_at(300.0), rel=0.01)
+
+    @pytest.mark.parametrize("capacity, stop, stopped_at", [
+        (0.5, math.inf, 4), (1e9, 0.5, 50)], ids=["battery", "stop"])
+    def test_an_empty_pack_or_the_stop_time_ends_the_command_early(self, capacity, stop,
+                                                                   stopped_at):
+        state = SimState(battery_remaining=capacity)
+        samples = []
+        assert not step(state, AIR, 10.0, math.inf, DEADBAND_M, stop, samples)
+        assert len(samples) == stopped_at
+        assert samples[-1] == (state.t, state.altitude, state.vertical_speed, state.heading)
 
 
 class TestTrueSample:
@@ -133,11 +154,13 @@ class TestRunMission:
         assert traj.max_altitude <= plan.max_altitude + 0.5
 
     def test_battery_monotone_nonincreasing(self):
+        # a climb to 10 m flown as 500 one-step DELAYs, to read the pack after each step
         state = SimState(battery_remaining=5000.0)
         readings = []
         for _ in range(500):
-            step(state, AIR, 0.7, 0.01, density_ratio(state.altitude))
+            assert step(state, AIR, 10.0, state.t + DT, -1.0, math.inf, [])
             readings.append(state.battery_remaining)
+        assert state.altitude > 1.0
         assert all(a >= b for a, b in zip(readings, readings[1:]))
 
     def test_landing_offset_matches_wind_drift(self):
@@ -194,21 +217,29 @@ class TestRunMission:
             == "b603ce0e2d89296dfcfc1979ed81a221231bf792d0e38d81c9ea017c9a752e85"
         assert trajectory.landing_offset == 26.8874374019806
 
-    def test_a_landed_flight_calls_step_once_per_integrator_sample(self, monkeypatch):
-        # one initial sample, one per step and the LAND ground-stop sample;
-        # the benchmark's flightsim.steps count is this count of step calls
-        calls = 0
-        original = flightsim.step
+    def test_a_landed_flight_calls_step_once_per_motion_command(self, monkeypatch):
+        # the benchmark reads both counts through these module attributes:
+        # flightsim.steps (step calls) and atmosphere.density_ratio_calls,
+        # one per integrator step, i.e. every sample but the initial one
+        # and the LAND ground-stop sample
+        calls = {"step": 0, "density_ratio": 0}
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
+        def counted(name):
+            original = getattr(flightsim, name)
 
-        monkeypatch.setattr(flightsim, "step", counted)
-        traj = run_mission(generate_sounding_profile(MissionParams()), CFG, CALM)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(flightsim, name, wrapper)
+
+        counted("step")
+        counted("density_ratio")
+        plan = generate_sounding_profile(MissionParams())
+        traj = run_mission(plan, CFG, CALM)
         assert traj.samples[-1][1] == 0.0
-        assert calls == len(traj.samples) - 2
+        motion = (TAKEOFF, WAYPOINT, DELAY, LAND)
+        assert calls["step"] == sum(cmd.kind in motion for cmd in plan.commands) == 38
+        assert calls["density_ratio"] == len(traj.samples) - 2
 
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
         # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop.
@@ -219,7 +250,7 @@ class TestRunMission:
             MissionCommand(DELAY, p1=59.0),
             MissionCommand(LAND),
         ))
-        with pytest.raises(RuntimeError, match="logger clock"):
+        with pytest.raises(SimulationError, match="logger clock"):
             run_mission(plan, CFG, CALM)
 
     # a DELAY longer than the timeout has no deadline; none may pass the clock limit
@@ -238,7 +269,7 @@ class TestRunMission:
             MissionCommand(DELAY, p1=delay_s),
             MissionCommand(LAND),
         ))
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(SimulationError, match=message):
             run_mission(plan, CFG, CALM)
 
     def test_delay_time_past_the_logger_clock_limit_is_refused_before_flight(self, monkeypatch):
@@ -254,12 +285,14 @@ class TestRunMission:
                            match="DELAY commands total 60.5 s, past the logger clock's 60 s"):
             run_mission(plan, CFG, CALM)
 
-    def test_time_to_design_altitude_in_expected_band(self):
-        # full-throttle climb to 20,000 ft takes 4-8 minutes
-        state = SimState(battery_remaining=1e9)
-        while state.altitude < 6096.0:
-            step(state, AIR, 1.0, 0.02, density_ratio(state.altitude))
+    def test_time_to_design_altitude_in_expected_band(self, monkeypatch):
+        # full-throttle climb to 20,000 ft takes 4-8 minutes; the pinned floats
+        # are those of an open-loop full-throttle loop of 0.01 s steps
+        state, samples = full_throttle_climb(monkeypatch, 6096.0)
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
+        assert len(samples) == 27_616
+        assert state.t == 276.15999999989384
+        assert state.altitude == 6096.056994198126
 
 
 class TestTrajectoryExports:
