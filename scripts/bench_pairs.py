@@ -2,11 +2,12 @@
 """Alternated parent/change pairs of the benchmark's untraced runs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload tall_column \\
-        --pairs 10 --seconds 38 --seed-base 101
+        --pairs 10 --seed-base 101
 
-Pair i runs ``perfbench/run.py --trace 0 --seed <seed-base + i>`` in both
-checkouts, the parent first in even pairs and the change first in odd ones,
-so a drift of the host's speed does not favour one side.  For each
+Pair i runs ``perfbench/run.py --trace 0 --seed <seed-base + i>`` for the
+change's BENCHMARK.json ``run_seconds`` in both checkouts, the parent first
+in even pairs and the change first in odd ones, so a drift of the host's
+speed does not favour one side.  For each
 end-to-end metric of the change's BENCHMARK.json it prints each side's
 median and quartiles, the change's wins out of the pairs (ties count for
 neither side), and whether a gain may be claimed: wins in at least nine
@@ -67,11 +68,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=38.0)
     parser.add_argument("--seed-base", type=int, default=101)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     first = spec["end_to_end"][0]["name"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed_base + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed, seconds)
             if result is None or not result.get("correct"):
                 print(f"pair {pair} ({side}, seed {seed}): run not correct: {result}")
                 correct = False
@@ -91,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     if not correct:
         return 1
 
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
+    print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s, "
           f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}; median [q1, q3]")
     for metric in spec["end_to_end"]:
         name = metric["name"]

@@ -1,9 +1,10 @@
 """Command-line front end: simulate, serve, sync, report, sizing, mission.
 
-Exit codes: 0 success (also when the reader of stdout goes away), 1 usage,
-2 configuration (or an OSError on a given path or port), 3 simulation,
-4 transport, 5 data; any other exception is a bug and prints a traceback.
-ASID_LOG sets the log level (debug/info/warning/error).
+Exit codes: 0 success, 1 usage, 2 configuration (or an OSError on a given path
+or port), 3 simulation, 4 transport, 5 data; any other exception is a bug and
+prints a traceback.  When the reader of stdout goes away, the rest of the output
+is dropped and the exit code is unchanged.  ASID_LOG sets the log level
+(debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -75,14 +76,45 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _drop_stdout() -> None:
-    """Point stdout's file descriptor at os.devnull, so no later flush (the
-    interpreter's last one included) writes to a closed pipe."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(devnull, sys.stdout.fileno())
-    finally:
-        os.close(devnull)
+class _StdoutUntilClosed:
+    """sys.stdout while a command runs.  Once the reader of stdout has gone
+    (`asid mission validate --file plan.txt | head -c 1`), the rest of the
+    output is dropped and the command runs to its end, so its exit code
+    stands.  A broken pipe on any other file is not caught here."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self._closed = False
+
+    def write(self, text: str) -> int:
+        if not self._closed:
+            try:
+                self._stream.write(text)
+            except BrokenPipeError:
+                self._drop()
+        return len(text)
+
+    def flush(self) -> None:
+        if not self._closed:
+            try:
+                self._stream.flush()
+            except BrokenPipeError:
+                self._drop()
+
+    def _drop(self) -> None:
+        """Point the stream's descriptor at os.devnull, so no later flush of
+        what it still buffers (the interpreter's last one included) fails."""
+        self._closed = True
+        with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
+            fd = self._stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, fd)
+            finally:
+                os.close(devnull)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
 
 
 def _load_config(path: str | None) -> config.RunConfig:
@@ -283,14 +315,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # BrokenPipeError is a ConnectionError, ConnectionError an OSError: order matters
+    # ProtocolError is a RuntimeError, ConnectionError an OSError: data and transport first
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        with contextlib.redirect_stdout(_StdoutUntilClosed(sys.stdout)):
+            code = args.func(args)
+            sys.stdout.flush()  # a block-buffered stdout's closed pipe shows here
         return code
-    except BrokenPipeError:  # stdout only: fetch turns every socket error into ConnectionError
-        _drop_stdout()
-        return EXIT_OK
     except (synclink.ProtocolError, wxindices.LogParseError, wxindices.ProfileError,
             mission.MissionParseError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

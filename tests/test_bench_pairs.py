@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: the summary of paired benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,35 @@ def test_higher_is_better_counts_the_other_way():
     s = bench_pairs.summarize([10.0, 10.0, 10.0], [12.0, 12.0, 9.0], "higher")
     assert s["wins"] == 2
     assert s["change_pct"] == pytest.approx(20.0)
+
+
+def _checkouts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "end_to_end": [{"name": "t", "better": "lower"}]}))
+    return parent, change
+
+
+def test_runs_alternate_and_last_the_benchmarks_run_seconds(tmp_path, monkeypatch, capsys):
+    parent, change = _checkouts(tmp_path)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed, seconds))
+        return {"correct": True, "metrics": {"t": {"value": 2.0 if checkout == parent else 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
+                             "--seed-base", "5"]) == 0
+    assert calls == [("parent", 5, 7), ("change", 5, 7), ("change", 6, 7), ("parent", 6, 7)]
+    assert "change wins 2/2" in capsys.readouterr().out
+
+
+def test_an_incorrect_run_fails_the_comparison(tmp_path, monkeypatch, capsys):
+    parent, change = _checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *rest: (
+        {"correct": checkout == parent, "metrics": {"t": {"value": 1.0}}}))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
+    assert "run not correct" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import socket
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import asid
-from asid import config, firmware, pipeline, synclink
+from asid import cli, config, firmware, pipeline, synclink
 from asid.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -503,6 +504,17 @@ def _exit_code(argv, capsys):
     return code, err
 
 
+def _closed_stdout_argv(command, tmp_path):
+    """argv of a command that prints to stdout: sizing (exit 0) or the validation of
+    a plan with a violation (exit 5)."""
+    if command == "sizing":
+        return ["sizing"]
+    plan = tmp_path / "plan.csv"
+    plan.write_text("command,p1,p2,p3,p4,lat,lon,alt\nTAKEOFF,0,0,0,0,0,0,10\n"
+                    "DELAY,1,0,0,0,0,0,0\n")
+    return ["mission", "validate", "--file", str(plan)]
+
+
 class TestFailureFamilies:
     """Each failure family has one exit code: data 5, transport 4, configuration 2
     (an OSError on a path or port included), simulation 3."""
@@ -670,19 +682,47 @@ class TestFailureFamilies:
         assert code == EXIT_SIMULATION
         assert err == "simulation error: battery exhausted before the plan completed\n"
 
-    def test_a_closed_stdout_exits_zero_in_silence(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command, expected", [
+        ("sizing", EXIT_OK), ("validate", EXIT_DATA)])
+    def test_a_closed_stdout_keeps_the_exit_code_in_silence(self, command, expected,
+                                                            monkeypatch, tmp_path, capsys):
         # `asid sizing | head -c 1`: the reader is gone before the output is written
         read_end, write_end = os.pipe()
         os.close(read_end)
         closed = os.fdopen(write_end, "w", buffering=1)
         try:
             monkeypatch.setattr(sys, "stdout", closed)
-            assert main(["sizing"]) == EXIT_OK
+            assert main(_closed_stdout_argv(command, tmp_path)) == expected
             assert capsys.readouterr().err == ""
+            assert sys.stdout is closed
             closed.write("later output\n")  # the descriptor now writes to os.devnull
             closed.flush()
         finally:
             closed.close()
+
+    def test_a_closed_stdout_without_a_descriptor_keeps_the_exit_code(self, monkeypatch,
+                                                                      tmp_path, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(_closed_stdout_argv("validate", tmp_path)) == EXIT_DATA
+        assert capsys.readouterr().err == ""
+
+    def test_a_broken_pipe_on_another_file_is_not_caught_as_stdout(self, monkeypatch,
+                                                                    capsys):
+        # e.g. an --out FIFO whose reader has gone: stdout is fine and keeps its output
+        def fifo_writer(args):
+            print("before the write")
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_cmd_sizing", fifo_writer)
+        capsys.readouterr()
+        assert main(["sizing"]) == EXIT_TRANSPORT
+        captured = capsys.readouterr()
+        assert captured.out == "before the write\n"
+        assert captured.err == "transport error: [Errno 32] Broken pipe\n"
 
     def test_a_broken_sync_connection_is_still_a_transport_error(self, monkeypatch, tmp_path,
                                                                  capsys):
@@ -698,16 +738,21 @@ class TestFailureFamilies:
         assert code == EXIT_TRANSPORT
         assert err == "transport error: connection to 127.0.0.1:1 failed: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("command, expected", [
+        ("sizing", EXIT_OK), ("validate", EXIT_DATA)])
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-    def test_a_closed_stdout_pipe_exits_zero_in_a_subprocess(self, unbuffered):
+    def test_a_closed_stdout_pipe_keeps_the_exit_code_in_a_subprocess(self, unbuffered,
+                                                                      command, expected,
+                                                                      tmp_path):
         # the parent closes its read end at once, so every write of the child fails;
         # a block-buffered stdout fails only at the flush
         env = dict(os.environ, PYTHONPATH=str(Path(asid.__file__).parents[1]),
                    PYTHONUNBUFFERED=unbuffered)
-        child = subprocess.Popen([sys.executable, "-m", "asid.cli", "sizing"], env=env,
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "asid.cli", *_closed_stdout_argv(command, tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         child.stdout.close()
         err = child.stderr.read()
         child.stderr.close()
-        assert child.wait(timeout=30) == EXIT_OK
+        assert child.wait(timeout=30) == expected
         assert err == b""
