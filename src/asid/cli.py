@@ -173,6 +173,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_sync(args) -> int:
+    if not 1 <= args.port <= 65535:
+        raise config.ConfigError("sync: --port must lie in [1, 65535]")
     air, ground = synclink.sync(args.host, args.port, args.out)
     print(f"synced air.csv ({len(air)} bytes) and ground.csv ({len(ground)} bytes) to {args.out}")
     return EXIT_OK

@@ -83,18 +83,14 @@ class SdCardImage:
     costs linear, not quadratic, time; ``read`` returns a ``bytes`` copy.
     """
 
-    def __init__(self, files: dict[str, bytes] | None = None, *, write_protected: bool = False):
+    def __init__(self, files: dict[str, bytes] | None = None):
         self.files: dict[str, bytes | bytearray] = dict(files or {})
-        self.write_protected = write_protected
 
-    def append(self, name: str, data: bytes) -> bool:
-        if self.write_protected:
-            return False
+    def append(self, name: str, data: bytes) -> None:
         if name in self.files:
             self.files[name] += data
         else:
             self.files[name] = bytearray(data)
-        return True
 
     def read(self, name: str) -> bytes | None:
         data = self.files.get(name)
@@ -234,8 +230,7 @@ def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
     Every poll makes make_sample's checks, but the row itself (stamps, heat
     index) is built only when it is written.  Returns the effect list;
     "wait" effects tell the caller how long the device blocks before the
-    next pass.  A failed SD write emits "write_failure" and leaves the state
-    unchanged.
+    next pass.
     """
     cfg = state.cfg
     effects: list[tuple] = []
@@ -243,26 +238,22 @@ def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
         row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
                           clock_ms)
         effects.append(("buzzer", GROUND_BUZZ_MS))
-        if sd.append(GROUND_LOG, format_row(row)):
-            effects.append(("log", GROUND_LOG))
-            effects.append(("wait", GROUND_DELAY_MS))
-            state.ground_count += 1
-            if state.ground_count >= cfg.ground_samples:
-                state.phase = Phase.AIR
-        else:
-            effects.append(("write_failure", GROUND_LOG))
+        sd.append(GROUND_LOG, format_row(row))
+        effects.append(("log", GROUND_LOG))
+        effects.append(("wait", GROUND_DELAY_MS))
+        state.ground_count += 1
+        if state.ground_count >= cfg.ground_samples:
+            state.phase = Phase.AIR
     else:
         corrected_hpa = _checked_hpa(state, reading.humidity, reading.pressure, clock_ms)
         if state.phase is Phase.AIR \
                 and linear_altitude(corrected_hpa, state.mslp_hpa) > state.interval:
             row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
                               clock_ms)
-            if sd.append(AIR_LOG, format_row(row)):
-                effects.append(("log", AIR_LOG))
-                effects.append(("wait", AIR_DELAY_MS))
-                state.interval += cfg.interval_step
-            else:
-                effects.append(("write_failure", AIR_LOG))
+            sd.append(AIR_LOG, format_row(row))
+            effects.append(("log", AIR_LOG))
+            effects.append(("wait", AIR_DELAY_MS))
+            state.interval += cfg.interval_step
     if state.phase is Phase.AIR and state.interval > cfg.server_threshold:
         effects.append(("server_start",))
         effects.append(("buzzer", SERVER_BUZZ_MS))

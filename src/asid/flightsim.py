@@ -112,7 +112,6 @@ class SimState:
     vertical_speed: float = 0.0
     heading: float = 0.0
     battery_remaining: float = 0.0  # mAh
-    camera_events: list[CameraEvent] = field(default_factory=list)
 
 
 def hover_throttle(cfg: AirframeConfig) -> float:
@@ -120,25 +119,7 @@ def hover_throttle(cfg: AirframeConfig) -> float:
     return 1.0 / thrust_to_weight(cfg)
 
 
-@dataclass(frozen=True, slots=True)
-class FlightConstants:
-    """The airframe figures ``step`` reads, computed once per flight."""
-
-    mass_kg: float
-    weight_n: float         # N, mass_kg * G0
-    drag: float             # frame_drag_coefficient, N s^2/m^2
-    n_motors: int
-    max_thrust: float       # gram-force per motor at sea level, full throttle
-    hover_throttle: float   # hover_throttle(cfg)
-
-    @classmethod
-    def of(cls, cfg: AirframeConfig) -> "FlightConstants":
-        return cls(mass_kg=cfg.total_mass / 1000.0, weight_n=cfg.weight_n,
-                   drag=cfg.frame_drag_coefficient, n_motors=cfg.n_motors,
-                   max_thrust=cfg.motor.max_thrust_per_motor, hover_throttle=hover_throttle(cfg))
-
-
-def step(state: SimState, air: FlightConstants, target: float, end: float, band: float,
+def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: float,
          stop: float, samples: list[tuple[float, float, float, float]]) -> bool:
     """Fly one motion command and append one sample per DT to ``samples``; the
     one function that advances altitude, speed, battery and time.
@@ -149,15 +130,17 @@ def step(state: SimState, air: FlightConstants, target: float, end: float, band:
     (thrust - weight - quadratic frame drag) / mass, with the static thrust
     converted from gram-force to Newtons and de-rated by the density ratio,
     and the battery current scales as (throttle / hover throttle)^1.5.  The
-    state is read into locals once and written back when the command ends.
+    state and the airframe's figures are read into locals once per command,
+    and the state is written back when the command ends.
 
     Returns True when the command is done, and False when the flight must
     stop: the pack is empty (checked first) or the time passed ``stop``.
     """
     t, altitude, v = state.t, state.altitude, state.vertical_speed
     heading, battery = state.heading, state.battery_remaining
-    n_motors, max_thrust, hover = air.n_motors, air.max_thrust, air.hover_throttle
-    weight_n, drag, mass_kg = air.weight_n, air.drag, air.mass_kg
+    n_motors, max_thrust, hover = cfg.n_motors, cfg.motor.max_thrust_per_motor, \
+        hover_throttle(cfg)
+    weight_n, drag, mass_kg = cfg.weight_n, cfg.frame_drag_coefficient, cfg.total_mass / 1000.0
     gain, limit, throttle_gain, dt = CLIMB_GAIN, CLIMB_SPEED_LIMIT, THROTTLE_GAIN, DT
     append = samples.append
     done = True
@@ -241,10 +224,9 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     if violations:
         raise mission.MissionValidationError(violations)
 
-    air = FlightConstants.of(cfg)
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
     samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
-    events = state.camera_events
+    events: list[CameraEvent] = []
 
     def _drift(duration: float) -> float:
         return wind_drift(env.wind, max_progressive_speed(cfg), duration)
@@ -274,7 +256,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             target = cmd.alt
             end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
             overdue = f"{kind} to {target:g} m did not converge"
-        if not step(state, air, target, end, band, stop, samples):
+        if not step(state, cfg, target, end, band, stop, samples):
             if state.battery_remaining <= 0.0:
                 raise BatteryExhaustedError(
                     Trajectory(samples=samples, camera_events=events,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import firmware, flightsim, mission
 from .airframe import service_ceiling  # noqa: F401  uncalled; perfbench/tracer.py probes this name
 from .config import RunConfig
-from .firmware import FirmwareState, Phase, SdCardImage
+from .firmware import Phase, SdCardImage
 from .flightsim import Trajectory
 
 LOOP_POLL_MS = 100
@@ -29,7 +29,6 @@ log = logging.getLogger(__name__)
 class SimulationResult:
     sd: SdCardImage
     trajectory: Trajectory
-    state: FirmwareState
     ground_rows: int
     air_rows: int
     server_started: bool
@@ -83,7 +82,6 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     result = SimulationResult(
         sd=sd,
         trajectory=trajectory,
-        state=state,
         ground_rows=_row_count(sd, firmware.GROUND_LOG),
         air_rows=_row_count(sd, firmware.AIR_LOG),
         server_started=state.phase is Phase.SERVING,

@@ -22,7 +22,7 @@ from asid.airframe import (
 )
 from asid.atmosphere import density_ratio, isa_density, isa_pressure
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
-from asid.flightsim import Environment, FlightConstants, SimState, step
+from asid.flightsim import Environment, SimState, step
 from asid.pipeline import run_simulation
 from asid.synclink import RouteTarget, fetch, handle_connection, route
 from asid.wxindices import (
@@ -97,13 +97,12 @@ def test_criterion_05_climb_claims(monkeypatch):
     # one full-throttle climb command: with no speed limit the controller's
     # throttle clamps at 1.0 toward a target at twice the design altitude
     cfg = reference_config()
-    air = FlightConstants.of(cfg)
     near_ceiling = 0.75 * service_ceiling(cfg)
     monkeypatch.setattr(flightsim, "CLIMB_SPEED_LIMIT", math.inf)
     state = SimState(battery_remaining=1e9)
     samples = []
     start = time.perf_counter()
-    assert step(state, air, 2.0 * 6096.0, math.inf, 6096.0, math.inf, samples)
+    assert step(state, cfg, 2.0 * 6096.0, math.inf, 6096.0, math.inf, samples)
     elapsed = time.perf_counter() - start
     peak_low = max([v for _, h, v, _ in samples if h < 300.0], default=0.0)
     v_near = next(v for _, h, v, _ in samples if h >= near_ceiling)

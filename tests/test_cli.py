@@ -589,6 +589,16 @@ class TestFailureFamilies:
         code, err = _exit_code(["serve", "--sdcard", str(tmp_path / "missing")], capsys)
         assert code == EXIT_CONFIG and "No such file or directory" in err
 
+    @pytest.mark.parametrize("port", ["99999", "-1", "0"])
+    def test_sync_refuses_a_port_outside_the_tcp_range(self, port, tmp_path, capsys):
+        # checked before any connection and before --out is made
+        out = tmp_path / "synced"
+        code, err = _exit_code(["sync", "--host", "127.0.0.1", "--port", port,
+                                "--out", str(out)], capsys)
+        assert (code, err) == (EXIT_CONFIG,
+                               "configuration error: sync: --port must lie in [1, 65535]\n")
+        assert not out.exists()
+
     def test_mission_validate_missing_file_and_bad_byte(self, tmp_path, capsys):
         code, err = _exit_code(["mission", "validate", "--file", str(tmp_path / "no.csv")],
                                capsys)

@@ -12,7 +12,6 @@ from asid.flightsim import (
     DT,
     BatteryExhaustedError,
     Environment,
-    FlightConstants,
     SensorNoise,
     SimState,
     SimulationError,
@@ -21,10 +20,9 @@ from asid.flightsim import (
     true_sample,
 )
 from asid.mission import MissionCommand, MissionParams, MissionPlan, MissionValidationError, \
-    TAKEOFF, WAYPOINT, DELAY, LAND, generate_sounding_profile
+    TAKEOFF, WAYPOINT, DELAY, LAND, DO_DIGICAM_CONTROL, generate_sounding_profile
 
 CFG = reference_config()
-AIR = FlightConstants.of(CFG)
 CALM = Environment()
 
 FT = 0.3048
@@ -32,8 +30,8 @@ FT = 0.3048
 
 def _terminal_speed_at(altitude: float) -> float:
     """Full-throttle climb speed at which thrust less weight equals the frame drag."""
-    thrust_n = AIR.n_motors * AIR.max_thrust * GF_TO_N * density_ratio(altitude)
-    return math.sqrt((thrust_n - AIR.weight_n) / AIR.drag)
+    thrust_n = CFG.n_motors * CFG.motor.max_thrust_per_motor * GF_TO_N * density_ratio(altitude)
+    return math.sqrt((thrust_n - CFG.weight_n) / CFG.frame_drag_coefficient)
 
 
 def full_throttle_climb(monkeypatch, top: float) -> tuple[SimState, list]:
@@ -46,7 +44,7 @@ def full_throttle_climb(monkeypatch, top: float) -> tuple[SimState, list]:
     monkeypatch.setattr(flightsim, "CLIMB_SPEED_LIMIT", math.inf)
     state = SimState(battery_remaining=1e9)
     samples = []
-    assert step(state, AIR, 2.0 * top, math.inf, top, math.inf, samples)
+    assert step(state, CFG, 2.0 * top, math.inf, top, math.inf, samples)
     return state, samples
 
 
@@ -55,7 +53,7 @@ class TestStep:
         # a 2 s DELAY on the ground from rest: the controller asks for the hover throttle
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         samples = []
-        assert step(state, AIR, 0.0, 2.0, -1.0, math.inf, samples)
+        assert step(state, CFG, 0.0, 2.0, -1.0, math.inf, samples)
         assert len(samples) == 200
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
@@ -80,7 +78,7 @@ class TestStep:
 
     def test_battery_drains_with_throttle(self):
         state = SimState(battery_remaining=5000.0)
-        assert step(state, AIR, 10.0, math.inf, DEADBAND_M, math.inf, [])
+        assert step(state, CFG, 10.0, math.inf, DEADBAND_M, math.inf, [])
         assert state.battery_remaining < 5000.0
 
     def test_full_throttle_climb_approaches_the_terminal_speed(self, monkeypatch):
@@ -95,7 +93,7 @@ class TestStep:
                                                                    stopped_at):
         state = SimState(battery_remaining=capacity)
         samples = []
-        assert not step(state, AIR, 10.0, math.inf, DEADBAND_M, stop, samples)
+        assert not step(state, CFG, 10.0, math.inf, DEADBAND_M, stop, samples)
         assert len(samples) == stopped_at
         assert samples[-1] == (state.t, state.altitude, state.vertical_speed, state.heading)
 
@@ -158,7 +156,7 @@ class TestRunMission:
         state = SimState(battery_remaining=5000.0)
         readings = []
         for _ in range(500):
-            assert step(state, AIR, 10.0, state.t + DT, -1.0, math.inf, [])
+            assert step(state, CFG, 10.0, state.t + DT, -1.0, math.inf, [])
             readings.append(state.battery_remaining)
         assert state.altitude > 1.0
         assert all(a >= b for a, b in zip(readings, readings[1:]))
@@ -200,6 +198,26 @@ class TestRunMission:
         trajectory = err.value.trajectory
         assert trajectory.samples
         assert trajectory.samples[-1][1] > 0.0  # stopped mid-air
+
+    def test_battery_exhaustion_between_capture_levels_keeps_the_camera_events(self):
+        # a 150 mAh pack empties on the climb from the 10 m to the 20 m level:
+        # the partial trajectory carries the four events taken at 10 m
+        import dataclasses
+        from asid.airframe import BatterySpec
+        small = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=150.0, c_rate=50.0))
+        plan = generate_sounding_profile(MissionParams())
+        with pytest.raises(BatteryExhaustedError) as err:
+            run_mission(plan, small, CALM)
+        trajectory = err.value.trajectory
+        last_t, last_altitude = trajectory.samples[-1][:2]
+        assert 10.0 + DEADBAND_M < last_altitude < 20.0 - DEADBAND_M
+        climb = next(i for i, cmd in enumerate(plan.commands)
+                     if cmd.kind == WAYPOINT and cmd.alt == 20.0)
+        flown = [cmd for cmd in plan.commands[:climb] if cmd.kind == DO_DIGICAM_CONTROL]
+        assert len(trajectory.camera_events) == len(flown) == 4
+        for event in trajectory.camera_events:
+            assert event.t <= last_t
+            assert event.altitude == pytest.approx(10.0, abs=DEADBAND_M)
 
     def test_battery_exhaustion_partial_trajectory_is_pinned(self):
         # the partial flight up to the step that empties a 20 mAh pack: a

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from asid import config
-from asid.firmware import AIR_LOG, GROUND_LOG, PHOTO_MANIFEST, Phase
+from asid.firmware import AIR_LOG, GROUND_LOG, PHOTO_MANIFEST
 from asid.pipeline import run_simulation, simulate
 
 
@@ -21,7 +21,6 @@ class TestRunSimulation:
         assert result.ground_rows == 6
         assert result.air_rows == 7
         assert result.server_started
-        assert result.state.phase is Phase.SERVING
 
     def test_low_mission_never_arms_server(self):
         result = run_simulation(_cfg(target_alt=4.0, start_alt=4.0))
