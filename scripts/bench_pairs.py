@@ -12,8 +12,10 @@ end-to-end metric of the change's BENCHMARK.json it prints each side's
 median and quartiles, the change's wins out of the pairs (ties count for
 neither side), and whether a gain may be claimed: wins in at least nine
 tenths of the pairs, and medians further apart, in the better direction,
-than the parent's quartiles.  Exits 1 if any run reports ``"correct": false``
-or prints no result.  Standard library only.
+than the parent's quartiles.  It also prints the no-regression rule: whether
+the change's median is worse than the parent's by more than the metric's
+``bound``, a fraction of the parent's median.  Exits 1 if any run reports
+``"correct": false`` or prints no result.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "gain_holds": wins >= 0.9 * len(parent)
         and sign * (p_median - c_median) > p_q3 - p_q1,
     }
+
+
+def regressed(parent_median: float, change_median: float, better: str, bound: float) -> bool:
+    """True when the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median; ``better`` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sign * (change_median - parent_median) > bound * abs(parent_median)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -102,7 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:20s} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
               f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  {s['change_pct']:+.1f} %  "
               f"change wins {s['wins']}/{s['pairs']}  "
-              f"gain holds: {'yes' if s['gain_holds'] else 'no'}")
+              f"gain holds: {'yes' if s['gain_holds'] else 'no'}  "
+              f"worse beyond its {metric['bound']:g} bound: "
+              f"{'yes' if regressed(pm, cm, metric['better'], metric['bound']) else 'no'}")
     return 0
 
 

@@ -32,10 +32,15 @@ HYPSO_EXPONENT = 5.255
 LINEAR_ALTIMETER_SLOPE = 0.12   # hPa per metre
 
 
+def _outside_troposphere(h: float) -> ValueError:
+    return ValueError(f"altitude {h!r} m outside troposphere model [0, {TROPOPAUSE_M:.0f}]")
+
+
 def isa_temperature(h: float) -> float:
-    """Air temperature in K at altitude h (m), linear lapse; every ISA function checks h here."""
+    """Air temperature in K at altitude h (m), linear lapse; every ISA function
+    but density_ratio checks h here."""
     if not 0.0 <= h <= TROPOPAUSE_M:
-        raise ValueError(f"altitude {h!r} m outside troposphere model [0, {TROPOPAUSE_M:.0f}]")
+        raise _outside_troposphere(h)
     return SEA_LEVEL_TEMPERATURE - LAPSE_RATE * h
 
 
@@ -50,8 +55,15 @@ def isa_density(h: float) -> float:
 
 
 def density_ratio(h: float) -> float:
-    """rho(h) / rho(0) = (T/T0)^(g/(R*L) - 1); the thrust de-rating factor with altitude."""
-    return (isa_temperature(h) / SEA_LEVEL_TEMPERATURE) ** (PRESSURE_EXPONENT - 1.0)
+    """rho(h) / rho(0) = (T/T0)^(g/(R*L) - 1); the thrust de-rating factor with altitude.
+
+    The flight calls this once per integrator step, so it checks h and
+    evaluates isa_temperature's line itself instead of calling it.
+    """
+    if not 0.0 <= h <= TROPOPAUSE_M:
+        raise _outside_troposphere(h)
+    return ((SEA_LEVEL_TEMPERATURE - LAPSE_RATE * h) / SEA_LEVEL_TEMPERATURE) \
+        ** (PRESSURE_EXPONENT - 1.0)
 
 
 def mslp_from_station(p_raw: float, elevation: float, pressure_correction: float) -> float:

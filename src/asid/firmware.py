@@ -197,26 +197,19 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
         stamp = state.cfg.rtc_start.date() + timedelta(days=day)
         date = state.dates[day] = "%02d.%02d.%04d" % (stamp.day, stamp.month, stamp.year)
     seconds = us // 1_000_000
-    return LogRow(
-        date=date,
-        time="%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
-        temperature=temperature,
-        humidity=humidity,
-        heat_index=heat_index(temperature, humidity),
-        pressure_hpa=corrected_hpa,
-        cal_altitude=linear_altitude(corrected_hpa, state.mslp_hpa),
-    )
+    return LogRow(date, "%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
+                  temperature, humidity, heat_index(temperature, humidity), corrected_hpa,
+                  linear_altitude(corrected_hpa, state.mslp_hpa))
 
 
 def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
-    t, h, hi, p, a = row.temperature, row.humidity, row.heat_index, row.pressure_hpa, \
-        row.cal_altitude
+    date, time, t, h, hi, p, a = row
     if _printf_exact(t, 1) and _printf_exact(h, 1) and _printf_exact(hi, 1) \
             and _printf_exact(p, 2) and _printf_exact(a, 2):
-        text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % (row.date, row.time, t, h, hi, p, a)
+        text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % row
     else:
-        parts = (row.date, row.time, arduino_print_float(t, 1), arduino_print_float(h, 1),
+        parts = (date, time, arduino_print_float(t, 1), arduino_print_float(h, 1),
                  arduino_print_float(hi, 1), arduino_print_float(p, 2),
                  arduino_print_float(a, 2))
         text = "".join(part + "," for part in parts) + "\r\n"

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
@@ -72,8 +73,7 @@ class Environment:
             raise ValueError("surface humidity must lie in [0, 100] %")
 
 
-@dataclass(frozen=True)
-class RawReading:
+class RawReading(NamedTuple):
     """One true (optionally noisy) sensor reading, before any logger math."""
 
     temperature: float  # degC
@@ -95,7 +95,7 @@ def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawRea
         + rng.gauss(0.0, 1.0) * env.sensor_noise.pressure
     if pressure <= 0.0:
         raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
-    return RawReading(temperature=temperature, humidity=humidity, pressure=pressure)
+    return RawReading(temperature, humidity, pressure)
 
 
 @dataclass

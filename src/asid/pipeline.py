@@ -70,7 +70,8 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     flight_ms = int(trajectory.duration * 1000.0)
     while state.phase is not Phase.SERVING and clock - flight_start <= flight_ms:
         on_ground = state.phase is Phase.GROUND
-        altitude = trajectory.altitude_at((clock - flight_start) / 1000.0)
+        # until the ground phase ends, clock - flight_start is 0: the start sample
+        altitude = 0.0 if on_ground else trajectory.altitude_at((clock - flight_start) / 1000.0)
         reading = flightsim.true_sample(env, altitude, rng)
         effects = firmware.tick(state, reading, clock, sd)
         clock += max(_effect_wait_ms(effects), LOOP_POLL_MS)

@@ -13,6 +13,7 @@ import re
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 MAGNUS_A = 17.62
 MAGNUS_B = 243.12  # degC
@@ -78,9 +79,12 @@ def discomfort_index(t_c: float, rh: float) -> float:
     return t_c - 0.55 * (1.0 - 0.01 * rh) * (t_c - 14.5)
 
 
-@dataclass(frozen=True)
-class LogRow:
-    """One logger CSV row: built and printed by the firmware, parsed back here."""
+class LogRow(NamedTuple):
+    """One logger CSV row: built and printed by the firmware, parsed back here.
+
+    An immutable named tuple whose fields are in print order, so the
+    firmware can format the row as one tuple.
+    """
 
     date: str          # DD.MM.YYYY
     time: str          # HH:MM:SS

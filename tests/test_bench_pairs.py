@@ -50,12 +50,20 @@ def test_higher_is_better_counts_the_other_way():
     assert s["change_pct"] == pytest.approx(20.0)
 
 
+def test_the_no_regression_rule_is_relative_to_the_parents_median():
+    assert bench_pairs.regressed(100.0, 130.0, "lower", 0.25)
+    assert not bench_pairs.regressed(100.0, 125.0, "lower", 0.25)
+    assert not bench_pairs.regressed(100.0, 70.0, "lower", 0.25)
+    assert bench_pairs.regressed(100.0, 70.0, "higher", 0.25)
+    assert not bench_pairs.regressed(100.0, 130.0, "higher", 0.25)
+
+
 def _checkouts(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 7, "end_to_end": [{"name": "t", "better": "lower"}]}))
+        {"run_seconds": 7, "end_to_end": [{"name": "t", "better": "lower", "bound": 0.25}]}))
     return parent, change
 
 
@@ -80,3 +88,13 @@ def test_an_incorrect_run_fails_the_comparison(tmp_path, monkeypatch, capsys):
         {"correct": checkout == parent, "metrics": {"t": {"value": 1.0}}}))
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
     assert "run not correct" in capsys.readouterr().out
+
+
+def test_a_thirty_percent_worsening_breaks_a_quarter_bound(tmp_path, monkeypatch, capsys):
+    parent, change = _checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *rest: (
+        {"correct": True, "metrics": {"t": {"value": 1.0 if checkout == parent else 1.3}}}))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "+30.0 %" in out
+    assert "worse beyond its 0.25 bound: yes" in out

@@ -126,6 +126,12 @@ class TestTrueSample:
         with pytest.raises(ValueError):
             true_sample(CALM, -1.0, random.Random(0))
 
+    def test_a_reading_refuses_field_assignment(self):
+        reading = true_sample(CALM, 0.0, random.Random(0))
+        with pytest.raises(AttributeError):
+            reading.pressure = 0.0
+        assert reading.pressure == 1013.25 * 100.0
+
 
 class TestRunMission:
     def test_simple_up_and_down(self):

@@ -214,6 +214,14 @@ class TestLogParsing:
             assert row.humidity == pytest.approx(sample.humidity, abs=0.05)
             assert row.pressure_hpa == pytest.approx(sample.pressure_hpa, abs=0.005)
             assert row.cal_altitude == pytest.approx(sample.cal_altitude, abs=0.005)
+        # every value of the first row prints exactly, so it parses back equal
+        assert parse_log(format_row(samples[0])) == [samples[0]]
+
+    def test_a_row_refuses_field_assignment(self):
+        row = LogRow("01.06.2021", "10:15:30", 25.3, 45.2, 25.1, 1005.25, 41.67)
+        with pytest.raises(AttributeError):
+            row.temperature = 0.0
+        assert row.temperature == 25.3
 
     def test_parse_error_carries_row_number(self):
         blob = b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\nnot,a,row\r\n"
