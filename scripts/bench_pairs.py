@@ -15,7 +15,8 @@ tenths of the pairs, and medians further apart, in the better direction,
 than the parent's quartiles.  It also prints the no-regression rule: whether
 the change's median is worse than the parent's by more than the metric's
 ``bound``, a fraction of the parent's median.  Exits 1 if any run reports
-``"correct": false`` or prints no result.  Standard library only.
+``"correct": false`` or prints no result; for the latter it shows the run's
+exit code and the last line of its stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -58,17 +59,25 @@ def regressed(parent_median: float, change_median: float, better: str, bound: fl
     return sign * (change_median - parent_median) > bound * abs(parent_median)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One untraced benchmark run; its result line, or None if it printed none."""
+class NoResult(Exception):
+    """A benchmark run printed no result line."""
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run's result line; raises NoResult if it printed none."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1]) if done.returncode == 0 and lines else None
-    except json.JSONDecodeError:
-        return None
+    if done.returncode == 0 and lines:
+        try:
+            return json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    errors = done.stderr.strip().splitlines()
+    raise NoResult(f"exit code {done.returncode}, last stderr line: "
+                   f"{errors[-1] if errors else '(none)'}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=101)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
@@ -90,9 +101,13 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed_base + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed, seconds)
-            if result is None or not result.get("correct"):
-                print(f"pair {pair} ({side}, seed {seed}): run not correct: {result}")
+            try:
+                result = run_once(sides[side], args.workload, seed, seconds)
+                failure = None if result.get("correct") else f"run not correct: {result}"
+            except NoResult as exc:
+                failure = f"run printed no result: {exc}"
+            if failure:
+                print(f"pair {pair} ({side}, seed {seed}): {failure}")
                 correct = False
                 result = {"metrics": {}}
             runs[side].append({name: m["value"] for name, m in result["metrics"].items()})

@@ -140,18 +140,24 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
 
 
 def _printf_exact(value: float, decimals: int) -> bool:
-    """True when "%.*f" prints ``value`` as the device does.
+    """True when "%.*f" surely prints ``value`` as the device does.
 
     "%.*f" rounds the exact binary value, the device rounds ``repr(value)``
     half up.  The two differ only when ``repr(value)`` is itself a tie
     (``decimals + 1`` fraction digits, the last one 5): a rounding boundary
     strictly between the value and its repr would be a shorter round-trip
-    string.  Exponent forms, non-finite values and "ovf" are left out too.
+    string.  The test is conservative: it may flag a value that is not a
+    tie, never passes one.  It flags every value whose scaled remainder
+    ``value * 10**(decimals + 1) % 10`` lies within 0.01 of 5.  A tie lies
+    within half an ulp of its repr k / 10**(decimals + 1), k ending in 5;
+    up to ARDUINO_FLOAT_LIMIT (ulp <= 2**-20) and at ``decimals`` <= 2 that
+    half ulp scaled, plus the rounding of the product, keeps the remainder
+    within 1e-3 of 5.  More decimals, non-finite values and "ovf" are
+    flagged too.
     """
-    if not abs(value) <= ARDUINO_FLOAT_LIMIT:  # NaN fails this too
+    if not -ARDUINO_FLOAT_LIMIT <= value <= ARDUINO_FLOAT_LIMIT or decimals > 2:  # NaN too
         return False
-    text = repr(value)
-    return not ("e" in text or text[-1] == "5" and text[-decimals - 2:-decimals - 1] == ".")
+    return not 4.99 < value * 10.0 ** (decimals + 1) % 10.0 < 5.01
 
 
 def arduino_print_float(value: float, decimals: int) -> str:
@@ -205,8 +211,12 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
 def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
     date, time, t, h, hi, p, a = row
-    if _printf_exact(t, 1) and _printf_exact(h, 1) and _printf_exact(hi, 1) \
-            and _printf_exact(p, 2) and _printf_exact(a, 2):
+    lim = ARDUINO_FLOAT_LIMIT
+    # _printf_exact on each field, inlined: one range check, one tie check
+    if -lim <= t <= lim and -lim <= h <= lim and -lim <= hi <= lim and -lim <= p <= lim \
+            and -lim <= a <= lim and not 4.99 < t * 100.0 % 10.0 < 5.01 \
+            and not 4.99 < h * 100.0 % 10.0 < 5.01 and not 4.99 < hi * 100.0 % 10.0 < 5.01 \
+            and not 4.99 < p * 1000.0 % 10.0 < 5.01 and not 4.99 < a * 1000.0 % 10.0 < 5.01:
         text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % row
     else:
         parts = (date, time, arduino_print_float(t, 1), arduino_print_float(h, 1),

@@ -210,15 +210,18 @@ def fit_temperature_gradient(levels: tuple[LogRow, ...]) -> tuple[float, float]:
 def freezing_level(profile: SoundingProfile) -> FreezingLevel:
     """Altitude where the temperature crosses 0 degC.
 
-    Interpolates when the profile brackets 0 degC; otherwise extrapolates
-    the fitted linear lapse.  A non-positive fitted lapse (inversion or
-    isothermal column) cannot freeze aloft and yields "indeterminate".
+    Interpolates when the profile brackets 0 degC, a level measured at
+    0 degC being its own freezing level; otherwise extrapolates the fitted
+    linear lapse.  A non-positive fitted lapse (inversion or isothermal
+    column) cannot freeze aloft and yields "indeterminate".
     """
     levels = profile.levels
     for lower, upper in zip(levels, levels[1:]):
         t0, t1 = lower.temperature, upper.temperature
         if t0 == 0.0:
             return FreezingLevel("interpolated", lower.cal_altitude)
+        if t1 == 0.0:
+            return FreezingLevel("interpolated", upper.cal_altitude)
         if (t0 > 0.0) != (t1 > 0.0):
             frac = t0 / (t0 - t1)
             return FreezingLevel(

@@ -98,3 +98,25 @@ def test_a_thirty_percent_worsening_breaks_a_quarter_bound(tmp_path, monkeypatch
     out = capsys.readouterr().out
     assert "+30.0 %" in out
     assert "worse beyond its 0.25 bound: yes" in out
+
+
+def test_a_run_without_a_result_shows_its_exit_code_and_stderr(tmp_path, capsys):
+    parent, change = _checkouts(tmp_path)
+    for checkout in (parent, change):
+        (checkout / "perfbench").mkdir()
+        (checkout / "perfbench" / "run.py").write_text(
+            "import sys\nprint('starting')\nsys.stderr.write('Traceback\\nValueError: bad seed\\n')\n"
+            "sys.exit(3)\n")
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "run printed no result: exit code 3, last stderr line: ValueError: bad seed" in out
+    assert "run not correct" not in out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_fewer_than_one_pair_is_a_usage_error(tmp_path, capsys, pairs):
+    parent, change = _checkouts(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err

@@ -249,6 +249,61 @@ class TestFastPrinter:
             assert format_row(row) == ("".join(f + "," for f in fields) + "\r\n").encode()
 
 
+def _is_repr_tie(value, decimals):
+    text = repr(value)
+    return text[-1] == "5" and text[-decimals - 2] == "." and "e" not in text
+
+
+class TestTieSoundness:
+    """The fast printer's tie test may flag non-ties but never passes a tie."""
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_no_tie_passes_up_to_the_limit(self, decimals):
+        rng = random.Random(1500 + decimals)
+        scale = 10 ** (decimals + 1)
+        top = (int(ARDUINO_FLOAT_LIMIT) * scale - 5) // 10  # the largest tie is 10 * top + 5
+        tens = [0, 1, top - 1, top] + [int(top ** rng.random()) for _ in range(4000)]
+        ties = [float(f"{sign}{10 * m + 5}e-{decimals + 1}") for m in tens for sign in "+-"]
+        assert min(map(abs, ties)) == 5 / scale
+        assert all(abs(x) <= ARDUINO_FLOAT_LIMIT and _is_repr_tie(x, decimals) for x in ties)
+        assert [x for x in ties if firmware._printf_exact(x, decimals)] == []
+        # the values next to a tie and to the limit are no ties: where the
+        # test passes them, "%.*f" must print them as the device does
+        neighbours = [math.nextafter(x, direction) for direction in (-math.inf, math.inf)
+                      for x in ties + [ARDUINO_FLOAT_LIMIT, -ARDUINO_FLOAT_LIMIT]]
+        assert [x for x in neighbours if firmware._printf_exact(x, decimals)
+                and "%.*f" % (decimals, x) != _reference_print(x, decimals)] == []
+        assert not firmware._printf_exact(math.nextafter(ARDUINO_FLOAT_LIMIT, math.inf), decimals)
+        assert not firmware._printf_exact(math.nextafter(-ARDUINO_FLOAT_LIMIT, -math.inf),
+                                          decimals)
+
+
+def test_card_bytes_of_five_thousand_ground_rows_are_pinned(monkeypatch):
+    # surface_watch size.  Noise on humidity and pressure makes every row
+    # differ; the noiseless 15.25 degC is a tie on every ground row, so the
+    # pin holds bytes that only the Decimal fallback prints right.
+    import hashlib
+    from asid import config, pipeline
+    printed = firmware.arduino_print_float
+    fallback_fields = []
+
+    def print_and_record(value, decimals):
+        text = printed(value, decimals)
+        fallback_fields.append(text != "%.*f" % (decimals, value))
+        return text
+
+    monkeypatch.setattr(firmware, "arduino_print_float", print_and_record)
+    sd = pipeline.run_simulation(config.from_dict({
+        "firmware": {"ground_samples": 5000},
+        "environment": {"surface_temperature": 15.25, "rng_seed": 11,
+                        "sensor_noise": {"humidity": 0.5, "pressure": 2.0}}})).sd
+    assert hashlib.sha256(sd.read("ground.csv")).hexdigest() \
+        == "b8b6aa6fadbc6ecc067ec5307e579dd75a7a9be7d3a160560b7a75139694d16a"
+    assert hashlib.sha256(sd.read("air.csv")).hexdigest() \
+        == "8f05e3cd4f76361f1c316fdadd66e2f844c9600813c60d4ddc8d0e5920954be7"
+    assert any(fallback_fields)
+
+
 class TestMakeSample:
     def test_reproduces_logger_arithmetic(self):
         cfg = FirmwareConfig(elevation=0.0, pressure_correction=0.995)

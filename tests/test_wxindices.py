@@ -169,6 +169,14 @@ class TestFreezingLevel:
         assert result.status == "below_surface"
         assert result.altitude_m < 0.0
 
+    @pytest.mark.parametrize("temps, altitude", [
+        ([-1.0, 0.0], 20.0), ([-2.0, -1.0, 0.0], 30.0), ([0.0, -1.0], 10.0)],
+        ids=["top_of_two", "top_of_three", "bottom"])
+    def test_a_level_measured_at_zero_is_the_freezing_level(self, temps, altitude):
+        levels = [_level(10.0 * (i + 1), t) for i, t in enumerate(temps)]
+        result = freezing_level(_profile(levels))
+        assert (result.status, result.altitude_m) == ("interpolated", altitude)
+
     def test_needs_two_levels(self):
         with pytest.raises(ProfileError):
             freezing_level(_profile([_level(5.0, 10.0)]))
