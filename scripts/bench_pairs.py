@@ -15,7 +15,8 @@ tenths of the pairs, and medians further apart, in the better direction,
 than the parent's quartiles.  It also prints the no-regression rule: whether
 the change's median is worse than the parent's by more than the metric's
 ``bound``, a fraction of the parent's median.  Exits 1 if any run reports
-``"correct": false`` or prints no result; for the latter it shows the run's
+``"correct": false`` or prints no result; a pair with such a run prints the
+failure in place of its figures, and for a run without a result it shows the
 exit code and the last line of its stderr.  Standard library only.
 """
 
@@ -100,6 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(args.pairs):
         seed = args.seed_base + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        failures = []
         for side in order:
             try:
                 result = run_once(sides[side], args.workload, seed, seconds)
@@ -107,12 +109,16 @@ def main(argv: list[str] | None = None) -> int:
             except NoResult as exc:
                 failure = f"run printed no result: {exc}"
             if failure:
-                print(f"pair {pair} ({side}, seed {seed}): {failure}")
-                correct = False
-                result = {"metrics": {}}
-            runs[side].append({name: m["value"] for name, m in result["metrics"].items()})
-        print(f"pair {pair} (seed {seed}, {order[0]} first): {first} "
-              f"{runs['parent'][-1].get(first)} -> {runs['change'][-1].get(first)}", flush=True)
+                failures.append(f"{side} {failure}")
+            else:
+                runs[side].append({name: m["value"] for name, m in result["metrics"].items()})
+        head = f"pair {pair} (seed {seed}, {order[0]} first):"
+        if failures:
+            correct = False
+            print(head, "; ".join(failures), flush=True)
+        else:
+            print(f"{head} {first} {runs['parent'][-1].get(first)} -> "
+                  f"{runs['change'][-1].get(first)}", flush=True)
     if not correct:
         return 1
 

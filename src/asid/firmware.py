@@ -21,6 +21,8 @@ from .atmosphere import HYPSO_SCALE, linear_altitude, mslp_from_station
 from .wxindices import LogRow, heat_index
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .flightsim import RawReading
 
 GROUND_LOG = "ground.csv"
@@ -125,7 +127,6 @@ class FirmwareState:
     mslp_hpa: float
     interval: float
     rtc_day_us: int  # us from the midnight before rtc_start to rtc_start
-    ground_count: int = 0
     dates: dict[int, str] = field(default_factory=dict)  # DD.MM.YYYY by days past rtc_start
 
 
@@ -226,39 +227,49 @@ def format_row(row: LogRow) -> bytes:
     return text.encode("ascii")
 
 
+def _serve_check(state: FirmwareState) -> int:
+    """Start the file server once the interval passes the threshold; returns the
+    ms of its buzz, or 0."""
+    if state.interval > state.cfg.server_threshold:
+        state.phase = Phase.SERVING
+        return SERVER_BUZZ_MS
+    return 0
+
+
+def log_ground(state: FirmwareState, read: Callable[[], RawReading], sd: SdCardImage) -> int:
+    """The ground phase in one pass: advances ``state`` to the air phase in place.
+
+    Writes ``cfg.ground_samples`` rows, one per ``read()``, each announced by a
+    GROUND_BUZZ_MS buzz and followed by a GROUND_DELAY_MS delay, so they are
+    stamped at clocks 0, 3500, ...  Then makes tick's server check.  Returns
+    the logger clock at which the flight starts.
+    """
+    period = GROUND_BUZZ_MS + GROUND_DELAY_MS
+    rows = []
+    for clock in range(0, state.cfg.ground_samples * period, period):
+        temperature, humidity, pressure = read()
+        rows.append(format_row(make_sample(state, temperature, humidity, pressure, clock)))
+    sd.append(GROUND_LOG, b"".join(rows))
+    state.phase = Phase.AIR
+    return len(rows) * period + _serve_check(state)
+
+
 def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
-         sd: SdCardImage) -> list[tuple]:
-    """One pass of the device loop on one raw reading: advances ``state`` in place.
+         sd: SdCardImage) -> int:
+    """One pass of the device loop after the ground phase: advances ``state`` in place.
 
     Every poll makes make_sample's checks, but the row itself (stamps, heat
-    index) is built only when it is written.  Returns the effect list;
-    "wait" effects tell the caller how long the device blocks before the
-    next pass.
+    index) is built only when it is written.  Returns the ms the device
+    blocks before the next pass: AIR_DELAY_MS after a row, plus
+    SERVER_BUZZ_MS when that row starts the server, else 0.
     """
-    cfg = state.cfg
-    effects: list[tuple] = []
-    if state.phase is Phase.GROUND:
+    corrected_hpa = _checked_hpa(state, reading.humidity, reading.pressure, clock_ms)
+    if state.phase is Phase.AIR \
+            and linear_altitude(corrected_hpa, state.mslp_hpa) > state.interval:
         row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
                           clock_ms)
-        effects.append(("buzzer", GROUND_BUZZ_MS))
-        sd.append(GROUND_LOG, format_row(row))
-        effects.append(("log", GROUND_LOG))
-        effects.append(("wait", GROUND_DELAY_MS))
-        state.ground_count += 1
-        if state.ground_count >= cfg.ground_samples:
-            state.phase = Phase.AIR
-    else:
-        corrected_hpa = _checked_hpa(state, reading.humidity, reading.pressure, clock_ms)
-        if state.phase is Phase.AIR \
-                and linear_altitude(corrected_hpa, state.mslp_hpa) > state.interval:
-            row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
-                              clock_ms)
-            sd.append(AIR_LOG, format_row(row))
-            effects.append(("log", AIR_LOG))
-            effects.append(("wait", AIR_DELAY_MS))
-            state.interval += cfg.interval_step
-    if state.phase is Phase.AIR and state.interval > cfg.server_threshold:
-        effects.append(("server_start",))
-        effects.append(("buzzer", SERVER_BUZZ_MS))
-        state.phase = Phase.SERVING
-    return effects
+        sd.append(AIR_LOG, format_row(row))
+        state.interval += state.cfg.interval_step
+        # the interval moves only here, so only a row can start the server
+        return AIR_DELAY_MS + _serve_check(state)
+    return 0

@@ -1,10 +1,10 @@
 """End-to-end simulation: mission generation, flight, and logger emulation.
 
-One logger loop covers both phases: the drone sits at altitude 0 while the
-ground rows are logged, and the flight starts on the logger clock when the
-ground phase ends, so the air phase samples the mission trajectory.  The
-loop is polled every 100 ms of simulated time; "wait" effects skip the
-clock forward the way the blocking delays do on the device.
+The logger writes its ground rows in one pass while the drone sits at
+altitude 0; the flight starts on the logger clock when that pass ends, so
+the air phase samples the mission trajectory.  The air loop is polled every
+100 ms of simulated time, or after the time each poll blocks (its delays
+and buzzes), whichever is longer.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ def _row_count(sd: SdCardImage, name: str) -> int:
     return data.count(b"\r\n") if data else 0
 
 
-def _effect_wait_ms(effects: list[tuple]) -> int:
-    """Total time the device blocks for this loop pass (buzzers + delays)."""
-    total = 0
-    for effect in effects:
-        if effect[0] in ("buzzer", "wait"):
-            total += effect[1]
-    return total
-
-
 def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Run the full pipeline in memory and return the SD image + trajectory."""
     env = cfg.environment
@@ -65,18 +56,12 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     first = flightsim.true_sample(env, 0.0, rng)
     state = firmware.setup(cfg.firmware, first.pressure)
 
-    # ms, logger clock; the drone sits at altitude 0 until the ground phase ends
-    clock = flight_start = 0
-    flight_ms = int(trajectory.duration * 1000.0)
-    while state.phase is not Phase.SERVING and clock - flight_start <= flight_ms:
-        on_ground = state.phase is Phase.GROUND
-        # until the ground phase ends, clock - flight_start is 0: the start sample
-        altitude = 0.0 if on_ground else trajectory.altitude_at((clock - flight_start) / 1000.0)
-        reading = flightsim.true_sample(env, altitude, rng)
-        effects = firmware.tick(state, reading, clock, sd)
-        clock += max(_effect_wait_ms(effects), LOOP_POLL_MS)
-        if on_ground:
-            flight_start = clock
+    # ms, logger clock; the flight starts when the ground rows are written
+    start = clock = firmware.log_ground(state, lambda: flightsim.true_sample(env, 0.0, rng), sd)
+    end = start + int(trajectory.duration * 1000.0)
+    while state.phase is Phase.AIR and clock <= end:
+        reading = flightsim.true_sample(env, trajectory.altitude_at((clock - start) / 1000.0), rng)
+        clock += max(firmware.tick(state, reading, clock, sd), LOOP_POLL_MS)
 
     sd.append(firmware.PHOTO_MANIFEST, trajectory.camera_manifest().encode("ascii"))
 

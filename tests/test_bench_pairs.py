@@ -120,3 +120,15 @@ def test_fewer_than_one_pair_is_a_usage_error(tmp_path, capsys, pairs):
         bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", pairs])
     assert exit_info.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_a_pair_with_a_failed_side_prints_the_failure_not_its_figures(tmp_path, monkeypatch,
+                                                                       capsys):
+    parent, change = _checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *rest: (
+        {"correct": checkout == parent, "metrics": {"t": {"value": 1.0}}}))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("pair 0 (seed 101, parent first): change run not correct: ")
+    assert "->" not in lines[0]

@@ -18,6 +18,7 @@ from asid.firmware import (
     SdCardImage,
     arduino_print_float,
     format_row,
+    log_ground,
     make_sample,
     setup,
     tick,
@@ -49,23 +50,19 @@ def _reading(state, cal_altitude, temperature=15.0, humidity=50.0):
 
 
 def _run_flight(altitudes, cfg=None):
-    """Drive the state machine over a cal-altitude sequence (one tick per entry
-    after the ground phase completes).  Returns the state, the card and the
-    durations of the ("buzzer", ms) effects in order."""
+    """Drive the state machine over a cal-altitude sequence: the ground pass,
+    then one tick per entry.  Returns the state, the card and the ms the
+    device blocked, in order: the ground pass, then every tick that blocked."""
     cfg = cfg or FirmwareConfig(elevation=0.0)
     sd = SdCardImage()
     state = setup(cfg, 101325.0)
-    buzzes = []
-    clock = 0
-    while state.phase is Phase.GROUND:
-        effects = tick(state, _reading(state, 0.0), clock, sd)
-        buzzes += [e[1] for e in effects if e[0] == "buzzer"]
-        clock += 3500
+    clock = log_ground(state, lambda: _reading(state, 0.0), sd)
+    blocked = [clock]
     for altitude in altitudes:
-        effects = tick(state, _reading(state, altitude), clock, sd)
-        buzzes += [e[1] for e in effects if e[0] == "buzzer"]
-        clock += 3000 if any(e[0] == "log" for e in effects) else 100
-    return state, sd, buzzes
+        wait = tick(state, _reading(state, altitude), clock, sd)
+        blocked += [wait] if wait else []
+        clock += max(wait, 100)
+    return state, sd, blocked
 
 
 class TestSetup:
@@ -90,14 +87,13 @@ class TestGroundPhase:
         cfg = FirmwareConfig(elevation=0.0)
         sd = SdCardImage()
         state = setup(cfg, 101325.0)
-        for i in range(6):
-            assert state.phase is Phase.GROUND
-            effects = tick(state, _reading(state, 0.0), 0, sd)
-            kinds = [e[0] for e in effects]
-            assert kinds == ["buzzer", "log", "wait"]
-            assert ("wait", 3000) in effects
+        assert state.phase is Phase.GROUND
+        # each row: a 500 ms buzz, the row, a 3000 ms delay
+        assert log_ground(state, lambda: _reading(state, 0.0), sd) == 6 * (500 + 3000)
         assert state.phase is Phase.AIR
-        assert sd.read(GROUND_LOG).count(b"\r\n") == 6
+        stamps = [line.split(b",")[1] for line in sd.read(GROUND_LOG).split(b"\r\n") if line]
+        assert stamps == [b"10:15:00", b"10:15:03", b"10:15:07", b"10:15:10", b"10:15:14",
+                          b"10:15:17"]
 
 
 class TestAirPhase:
@@ -122,14 +118,16 @@ class TestAirPhase:
 
     def test_buzzer_log_six_short_one_long(self):
         altitudes = [float(i) for i in range(1, 41)]
-        _, _, buzzes = _run_flight(altitudes)
-        assert buzzes == [500] * 6 + [5000]
+        _, _, blocked = _run_flight(altitudes)
+        # six ground rows with a 500 ms buzz each, six air rows, and the
+        # seventh air row with the server's 5000 ms buzz
+        assert blocked == [6 * (500 + 3000)] + [3000] * 6 + [3000 + 5000]
 
     def test_server_starts_once_past_threshold(self):
         altitudes = [float(i) for i in range(1, 41)] + [40.0] * 20
-        state, _, buzzes = _run_flight(altitudes)
+        state, _, blocked = _run_flight(altitudes)
         assert state.phase is Phase.SERVING
-        assert buzzes == [500] * 6 + [5000]
+        assert blocked == [6 * (500 + 3000)] + [3000] * 6 + [3000 + 5000]
 
     def test_logging_stops_while_serving(self):
         altitudes = [float(i) for i in range(1, 41)] + [45.0, 50.0, 60.0]
@@ -143,7 +141,7 @@ class TestAirPhase:
         monkeypatch.setattr(firmware, "format_row", lambda row: calls.append("format_row"))
         monkeypatch.setattr(firmware, "make_sample", lambda *args: calls.append("make_sample"))
         low = _reading(state, 1.0)  # below the 5 m interval: no row is written
-        assert tick(state, low, 20_000, sd) == []
+        assert tick(state, low, 20_000, sd) == 0
         with pytest.raises(RuntimeError):
             tick(state, low, CLOCK_LIMIT_MS + 1, sd)
         with pytest.raises(ValueError):

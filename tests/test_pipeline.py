@@ -91,3 +91,24 @@ def test_simulate_writes_all_outputs(tmp_path):
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,altitude,vertical_speed,heading"
     assert (tmp_path / GROUND_LOG).read_bytes() == result.sd.read(GROUND_LOG)
+
+
+@pytest.mark.parametrize("document, card_sha256", [
+    ({"firmware": {"server_threshold": 3.0}},
+     "07a5b6b2c9b89d303197f74aa61126ce2dbf14d749147dbdd997f905c097f8fc"),
+    ({"firmware": {"server_threshold": 3.0},
+      "environment": {"rng_seed": 5, "sensor_noise": {"pressure": 300.0}}},
+     "bb27b94ff5c6e813f5461ffd9a18a1d191889cc0b46e24ef92b8ff15e0451fbf"),
+], ids=["plain", "pressure_noise"])
+def test_threshold_below_the_first_interval_serves_after_the_ground_rows(document,
+                                                                         card_sha256):
+    # The 5 m first interval already passes a 3 m threshold, so the server
+    # starts on the ground phase's last poll and no air poll ever runs.  An
+    # air check made before that start would log a row (a noisy one here).
+    import hashlib
+    result = run_simulation(config.from_dict(document))
+    assert (result.ground_rows, result.air_rows, result.server_started) == (6, 0, True)
+    card = hashlib.sha256()
+    for name in result.sd.names():
+        card.update(name.encode("ascii") + b"\0" + result.sd.read(name) + b"\0")
+    assert card.hexdigest() == card_sha256
