@@ -208,6 +208,13 @@ def _cmd_sizing(args) -> int:
         endurance = airframe.endurance(cfg.battery, args.avg_current)
         flights = airframe.expected_flights(cfg.mtbf_hours, args.flight_minutes)
         drifts = [airframe.wind_drift(wind, vmax, args.drift_duration) for wind in winds]
+        for value, name, options in ((target, "thrust target", "--margin"),
+                                     (required, "required thrust",
+                                      "--margin and --design-altitude"),
+                                     (endurance, "endurance", "--avg-current"),
+                                     (max(drifts), "drift", "--drift-duration")):
+            if not math.isfinite(value):
+                raise ValueError(f"the {name} is too large to print (from {options})")
     print(f"Thrust/weight (sea level)     : {tw:.2f}")
     print(f"Service ceiling               : {ceiling:.0f} m ({ceiling / 0.3048:.0f} ft)")
     print(f"Required static thrust        : {required:.0f} g total "

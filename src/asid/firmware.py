@@ -9,7 +9,6 @@ before CRLF produced by the device's print-call sequence.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -48,12 +47,6 @@ class SimulationError(RuntimeError):
 
 # Print::printFloat prints "ovf" beyond this magnitude
 ARDUINO_FLOAT_LIMIT = 4294967040.0
-
-
-class Phase(enum.Enum):
-    GROUND = "ground"
-    AIR = "air"
-    SERVING = "serving"
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,20 @@ class SdCardImage:
 @dataclass
 class FirmwareState:
     cfg: FirmwareConfig
-    phase: Phase
     mslp_hpa: float
     interval: float
     rtc_day_us: int  # us from the midnight before rtc_start to rtc_start
     dates: dict[int, str] = field(default_factory=dict)  # DD.MM.YYYY by days past rtc_start
+
+    @property
+    def serving(self) -> bool:
+        """The file server runs: the interval has passed ``cfg.server_threshold``.
+
+        Means something only once log_ground has run.  It never turns back:
+        the interval moves only in tick, after a row, and tick stops moving
+        it once the server runs.
+        """
+        return self.interval > self.cfg.server_threshold
 
 
 def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
@@ -136,8 +138,7 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
     start = cfg.rtc_start
     day_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 \
         + start.microsecond
-    return FirmwareState(cfg=cfg, phase=Phase.GROUND, mslp_hpa=mslp,
-                         interval=INTERVAL_START_M, rtc_day_us=day_us)
+    return FirmwareState(cfg=cfg, mslp_hpa=mslp, interval=INTERVAL_START_M, rtc_day_us=day_us)
 
 
 def _printf_exact(value: float, decimals: int) -> bool:
@@ -227,22 +228,14 @@ def format_row(row: LogRow) -> bytes:
     return text.encode("ascii")
 
 
-def _serve_check(state: FirmwareState) -> int:
-    """Start the file server once the interval passes the threshold; returns the
-    ms of its buzz, or 0."""
-    if state.interval > state.cfg.server_threshold:
-        state.phase = Phase.SERVING
-        return SERVER_BUZZ_MS
-    return 0
-
-
 def log_ground(state: FirmwareState, read: Callable[[], RawReading], sd: SdCardImage) -> int:
-    """The ground phase in one pass: advances ``state`` to the air phase in place.
+    """The ground phase in one pass.
 
     Writes ``cfg.ground_samples`` rows, one per ``read()``, each announced by a
     GROUND_BUZZ_MS buzz and followed by a GROUND_DELAY_MS delay, so they are
-    stamped at clocks 0, 3500, ...  Then makes tick's server check.  Returns
-    the logger clock at which the flight starts.
+    stamped at clocks 0, 3500, ...  A threshold below the first interval
+    starts the server here, with its long buzz.  Returns the logger clock at
+    which the flight starts.
     """
     period = GROUND_BUZZ_MS + GROUND_DELAY_MS
     rows = []
@@ -250,8 +243,7 @@ def log_ground(state: FirmwareState, read: Callable[[], RawReading], sd: SdCardI
         temperature, humidity, pressure = read()
         rows.append(format_row(make_sample(state, temperature, humidity, pressure, clock)))
     sd.append(GROUND_LOG, b"".join(rows))
-    state.phase = Phase.AIR
-    return len(rows) * period + _serve_check(state)
+    return len(rows) * period + (SERVER_BUZZ_MS if state.serving else 0)
 
 
 def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
@@ -264,12 +256,11 @@ def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
     SERVER_BUZZ_MS when that row starts the server, else 0.
     """
     corrected_hpa = _checked_hpa(state, reading.humidity, reading.pressure, clock_ms)
-    if state.phase is Phase.AIR \
+    if not state.serving \
             and linear_altitude(corrected_hpa, state.mslp_hpa) > state.interval:
         row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
                           clock_ms)
         sd.append(AIR_LOG, format_row(row))
         state.interval += state.cfg.interval_step
-        # the interval moves only here, so only a row can start the server
-        return AIR_DELAY_MS + _serve_check(state)
+        return AIR_DELAY_MS + (SERVER_BUZZ_MS if state.serving else 0)
     return 0

@@ -52,6 +52,11 @@ class SensorNoise:
     humidity: float = 0.0     # %
     pressure: float = 0.0     # Pa
 
+    def __post_init__(self) -> None:
+        for name in ("temperature", "humidity", "pressure"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} sigma must be non-negative")
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -71,6 +76,8 @@ class Environment:
             raise ValueError("surface pressure must be positive")
         if not 0.0 <= self.surface_humidity <= 100.0:
             raise ValueError("surface humidity must lie in [0, 100] %")
+        if self.wind < 0.0:
+            raise ValueError("wind must be non-negative")
 
 
 class RawReading(NamedTuple):

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import firmware, flightsim, mission
 from .airframe import service_ceiling  # noqa: F401  uncalled; perfbench/tracer.py probes this name
 from .config import RunConfig
-from .firmware import Phase, SdCardImage
+from .firmware import SdCardImage
 from .flightsim import Trajectory
 
 LOOP_POLL_MS = 100
@@ -59,7 +59,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     # ms, logger clock; the flight starts when the ground rows are written
     start = clock = firmware.log_ground(state, lambda: flightsim.true_sample(env, 0.0, rng), sd)
     end = start + int(trajectory.duration * 1000.0)
-    while state.phase is Phase.AIR and clock <= end:
+    while not state.serving and clock <= end:
         reading = flightsim.true_sample(env, trajectory.altitude_at((clock - start) / 1000.0), rng)
         clock += max(firmware.tick(state, reading, clock, sd), LOOP_POLL_MS)
 
@@ -70,7 +70,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         trajectory=trajectory,
         ground_rows=_row_count(sd, firmware.GROUND_LOG),
         air_rows=_row_count(sd, firmware.AIR_LOG),
-        server_started=state.phase is Phase.SERVING,
+        server_started=state.serving,
     )
     log.info("logs: %d ground rows, %d air rows, server started: %s",
              result.ground_rows, result.air_rows, result.server_started)

@@ -116,9 +116,13 @@ class LogServer:
         self.sd = sd
         self.on_ground_served = on_ground_served
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(1)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(1)
+        except BaseException:  # a busy or bad port: do not leak the socket
+            self._sock.close()
+            raise
         self._sock.settimeout(0.2)
         self.host, self.port = self._sock.getsockname()[:2]
 

@@ -140,6 +140,23 @@ class TestConfigLoading:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("environment, message", [
+        ({"wind": -20.0}, "environment: wind must be non-negative"),
+        ({"sensor_noise": {"pressure": -5.0}},
+         "environment.sensor_noise: pressure sigma must be non-negative"),
+        ({"sensor_noise": {"temperature": -0.1}},
+         "environment.sensor_noise: temperature sigma must be non-negative"),
+        ({"sensor_noise": {"humidity": -1e-9}},
+         "environment.sensor_noise: humidity sigma must be non-negative"),
+    ], ids=["wind", "pressure_sigma", "temperature_sigma", "humidity_sigma"])
+    def test_negative_wind_or_noise_exits_config_error(self, environment, message, tmp_path,
+                                                        capsys):
+        path = _write_config(tmp_path / "c.json", {"environment": environment})
+        out = tmp_path / "sd"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_config_error_is_written_once(self, tmp_path):
         # a separate process, so the CLI's own logging setup is the one in force
         path = _write_config(tmp_path / "c.json", {"mission": {"step": 0.0}})
@@ -375,8 +392,18 @@ class TestMissionCommands:
         (["sizing", "--avg-current", "1e9"], "sizing: current 1000000000.0 A exceeds"),
         (["sizing", "--flight-minutes", "0"], "sizing: mtbf and flight duration must be"),
         (["sizing", "--drift-duration", "-1"], "sizing: duration must be non-negative"),
+        # finite options whose results overflow: each would print "inf"
+        (["sizing", "--margin", "1e308"],
+         "sizing: the thrust target is too large to print (from --margin)"),
+        (["sizing", "--margin", "8e304"], "sizing: the required thrust is too large to print "
+                                          "(from --margin and --design-altitude)"),
+        (["sizing", "--avg-current", "1e-320"],
+         "sizing: the endurance is too large to print (from --avg-current)"),
+        (["sizing", "--drift-duration", "1e308"],
+         "sizing: the drift is too large to print (from --drift-duration)"),
     ], ids=["ceiling_nan", "ceiling_negative", "margin_nan", "margin_inf", "margin_negative",
-            "current_nan", "altitude_1e9", "current_1e9", "minutes_0", "drift_negative"])
+            "current_nan", "altitude_1e9", "current_1e9", "minutes_0", "drift_negative",
+            "margin_1e308", "margin_8e304", "current_1e-320", "drift_1e308"])
     def test_bad_option_value_exits_config_error(self, argv, message, tmp_path, capsys):
         if argv[0] == "mission":
             plan = tmp_path / "plan.csv"

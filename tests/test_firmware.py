@@ -14,7 +14,6 @@ from asid.firmware import (
     GROUND_LOG,
     RTC_LATEST_START,
     FirmwareConfig,
-    Phase,
     SdCardImage,
     arduino_print_float,
     format_row,
@@ -78,7 +77,7 @@ class TestSetup:
 
     def test_initial_state(self):
         state = setup(FirmwareConfig(elevation=45.0), 101325.0)
-        assert state.phase is Phase.GROUND
+        assert not state.serving
         assert state.interval == 5.0
 
 
@@ -87,10 +86,10 @@ class TestGroundPhase:
         cfg = FirmwareConfig(elevation=0.0)
         sd = SdCardImage()
         state = setup(cfg, 101325.0)
-        assert state.phase is Phase.GROUND
+        assert not state.serving
         # each row: a 500 ms buzz, the row, a 3000 ms delay
         assert log_ground(state, lambda: _reading(state, 0.0), sd) == 6 * (500 + 3000)
-        assert state.phase is Phase.AIR
+        assert not state.serving
         stamps = [line.split(b",")[1] for line in sd.read(GROUND_LOG).split(b"\r\n") if line]
         assert stamps == [b"10:15:00", b"10:15:03", b"10:15:07", b"10:15:10", b"10:15:14",
                           b"10:15:17"]
@@ -102,7 +101,7 @@ class TestAirPhase:
         state, sd, _ = _run_flight(altitudes)
         assert sd.read(AIR_LOG).count(b"\r\n") == 7
         assert state.interval == 40.0
-        assert state.phase is Phase.SERVING
+        assert state.serving
         # thresholds 5,10,...,35: logged values strictly increasing and above them
         values = [float(line.split(b",")[6]) for line in
                   sd.read(AIR_LOG).split(b"\r\n") if line]
@@ -114,7 +113,7 @@ class TestAirPhase:
         altitudes = [1.0, 2.0, 3.9, 3.9, 2.0, 0.5] * 10
         state, sd, _ = _run_flight(altitudes)
         assert not sd.exists(AIR_LOG)
-        assert state.phase is Phase.AIR
+        assert not state.serving
 
     def test_buzzer_log_six_short_one_long(self):
         altitudes = [float(i) for i in range(1, 41)]
@@ -126,7 +125,7 @@ class TestAirPhase:
     def test_server_starts_once_past_threshold(self):
         altitudes = [float(i) for i in range(1, 41)] + [40.0] * 20
         state, _, blocked = _run_flight(altitudes)
-        assert state.phase is Phase.SERVING
+        assert state.serving
         assert blocked == [6 * (500 + 3000)] + [3000] * 6 + [3000 + 5000]
 
     def test_logging_stops_while_serving(self):
@@ -136,7 +135,7 @@ class TestAirPhase:
 
     def test_unwritten_poll_still_checks_its_reading(self, monkeypatch):
         state, sd, _ = _run_flight([])
-        assert state.phase is Phase.AIR
+        assert not state.serving
         calls = []
         monkeypatch.setattr(firmware, "format_row", lambda row: calls.append("format_row"))
         monkeypatch.setattr(firmware, "make_sample", lambda *args: calls.append("make_sample"))

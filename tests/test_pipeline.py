@@ -1,9 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
 from asid import config
-from asid.firmware import AIR_LOG, GROUND_LOG, PHOTO_MANIFEST
+from asid.firmware import AIR_LOG, GROUND_LOG, INTERVAL_START_M, PHOTO_MANIFEST
 from asid.pipeline import run_simulation, simulate
 
 
@@ -112,3 +113,26 @@ def test_threshold_below_the_first_interval_serves_after_the_ground_rows(documen
     for name in result.sd.names():
         card.update(name.encode("ascii") + b"\0" + result.sd.read(name) + b"\0")
     assert card.hexdigest() == card_sha256
+
+
+def test_server_started_is_the_interval_past_the_threshold():
+    # The card's side of the serving rule: the logger raises its interval by
+    # one step per air row, as the device does, and serves once it passes
+    # server_threshold.
+    rng = random.Random(2021)
+    outcomes = set()
+    for case in range(12):
+        threshold = round(rng.uniform(1.0, 60.0), 2)
+        step = rng.choice((0.1, 1.0, 2.5, 5.0))
+        document = {"firmware": {"server_threshold": threshold, "interval_step": step},
+                    "mission": {"target_alt": round(rng.uniform(20.0, 70.0), 1)}}
+        if case % 2:
+            document["environment"] = {"rng_seed": case, "sensor_noise": {
+                "temperature": 0.1, "humidity": 0.5, "pressure": 3.0}}
+        result = run_simulation(config.from_dict(document))
+        interval = INTERVAL_START_M
+        for _ in range(result.air_rows):
+            interval += step
+        assert result.server_started == (interval > threshold), document
+        outcomes.add(result.server_started)
+    assert outcomes == {True, False}

@@ -1,8 +1,10 @@
+import gc
 import random
 import socket
 import string
 import struct
 import threading
+import warnings
 
 import pytest
 
@@ -239,6 +241,22 @@ class TestLoopback:
             stop.set()
             thread.join(timeout=2.0)
             srv.close()
+
+
+def test_a_server_on_a_busy_port_closes_its_socket():
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                LogServer(SdCardImage(), port=busy.getsockname()[1])
+            except OSError:
+                pass
+            else:
+                pytest.fail("a busy port was bound")
+            gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_fetch_refused_connection_is_transport_error():
