@@ -15,7 +15,7 @@ from pathlib import Path
 from asid.config import default_run_config
 from asid.firmware import SdCardImage
 from asid.pipeline import run_simulation
-from asid.synclink import LogServer, ProtocolError, RouteTarget, route, sync
+from asid.synclink import LogServer, ProtocolError, route, sync
 
 OUT = Path(__file__).resolve().parent / "output" / "log_sync"
 
@@ -25,7 +25,7 @@ sd = SdCardImage(dict(result.sd.files))
 
 # The device routes on indexOf("air") > 5, so the path matters:
 for line in ("GET /air.csv HTTP/1.1", "GET /download/air.csv HTTP/1.1"):
-    print(f'{line!r:38} -> {route(line).name}  (index {line.find("air")})')
+    print(f'{line!r:38} -> {route(line)}  (index {line.find("air")})')
 
 server = LogServer(sd, port=0)
 stop = threading.Event()

@@ -10,7 +10,7 @@ before CRLF produced by the device's print-call sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -119,7 +119,7 @@ class FirmwareState:
     mslp_hpa: float
     interval: float
     rtc_day_us: int  # us from the midnight before rtc_start to rtc_start
-    dates: dict[int, str] = field(default_factory=dict)  # DD.MM.YYYY by days past rtc_start
+    dates: tuple[str, str]  # DD.MM.YYYY of rtc_start's day and the next, the last a row reaches
 
     @property
     def serving(self) -> bool:
@@ -138,7 +138,9 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
     start = cfg.rtc_start
     day_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 \
         + start.microsecond
-    return FirmwareState(cfg=cfg, mslp_hpa=mslp, interval=INTERVAL_START_M, rtc_day_us=day_us)
+    dates = tuple("%02d.%02d.%04d" % (d.day, d.month, d.year)
+                  for d in (start.date(), start.date() + timedelta(days=1)))
+    return FirmwareState(cfg, mslp, INTERVAL_START_M, day_us, dates)
 
 
 def _printf_exact(value: float, decimals: int) -> bool:
@@ -196,16 +198,13 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
     Humidity outside [0, 100] % and a non-positive corrected pressure raise
     ValueError; a clock past CLOCK_LIMIT_MS raises SimulationError, since the
     run no longer fits the logger's calendar.  The stamps are rtc_start +
-    clock_ms, the year in four digits; the date is formatted once per day.
+    clock_ms, the year in four digits.
     """
     corrected_hpa = _checked_hpa(state, humidity, pressure_pa, clock_ms)
     day, us = divmod(state.rtc_day_us + clock_ms * 1000, DAY_US)
-    date = state.dates.get(day)
-    if date is None:
-        stamp = state.cfg.rtc_start.date() + timedelta(days=day)
-        date = state.dates[day] = "%02d.%02d.%04d" % (stamp.day, stamp.month, stamp.year)
     seconds = us // 1_000_000
-    return LogRow(date, "%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
+    return LogRow(state.dates[day],
+                  "%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
                   temperature, humidity, heat_index(temperature, humidity), corrected_hpa,
                   linear_altitude(corrected_hpa, state.mslp_hpa))
 

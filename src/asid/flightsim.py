@@ -34,6 +34,9 @@ DEADBAND_M = 0.2
 DT = 0.01                 # s, integrator step of a mission
 HOVER_CURRENT_A = 20.0    # A, battery draw at the hover throttle
 COMMAND_TIMEOUT_S = 300.0
+# km/h; above the 408 km/h surface-gust record (Barrow Island, 1996), so it refuses
+# no real wind, and it keeps the landing drift finite
+WIND_LIMIT_KMH = 500.0
 
 
 class BatteryExhaustedError(SimulationError):
@@ -78,6 +81,8 @@ class Environment:
             raise ValueError("surface humidity must lie in [0, 100] %")
         if self.wind < 0.0:
             raise ValueError("wind must be non-negative")
+        if self.wind > WIND_LIMIT_KMH:
+            raise ValueError(f"wind must not exceed {WIND_LIMIT_KMH:.0f} km/h")
 
 
 class RawReading(NamedTuple):

@@ -13,10 +13,10 @@ air before ground.
 
 from __future__ import annotations
 
-import enum
 import logging
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +24,8 @@ from .firmware import AIR_LOG, GROUND_LOG, SdCardImage
 
 CHUNK_SIZE = 1760
 REQUEST_LIMIT = 8192  # bytes; the device has no bound, this one stops runaway buffering
-# seconds one read or write may stall before the server drops the connection;
-# below fetch's 10 s default, so one idle client cannot time out the next
+# seconds a read, a write or the whole request line may take before the server drops
+# the connection; below fetch's 10 s default, so one slow client cannot time out the next
 CONNECTION_TIMEOUT_S = 2.0
 AIR_REQUEST_PATH = "/download/air.csv"
 GROUND_REQUEST_PATH = "/ground.csv"
@@ -34,23 +34,18 @@ STATUS_LINE = b"HTTP/1.1 200 OK"  # the only status the device sends
 log = logging.getLogger(__name__)
 
 
-class RouteTarget(enum.Enum):
-    AIR = "air"
-    GROUND = "ground"
-
-
 class ProtocolError(RuntimeError):
     """The server answered, but not with a usable 200 response."""
 
 
-def route(request_text: str) -> RouteTarget:
-    """Route a request exactly as the device does.
+def route(request_text: str) -> str:
+    """The log file the device serves for a request.
 
-    AIR if and only if the first occurrence of "air" in the text sits at
-    an index strictly greater than 5; everything else (including a missing
-    "air") is GROUND.
+    AIR_LOG if and only if the first occurrence of "air" in the text sits
+    at an index strictly greater than 5; everything else (including a
+    missing "air") gets GROUND_LOG.
     """
-    return RouteTarget.AIR if request_text.find("air") > 5 else RouteTarget.GROUND
+    return AIR_LOG if request_text.find("air") > 5 else GROUND_LOG
 
 
 @dataclass(frozen=True)
@@ -71,31 +66,32 @@ class HttpFileResponse:
         return writes
 
 
-def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarget | None:
-    """Serve one connection on any socket-like transport.
+def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> str | None:
+    """Serve one connection on any socket-like transport; returns the routed file name.
 
-    The transport needs recv/sendall/close.  Requests are read up to the
-    first LF (or the 8 KiB bound); writes happen exactly one sendall per
-    header line and per 1760-byte body chunk, so a counting transport can
-    observe the chunking.  Once the last chunk of ground.csv is out, both
-    logs are removed from the card and ``on_ground_served`` runs; a transport
-    error before that propagates and leaves the card as it was.
+    The transport needs recv/sendall/close.  Requests are read up to the first
+    LF, the 8 KiB bound or CONNECTION_TIMEOUT_S, whichever comes first; with no
+    LF by then, None is returned and nothing written.  Writes happen exactly
+    one sendall per header line and per 1760-byte body chunk, so a counting
+    transport can observe the chunking.  Once the last chunk of ground.csv is
+    out, both logs are removed from the card and ``on_ground_served`` runs; a
+    transport error before that propagates and leaves the card as it was.
     """
+    deadline = time.monotonic() + CONNECTION_TIMEOUT_S
     try:
         buffer = b""
-        while b"\n" not in buffer and len(buffer) < REQUEST_LIMIT:
+        while b"\n" not in buffer and len(buffer) < REQUEST_LIMIT \
+                and time.monotonic() < deadline:
             chunk = conn.recv(1024)
             if not chunk:
                 break
             buffer += chunk
         if b"\n" not in buffer:
             return None
-        first_line = buffer.split(b"\n", 1)[0].decode("latin-1")
-        target = route(first_line)
-        name = AIR_LOG if target is RouteTarget.AIR else GROUND_LOG
+        name = route(buffer.split(b"\n", 1)[0].decode("latin-1"))
         body = sd.read(name)
         if body is None:  # the device drops the connection with nothing written
-            return target
+            return name
         for piece in HttpFileResponse(name, body).wire_writes():
             conn.sendall(piece)
         if name == GROUND_LOG:
@@ -103,7 +99,7 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> RouteTarg
             sd.remove(GROUND_LOG)
             if on_ground_served is not None:
                 on_ground_served()
-        return target
+        return name
     finally:
         conn.close()
 
@@ -129,8 +125,8 @@ class LogServer:
     def serve_forever(self, stop: threading.Event | None = None) -> None:
         """Serve until ``stop`` is set or the socket closes.
 
-        A client that resets, hangs up or stalls past CONNECTION_TIMEOUT_S
-        loses only its own connection.
+        A client that resets, hangs up, or stalls or drips past
+        CONNECTION_TIMEOUT_S loses only its own connection.
         """
         while stop is None or not stop.is_set():
             try:
@@ -149,14 +145,13 @@ class LogServer:
         self._sock.close()
 
 
-def fetch(host: str, port: int, which: RouteTarget, timeout: float = 10.0) -> bytes:
-    """Fetch one log file; returns the body bytes.
+def fetch(host: str, port: int, path: str, timeout: float = 10.0) -> bytes:
+    """Request ``path`` and return the body bytes of the file the server sends.
 
     Raises ConnectionError when the server is unreachable, resets or
     stalls, and ProtocolError when the response lacks a 200 status + header
     block (which is what a deleted file looks like on the wire).
     """
-    path = AIR_REQUEST_PATH if which is RouteTarget.AIR else GROUND_REQUEST_PATH
     request = f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii")
     try:
         conn = socket.create_connection((host, port), timeout=timeout)
@@ -193,9 +188,9 @@ def sync(host: str, port: int, out_dir, timeout: float = 10.0) -> tuple[bytes, b
     """
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    air = fetch(host, port, RouteTarget.AIR, timeout)
+    air = fetch(host, port, AIR_REQUEST_PATH, timeout)
     (directory / AIR_LOG).write_bytes(air)
-    ground = fetch(host, port, RouteTarget.GROUND, timeout)
+    ground = fetch(host, port, GROUND_REQUEST_PATH, timeout)
     partial = directory / f"{GROUND_LOG}.part"
     partial.write_bytes(ground)
     partial.replace(directory / GROUND_LOG)

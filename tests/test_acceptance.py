@@ -24,7 +24,8 @@ from asid.atmosphere import density_ratio, isa_density, isa_pressure
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
 from asid.flightsim import Environment, SimState, step
 from asid.pipeline import run_simulation
-from asid.synclink import RouteTarget, fetch, handle_connection, route
+from asid.synclink import AIR_REQUEST_PATH, GROUND_REQUEST_PATH, fetch, \
+    handle_connection, route
 from asid.wxindices import (
     LogRow,
     SoundingProfile,
@@ -179,11 +180,11 @@ def test_criterion_07_wire_fidelity():
     thread = threading.Thread(target=server.serve_forever, args=(stop,), daemon=True)
     thread.start()
     try:
-        assert fetch(server.host, server.port, RouteTarget.AIR, 5.0) == air_bytes
-        assert fetch(server.host, server.port, RouteTarget.GROUND, 5.0) == ground_bytes
+        assert fetch(server.host, server.port, AIR_REQUEST_PATH, 5.0) == air_bytes
+        assert fetch(server.host, server.port, GROUND_REQUEST_PATH, 5.0) == ground_bytes
         # ground served -> both files deleted -> air now fails
         with pytest.raises(synclink.ProtocolError):
-            fetch(server.host, server.port, RouteTarget.AIR, 5.0)
+            fetch(server.host, server.port, AIR_REQUEST_PATH, 5.0)
     finally:
         stop.set()
         thread.join(timeout=2.0)
@@ -200,10 +201,10 @@ def test_criterion_08_routing_quirk():
     nested = "GET /download/air.csv HTTP/1.1"
     assert plain.find("air") == 5 and not plain.find("air") > 5
     assert nested.find("air") == 14 and nested.find("air") > 5
-    assert route(plain) is RouteTarget.GROUND
-    assert route(nested) is RouteTarget.AIR
-    _report(8, 'route("GET /air.csv ...") = GROUND (index 5), '
-               'route("GET /download/air.csv ...") = AIR (index 14)')
+    assert route(plain) == GROUND_LOG
+    assert route(nested) == AIR_LOG
+    _report(8, 'route("GET /air.csv ...") = ground.csv (index 5), '
+               'route("GET /download/air.csv ...") = air.csv (index 14)')
 
 
 def test_criterion_09_index_oracles():
@@ -318,7 +319,7 @@ def test_criterion_12_property_suites():
     alphabet = string.printable
     for _ in range(500):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 100)))
-        assert route(text) in (RouteTarget.AIR, RouteTarget.GROUND)
+        assert route(text) in (AIR_LOG, GROUND_LOG)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -142,13 +142,16 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("environment, message", [
         ({"wind": -20.0}, "environment: wind must be non-negative"),
+        ({"wind": 500.5}, "environment: wind must not exceed 500 km/h"),
+        ({"wind": 1e308}, "environment: wind must not exceed 500 km/h"),
         ({"sensor_noise": {"pressure": -5.0}},
          "environment.sensor_noise: pressure sigma must be non-negative"),
         ({"sensor_noise": {"temperature": -0.1}},
          "environment.sensor_noise: temperature sigma must be non-negative"),
         ({"sensor_noise": {"humidity": -1e-9}},
          "environment.sensor_noise: humidity sigma must be non-negative"),
-    ], ids=["wind", "pressure_sigma", "temperature_sigma", "humidity_sigma"])
+    ], ids=["wind", "wind_500.5", "wind_1e308", "pressure_sigma", "temperature_sigma",
+            "humidity_sigma"])
     def test_negative_wind_or_noise_exits_config_error(self, environment, message, tmp_path,
                                                         capsys):
         path = _write_config(tmp_path / "c.json", {"environment": environment})

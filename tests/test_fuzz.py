@@ -16,8 +16,7 @@ import pytest
 from asid import config, mission
 from asid.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_SIMULATION, main
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
-from asid.synclink import AIR_REQUEST_PATH, GROUND_REQUEST_PATH, RouteTarget, \
-    handle_connection, route
+from asid.synclink import AIR_REQUEST_PATH, GROUND_REQUEST_PATH, handle_connection, route
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,15 +176,17 @@ def test_request_bytes_route_or_drop():
     requests = [f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii")
                 for path in (AIR_REQUEST_PATH, GROUND_REQUEST_PATH)]
     requests.append(b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n")
+    card = {AIR_LOG: b"a,\r\n", GROUND_LOG: b"g,\r\n"}
     targets = set()
     for case in range(300):
         request = _mutate_bytes(rng, rng.choice(requests))
         sizes = [rng.randint(1, 64) for _ in range(rng.randint(0, 6))]
-        sd = SdCardImage({AIR_LOG: b"a,\r\n", GROUND_LOG: b"g,\r\n"})
-        target = handle_connection(_ScriptedTransport(request, sizes), sd)
-        assert target is None or isinstance(target, RouteTarget), (case, request)
+        transport = _ScriptedTransport(request, sizes)
+        target = handle_connection(transport, SdCardImage(card))
+        assert target in (None, AIR_LOG, GROUND_LOG), (case, request)
         if target is not None:
             first_line = request.split(b"\n", 1)[0].decode("latin-1")
-            assert target is route(first_line), (case, request)
+            assert target == route(first_line), (case, request)
+            assert b"".join(transport.writes[5:]) == card[target], (case, request)
         targets.add(target)
-    assert targets == {None, RouteTarget.AIR, RouteTarget.GROUND}
+    assert targets == {None, AIR_LOG, GROUND_LOG}

@@ -4,18 +4,21 @@ import socket
 import string
 import struct
 import threading
+import time
 import warnings
 
 import pytest
 
+from asid import synclink
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
 from asid.synclink import (
+    AIR_REQUEST_PATH,
     CHUNK_SIZE,
     CONNECTION_TIMEOUT_S,
+    GROUND_REQUEST_PATH,
     HttpFileResponse,
     LogServer,
     ProtocolError,
-    RouteTarget,
     fetch,
     handle_connection,
     route,
@@ -57,23 +60,23 @@ class TestRoute:
     def test_download_path_routes_air(self):
         line = "GET /download/air.csv HTTP/1.1"
         assert line.find("air") == 14  # literal index check
-        assert route(line) is RouteTarget.AIR
+        assert route(line) == AIR_LOG
 
     def test_no_air_routes_ground(self):
-        assert route("GET /ground HTTP/1.1") is RouteTarget.GROUND
+        assert route("GET /ground HTTP/1.1") == GROUND_LOG
 
     def test_air_at_index_five_routes_ground(self):
         # the strict > 5 comparison sends a plain /air.csv to the ground handler
         line = "GET /air.csv HTTP/1.1"
         assert line.find("air") == 5
-        assert route(line) is RouteTarget.GROUND
+        assert route(line) == GROUND_LOG
 
     def test_fuzz_never_raises(self):
         rng = random.Random(1234)
         alphabet = string.printable
         for _ in range(1000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 120)))
-            assert route(text) in (RouteTarget.AIR, RouteTarget.GROUND)
+            assert route(text) in (AIR_LOG, GROUND_LOG)
 
 
 class TestServeFile:
@@ -108,7 +111,7 @@ class TestHandleConnection:
         sd = SdCardImage({AIR_LOG: b"a" * 3521, GROUND_LOG: GROUND_BYTES})
         conn = ScriptedConn(b"GET /download/air.csv HTTP/1.1\r\n\r\n")
         target = handle_connection(conn, sd)
-        assert target is RouteTarget.AIR
+        assert target == AIR_LOG
         assert conn.closed
         sizes = [len(w) for w in conn.writes[5:]]
         assert sizes == [1760, 1760, 1]
@@ -119,7 +122,7 @@ class TestHandleConnection:
         conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n")
         served_after = []
         target = handle_connection(conn, sd, lambda: served_after.append(len(conn.writes)))
-        assert target is RouteTarget.GROUND
+        assert target == GROUND_LOG
         assert not sd.exists(AIR_LOG)
         assert not sd.exists(GROUND_LOG)
         assert served_after == [len(conn.writes)]  # once, after the last chunk
@@ -138,7 +141,7 @@ class TestHandleConnection:
     def test_missing_file_writes_nothing(self):
         conn = ScriptedConn(b"GET /download/air.csv HTTP/1.1\r\n\r\n")
         target = handle_connection(conn, SdCardImage())
-        assert target is RouteTarget.AIR
+        assert target == AIR_LOG
         assert conn.writes == []
         assert conn.closed
 
@@ -146,7 +149,7 @@ class TestHandleConnection:
         sd = SdCardImage({AIR_LOG: AIR_BYTES})
         conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n")
         served = []
-        assert handle_connection(conn, sd, lambda: served.append(True)) is RouteTarget.GROUND
+        assert handle_connection(conn, sd, lambda: served.append(True)) == GROUND_LOG
         assert conn.writes == []
         assert sd.read(AIR_LOG) == AIR_BYTES
         assert served == []
@@ -188,16 +191,16 @@ def server():
 
 class TestLoopback:
     def test_fetch_air_then_ground_byte_identical(self, server):
-        air = fetch(server.host, server.port, RouteTarget.AIR, timeout=5.0)
-        ground = fetch(server.host, server.port, RouteTarget.GROUND, timeout=5.0)
+        air = fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=5.0)
+        ground = fetch(server.host, server.port, GROUND_REQUEST_PATH, timeout=5.0)
         assert air == AIR_BYTES
         assert ground == GROUND_BYTES
 
     def test_ground_first_breaks_air(self, server):
-        ground = fetch(server.host, server.port, RouteTarget.GROUND, timeout=5.0)
+        ground = fetch(server.host, server.port, GROUND_REQUEST_PATH, timeout=5.0)
         assert ground == GROUND_BYTES
         with pytest.raises(ProtocolError):
-            fetch(server.host, server.port, RouteTarget.AIR, timeout=5.0)
+            fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=5.0)
 
     def test_sync_persists_both(self, server, tmp_path):
         assert sync(server.host, server.port, tmp_path, timeout=5.0) == (AIR_BYTES, GROUND_BYTES)
@@ -220,13 +223,46 @@ class TestLoopback:
             # abort with a TCP reset while the server is still writing the body
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             conn.close()
-        assert fetch(server.host, server.port, RouteTarget.GROUND, timeout=5.0) == GROUND_BYTES
+        assert fetch(server.host, server.port, GROUND_REQUEST_PATH, timeout=5.0) == GROUND_BYTES
 
     def test_idle_client_does_not_block_the_next(self, server):
         with socket.create_connection((server.host, server.port)):  # sends nothing
-            air = fetch(server.host, server.port, RouteTarget.AIR,
+            air = fetch(server.host, server.port, AIR_REQUEST_PATH,
                         timeout=CONNECTION_TIMEOUT_S + 3.0)
         assert air == AIR_BYTES
+
+    def test_dripping_client_does_not_hold_the_server(self, server, monkeypatch):
+        # one byte per 0.2 s keeps every read under its timeout, but not the
+        # request line under the connection's deadline
+        monkeypatch.setattr(synclink, "CONNECTION_TIMEOUT_S", 0.3)
+        stop = threading.Event()
+
+        def drip() -> None:
+            with socket.create_connection((server.host, server.port)) as conn:
+                for _ in range(25):
+                    try:
+                        conn.sendall(b"G")
+                    except OSError:  # dropped by the server
+                        return
+                    if stop.wait(0.2):
+                        return
+
+        dripper = threading.Thread(target=drip, daemon=True)
+        dripper.start()
+        time.sleep(0.1)  # the dripping connection is accepted first
+        try:
+            assert fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=2.0) == AIR_BYTES
+        finally:
+            stop.set()
+            dripper.join(timeout=2.0)
+        assert not dripper.is_alive()
+
+    def test_plain_air_path_is_served_ground(self, server):
+        # "air" at index 5 of "GET /air.csv" routes to the ground handler
+        assert fetch(server.host, server.port, "/air.csv", timeout=5.0) == GROUND_BYTES
+        assert server.sd.names() == []
+        with pytest.raises(ProtocolError):
+            fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=5.0)
 
     def test_empty_air_file_yields_zero_byte_body(self):
         sd = SdCardImage({AIR_LOG: b"", GROUND_LOG: GROUND_BYTES})
@@ -235,7 +271,7 @@ class TestLoopback:
         thread = threading.Thread(target=srv.serve_forever, args=(stop,), daemon=True)
         thread.start()
         try:
-            body = fetch(srv.host, srv.port, RouteTarget.AIR, timeout=5.0)
+            body = fetch(srv.host, srv.port, AIR_REQUEST_PATH, timeout=5.0)
             assert body == b""
         finally:
             stop.set()
@@ -261,7 +297,7 @@ def test_a_server_on_a_busy_port_closes_its_socket():
 
 def test_fetch_refused_connection_is_transport_error():
     with pytest.raises(ConnectionError):
-        fetch("127.0.0.1", 1, RouteTarget.AIR, timeout=0.5)
+        fetch("127.0.0.1", 1, AIR_REQUEST_PATH, timeout=0.5)
 
 
 def test_fetch_of_a_non_200_status_is_a_protocol_error():
@@ -278,7 +314,7 @@ def test_fetch_of_a_non_200_status_is_a_protocol_error():
         thread = threading.Thread(target=answer, daemon=True)
         thread.start()
         with pytest.raises(ProtocolError, match="unexpected status line b'HTTP/1.1 404"):
-            fetch("127.0.0.1", listener.getsockname()[1], RouteTarget.AIR, timeout=5.0)
+            fetch("127.0.0.1", listener.getsockname()[1], AIR_REQUEST_PATH, timeout=5.0)
         thread.join(timeout=2.0)
 
 
@@ -287,4 +323,4 @@ def test_fetch_from_a_silent_server_is_a_connection_error():
         silent.bind(("127.0.0.1", 0))
         silent.listen(1)
         with pytest.raises(ConnectionError, match="timed out"):
-            fetch("127.0.0.1", silent.getsockname()[1], RouteTarget.AIR, timeout=0.3)
+            fetch("127.0.0.1", silent.getsockname()[1], AIR_REQUEST_PATH, timeout=0.3)
