@@ -7,17 +7,18 @@
 Pair i runs ``perfbench/run.py --trace 0 --seed <seed-base + i>`` for the
 change's BENCHMARK.json ``run_seconds`` in both checkouts, the parent first
 in even pairs and the change first in odd ones, so a drift of the host's
-speed does not favour one side.  For each
-end-to-end metric of the change's BENCHMARK.json it prints each side's
-median and quartiles, the change's wins out of the pairs (ties count for
-neither side), and whether a gain may be claimed: wins in at least nine
-tenths of the pairs, and medians further apart, in the better direction,
-than the parent's quartiles.  It also prints the no-regression rule: whether
-the change's median is worse than the parent's by more than the metric's
-``bound``, a fraction of the parent's median.  Exits 1 if any run reports
-``"correct": false`` or prints no result; a pair with such a run prints the
-failure in place of its figures, and for a run without a result it shows the
-exit code and the last line of its stderr.  Standard library only.
+speed does not favour one side.  Each pair's line shows every end-to-end
+metric of the change's BENCHMARK.json as parent -> change.  For each such
+metric the summary prints each side's median and quartiles, the change's
+wins out of the pairs (ties count for neither side), and whether a gain may
+be claimed: wins in at least nine tenths of the pairs, and medians further
+apart, in the better direction, than the parent's quartiles.  It also
+prints the no-regression rule: whether the change's median is worse than the
+parent's by more than the metric's ``bound``, a fraction of the parent's
+median.  Exits 1 if any run reports ``"correct": false`` or prints no
+result; a pair with such a run prints the failure in place of its figures,
+and for a run without a result it shows the exit code and the last line of
+its stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    first = spec["end_to_end"][0]["name"]
+    names = [metric["name"] for metric in spec["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     correct = True
@@ -117,8 +118,9 @@ def main(argv: list[str] | None = None) -> int:
             correct = False
             print(head, "; ".join(failures), flush=True)
         else:
-            print(f"{head} {first} {runs['parent'][-1].get(first)} -> "
-                  f"{runs['change'][-1].get(first)}", flush=True)
+            parent, change = runs["parent"][-1], runs["change"][-1]
+            print(head, "; ".join(f"{name} {parent.get(name)} -> {change.get(name)}"
+                                  for name in names), flush=True)
     if not correct:
         return 1
 

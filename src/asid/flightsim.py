@@ -13,7 +13,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 from . import mission
@@ -132,9 +131,12 @@ def hover_throttle(cfg: AirframeConfig) -> float:
 
 
 def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: float,
-         stop: float, samples: list[tuple[float, float, float, float]]) -> bool:
-    """Fly one motion command and append one sample per DT to ``samples``; the
+         stop: float, samples: list[float]) -> bool:
+    """Fly one motion command and add one sample per DT to ``samples``; the
     one function that advances altitude, speed, battery and time.
+
+    ``samples`` is flat: each sample is four floats, extended in the order
+    (t, altitude, vertical_speed, heading).
 
     The command holds ``target`` until ``end`` or until the altitude is within
     ``band`` of it.  Each pass evaluates the density ratio, runs the
@@ -154,7 +156,7 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
         hover_throttle(cfg)
     weight_n, drag, mass_kg = cfg.weight_n, cfg.frame_drag_coefficient, cfg.total_mass / 1000.0
     gain, limit, throttle_gain, dt = CLIMB_GAIN, CLIMB_SPEED_LIMIT, THROTTLE_GAIN, DT
-    append = samples.append
+    extend = samples.extend
     done = True
     while t < end and abs(altitude - target) > band:
         # the controller; each clamp picks what min/max would, -0.0 included
@@ -174,7 +176,7 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
         battery = battery - HOVER_CURRENT_A * (throttle / hover) ** 1.5 * dt / 3.6
         battery = battery if battery > 0.0 else 0.0
         t += dt
-        append((t, altitude, v, heading))
+        extend((t, altitude, v, heading))
         if battery <= 0.0 or t > stop:
             done = False
             break
@@ -187,27 +189,26 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
 class Trajectory:
     """Record of a simulated flight, one sample per DT from the start sample on."""
 
-    samples: list[tuple[float, float, float, float]]  # (t, altitude, v, heading)
+    samples: list[float]  # flat: sample i is samples[4*i:4*i+4], (t, altitude, v, heading)
     camera_events: list[CameraEvent]
     landing_offset: float  # m downwind
 
     @property
     def duration(self) -> float:
-        return self.samples[-1][0]
+        return self.samples[-4]
 
     @property
     def max_altitude(self) -> float:
-        return max(s[1] for s in self.samples)
+        return max(self.samples[1::4])
 
     def altitude_at(self, t: float) -> float:
-        index = min(int(round(t / DT)), len(self.samples) - 1)
-        return self.samples[max(0, index)][1]
+        index = min(int(round(t / DT)), len(self.samples) // 4 - 1)
+        return self.samples[4 * max(0, index) + 1]
 
     def to_csv(self) -> str:
-        # one % over the whole table: no per-row string is built
-        rows = "%.2f,%.4f,%.4f,%.1f\n" * len(self.samples)
-        return "t,altitude,vertical_speed,heading\n" \
-            + rows % tuple(chain.from_iterable(self.samples))
+        # one % over the whole table, header included: no per-row string is built
+        return ("t,altitude,vertical_speed,heading\n"
+                + "%.2f,%.4f,%.4f,%.1f\n" * (len(self.samples) // 4)) % tuple(self.samples)
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),
@@ -237,7 +238,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         raise mission.MissionValidationError(violations)
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
-    samples: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 0.0)]
+    samples = [0.0, 0.0, 0.0, 0.0]  # flat, as in Trajectory.samples
     events: list[CameraEvent] = []
 
     def _drift(duration: float) -> float:
@@ -279,7 +280,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            samples.append((state.t, 0.0, 0.0, state.heading))
+            samples.extend((state.t, 0.0, 0.0, state.heading))
 
     return Trajectory(samples=samples, camera_events=events,
                       landing_offset=_drift(state.t))

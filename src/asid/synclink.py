@@ -20,10 +20,14 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .firmware import AIR_LOG, GROUND_LOG, SdCardImage
+from .firmware import AIR_DELAY_MS, AIR_LOG, CLOCK_LIMIT_MS, GROUND_LOG, SdCardImage
 
 CHUNK_SIZE = 1760
 REQUEST_LIMIT = 8192  # bytes; the device has no bound, this one stops runaway buffering
+# bytes; the longest body fetch accepts.  The device has no bound either, but it
+# writes at most one row per AIR_DELAY_MS of the logger clock (28,800 rows), and its
+# widest row is 94 bytes: a four-digit year and five floats at -4294967040
+BODY_LIMIT = CLOCK_LIMIT_MS // AIR_DELAY_MS * 94
 # seconds a read, a write or the whole request line may take before the server drops
 # the connection; below fetch's 10 s default, so one slow client cannot time out the next
 CONNECTION_TIMEOUT_S = 2.0
@@ -148,10 +152,13 @@ class LogServer:
 def fetch(host: str, port: int, path: str, timeout: float = 10.0) -> bytes:
     """Request ``path`` and return the body bytes of the file the server sends.
 
-    Raises ConnectionError when the server is unreachable, resets or
-    stalls, and ProtocolError when the response lacks a 200 status + header
-    block (which is what a deleted file looks like on the wire).
+    ``timeout`` bounds the whole call: each read waits only for the time left.
+    Raises ConnectionError when the server is unreachable, resets, stalls or
+    passes the timeout, and ProtocolError when the response lacks a 200
+    status + header block (which is what a deleted file looks like on the
+    wire) or its body is longer than BODY_LIMIT.
     """
+    deadline = time.monotonic() + timeout
     request = f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii")
     try:
         conn = socket.create_connection((host, port), timeout=timeout)
@@ -161,8 +168,20 @@ def fetch(host: str, port: int, path: str, timeout: float = 10.0) -> bytes:
         conn.sendall(request)
         conn.shutdown(socket.SHUT_WR)
         chunks = []
-        while chunk := conn.recv(4096):
+        received = 0
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0.0:
+                raise TimeoutError("timed out")
+            conn.settimeout(left)
+            chunk = conn.recv(4096)
+            if not chunk:
+                break
             chunks.append(chunk)
+            received += len(chunk)
+            if received > REQUEST_LIMIT + BODY_LIMIT:  # REQUEST_LIMIT for the header block
+                raise ProtocolError(f"the response passed {REQUEST_LIMIT + BODY_LIMIT} bytes, "
+                                    f"more than the device can write")
     except OSError as exc:  # a reset or a stall past the timeout, always a transport failure
         raise ConnectionError(f"connection to {host}:{port} failed: {exc}") from exc
     finally:
@@ -174,11 +193,16 @@ def fetch(host: str, port: int, path: str, timeout: float = 10.0) -> bytes:
     status = head.split(b"\r\n", 1)[0]
     if status != STATUS_LINE:
         raise ProtocolError(f"unexpected status line {status!r}")
+    if len(body) > BODY_LIMIT:
+        raise ProtocolError(f"a body of {len(body)} bytes is longer than the device can write "
+                            f"({BODY_LIMIT} bytes)")
     return body
 
 
 def sync(host: str, port: int, out_dir, timeout: float = 10.0) -> tuple[bytes, bytes]:
     """Fetch air.csv strictly before ground.csv into ``out_dir``; returns (air, ground).
+
+    ``timeout`` bounds each of the two fetches.
 
     ``out_dir`` is made before the first fetch, and air.csv is written to its
     final name before ground.csv is requested, since serving ground.csv

@@ -105,8 +105,9 @@ def test_criterion_05_climb_claims(monkeypatch):
     start = time.perf_counter()
     assert step(state, cfg, 2.0 * 6096.0, math.inf, 6096.0, math.inf, samples)
     elapsed = time.perf_counter() - start
-    peak_low = max([v for _, h, v, _ in samples if h < 300.0], default=0.0)
-    v_near = next(v for _, h, v, _ in samples if h >= near_ceiling)
+    rows = list(zip(*[iter(samples)] * 4))  # the flat list as (t, altitude, v, heading)
+    peak_low = max([v for _, h, v, _ in rows if h < 300.0], default=0.0)
+    v_near = next(v for _, h, v, _ in rows if h >= near_ceiling)
     t_design = state.t
     assert abs(peak_low / FT - 120.0) / 120.0 < 0.15
     assert abs(v_near / FT - 55.0) / 55.0 < 0.20

@@ -82,6 +82,21 @@ def test_runs_alternate_and_last_the_benchmarks_run_seconds(tmp_path, monkeypatc
     assert "change wins 2/2" in capsys.readouterr().out
 
 
+def test_each_pair_line_shows_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
+    parent, change = _checkouts(tmp_path)
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": [
+        {"name": "t", "better": "lower", "bound": 0.25},
+        {"name": "rss", "better": "lower", "bound": 0.1}]}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: (
+        {"correct": True, "metrics": {"t": {"value": seed + (0.5 if checkout == parent else 0.0)},
+                                      "rss": {"value": 45.0 if checkout == parent else 42.5}}}))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
+                             "--seed-base", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["pair 0 (seed 5, parent first): t 5.5 -> 5.0; rss 45.0 -> 42.5",
+                         "pair 1 (seed 6, change first): t 6.5 -> 6.0; rss 45.0 -> 42.5"]
+
+
 def test_an_incorrect_run_fails_the_comparison(tmp_path, monkeypatch, capsys):
     parent, change = _checkouts(tmp_path)
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *rest: (

@@ -15,6 +15,7 @@ from asid.flightsim import (
     SensorNoise,
     SimState,
     SimulationError,
+    Trajectory,
     run_mission,
     step,
     true_sample,
@@ -32,6 +33,11 @@ def _terminal_speed_at(altitude: float) -> float:
     """Full-throttle climb speed at which thrust less weight equals the frame drag."""
     thrust_n = CFG.n_motors * CFG.motor.max_thrust_per_motor * GF_TO_N * density_ratio(altitude)
     return math.sqrt((thrust_n - CFG.weight_n) / CFG.frame_drag_coefficient)
+
+
+def rows(samples: list[float]) -> list[tuple[float, float, float, float]]:
+    """The flat sample list regrouped into (t, altitude, vertical_speed, heading) tuples."""
+    return list(zip(*[iter(samples)] * 4))
 
 
 def full_throttle_climb(monkeypatch, top: float) -> tuple[SimState, list]:
@@ -54,7 +60,7 @@ class TestStep:
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         samples = []
         assert step(state, CFG, 0.0, 2.0, -1.0, math.inf, samples)
-        assert len(samples) == 200
+        assert len(samples) == 4 * 200
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -83,7 +89,7 @@ class TestStep:
 
     def test_full_throttle_climb_approaches_the_terminal_speed(self, monkeypatch):
         _, samples = full_throttle_climb(monkeypatch, 300.0)
-        peak = max(v for _, _, v, _ in samples)
+        peak = max(v for _, _, v, _ in rows(samples))
         assert peak < _terminal_speed_at(0.0)
         assert peak == pytest.approx(_terminal_speed_at(300.0), rel=0.01)
 
@@ -94,8 +100,9 @@ class TestStep:
         state = SimState(battery_remaining=capacity)
         samples = []
         assert not step(state, CFG, 10.0, math.inf, DEADBAND_M, stop, samples)
-        assert len(samples) == stopped_at
-        assert samples[-1] == (state.t, state.altitude, state.vertical_speed, state.heading)
+        assert len(samples) == 4 * stopped_at
+        assert rows(samples)[-1] == (state.t, state.altitude, state.vertical_speed,
+                                     state.heading)
 
 
 class TestTrueSample:
@@ -141,8 +148,8 @@ class TestRunMission:
         ))
         traj = run_mission(plan, CFG, CALM)
         assert traj.max_altitude == pytest.approx(10.0, abs=0.2)
-        assert traj.samples[0][1] == 0.0
-        assert traj.samples[-1][1] == 0.0
+        assert rows(traj.samples)[0][1] == 0.0
+        assert rows(traj.samples)[-1][1] == 0.0
 
     def test_generator_plan_camera_events(self):
         plan = generate_sounding_profile(MissionParams(target_alt=35.0))
@@ -203,7 +210,7 @@ class TestRunMission:
             run_mission(plan, tiny, CALM)
         trajectory = err.value.trajectory
         assert trajectory.samples
-        assert trajectory.samples[-1][1] > 0.0  # stopped mid-air
+        assert rows(trajectory.samples)[-1][1] > 0.0  # stopped mid-air
 
     def test_battery_exhaustion_between_capture_levels_keeps_the_camera_events(self):
         # a 150 mAh pack empties on the climb from the 10 m to the 20 m level:
@@ -215,7 +222,7 @@ class TestRunMission:
         with pytest.raises(BatteryExhaustedError) as err:
             run_mission(plan, small, CALM)
         trajectory = err.value.trajectory
-        last_t, last_altitude = trajectory.samples[-1][:2]
+        last_t, last_altitude = rows(trajectory.samples)[-1][:2]
         assert 10.0 + DEADBAND_M < last_altitude < 20.0 - DEADBAND_M
         climb = next(i for i, cmd in enumerate(plan.commands)
                      if cmd.kind == WAYPOINT and cmd.alt == 20.0)
@@ -236,8 +243,8 @@ class TestRunMission:
         with pytest.raises(BatteryExhaustedError) as err:
             run_mission(generate_sounding_profile(MissionParams()), tiny, windy)
         trajectory = err.value.trajectory
-        assert len(trajectory.samples) == 332
-        assert hashlib.sha256(repr(trajectory.samples).encode("ascii")).hexdigest() \
+        assert len(trajectory.samples) == 4 * 332
+        assert hashlib.sha256(repr(rows(trajectory.samples)).encode("ascii")).hexdigest() \
             == "b603ce0e2d89296dfcfc1979ed81a221231bf792d0e38d81c9ea017c9a752e85"
         assert trajectory.landing_offset == 26.8874374019806
 
@@ -260,10 +267,10 @@ class TestRunMission:
         counted("density_ratio")
         plan = generate_sounding_profile(MissionParams())
         traj = run_mission(plan, CFG, CALM)
-        assert traj.samples[-1][1] == 0.0
+        assert rows(traj.samples)[-1][1] == 0.0
         motion = (TAKEOFF, WAYPOINT, DELAY, LAND)
         assert calls["step"] == sum(cmd.kind in motion for cmd in plan.commands) == 38
-        assert calls["density_ratio"] == len(traj.samples) - 2
+        assert calls["density_ratio"] == len(rows(traj.samples)) - 2
 
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
         # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop.
@@ -314,9 +321,54 @@ class TestRunMission:
         # are those of an open-loop full-throttle loop of 0.01 s steps
         state, samples = full_throttle_climb(monkeypatch, 6096.0)
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
-        assert len(samples) == 27_616
+        assert len(samples) == 4 * 27_616
         assert state.t == 276.15999999989384
         assert state.altitude == 6096.056994198126
+
+    def test_a_sample_holds_at_most_115_traced_bytes(self):
+        # the 300 m column of test_csv_bytes_and_sample_bits_are_pinned; a sample
+        # held as a 4-tuple costs ~153 B, four floats of a flat list ~107 B
+        import tracemalloc
+        from asid import config
+        cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
+                                "firmware": {"server_threshold": 290}})
+        plan = generate_sounding_profile(cfg.mission)
+        n_samples = 41_084
+        tracemalloc.start()
+        try:
+            traj = run_mission(plan, cfg.airframe, cfg.environment)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live <= 115 * n_samples
+        assert len(traj.samples) == 4 * n_samples
+
+
+class TestAltitudeAt:
+    # a climb from 2 m to 10 m that ends in the air, heading 90, so that no
+    # sample's altitude equals its time, speed or heading
+    @pytest.fixture(scope="class")
+    def climb(self):
+        state = SimState(altitude=2.0, heading=90.0, battery_remaining=5000.0)
+        samples = [0.0, 2.0, 0.0, 90.0]
+        assert step(state, CFG, 10.0, math.inf, DEADBAND_M, math.inf, samples)
+        return Trajectory(samples=samples, camera_events=[], landing_offset=0.0)
+
+    def test_time_zero_is_the_start_sample(self, climb):
+        assert climb.altitude_at(0.0) == rows(climb.samples)[0][1] == 2.0
+
+    def test_a_mid_flight_time_is_its_own_sample(self, climb):
+        mid = rows(climb.samples)[150]
+        assert climb.altitude_at(mid[0]) == mid[1]
+        assert 2.0 < mid[1] < rows(climb.samples)[151][1]
+
+    def test_past_the_duration_clamps_to_the_last_sample(self, climb):
+        last = rows(climb.samples)[-1]
+        assert climb.duration == last[0]
+        assert climb.altitude_at(climb.duration + 5.0) == last[1] > 10.0 - DEADBAND_M - 0.1
+
+    def test_a_negative_time_clamps_to_the_first_sample(self, climb):
+        assert climb.altitude_at(-3.0) == rows(climb.samples)[0][1] == 2.0
 
 
 class TestTrajectoryExports:
@@ -328,7 +380,7 @@ class TestTrajectoryExports:
         traj = run_mission(plan, CFG, CALM)
         lines = traj.to_csv().splitlines()
         assert lines[0] == "t,altitude,vertical_speed,heading"
-        assert len(lines) == len(traj.samples) + 1
+        assert len(lines) == len(rows(traj.samples)) + 1
 
     def test_camera_manifest_is_json(self):
         import json
@@ -358,7 +410,8 @@ class TestTrajectoryExports:
         plan = generate_sounding_profile(cfg.mission)
         traj = run_mission(plan, cfg.airframe, cfg.environment)
         assert hashlib.sha256(traj.to_csv().encode("ascii")).hexdigest() == csv_sha256
-        assert hashlib.sha256(repr(traj.samples).encode("ascii")).hexdigest() == samples_sha256
+        assert hashlib.sha256(repr(rows(traj.samples)).encode("ascii")).hexdigest() \
+            == samples_sha256
 
     @pytest.mark.parametrize("document, air_sha256, ground_sha256", [
         ({"firmware": {"ground_samples": 2000},

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import random
 import socket
@@ -9,10 +10,11 @@ import warnings
 
 import pytest
 
-from asid import synclink
-from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
+from asid import cli, synclink
+from asid.firmware import AIR_LOG, ARDUINO_FLOAT_LIMIT, GROUND_LOG, SdCardImage, format_row
 from asid.synclink import (
     AIR_REQUEST_PATH,
+    BODY_LIMIT,
     CHUNK_SIZE,
     CONNECTION_TIMEOUT_S,
     GROUND_REQUEST_PATH,
@@ -24,6 +26,7 @@ from asid.synclink import (
     route,
     sync,
 )
+from asid.wxindices import LogRow
 
 AIR_BYTES = b"01.06.2021,10:15:22,15.0,49.7,13.8,1007.58,5.04,\r\n" * 70
 GROUND_BYTES = b"01.06.2021,10:15:00,15.0,50.0,13.9,1008.18,0.00,\r\n" * 6
@@ -324,3 +327,94 @@ def test_fetch_from_a_silent_server_is_a_connection_error():
         silent.listen(1)
         with pytest.raises(ConnectionError, match="timed out"):
             fetch("127.0.0.1", silent.getsockname()[1], AIR_REQUEST_PATH, timeout=0.3)
+
+
+@contextlib.contextmanager
+def one_shot_server(respond):
+    """A loopback listener that reads the request of its first connection, then
+    calls ``respond(conn, stop)``; yields (host, port).  ``stop`` is set on exit."""
+    stop = threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(5.0)
+
+        def serve() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1024)
+                try:
+                    respond(conn, stop)
+                except OSError:  # the client hung up
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            yield listener.getsockname()[:2]
+        finally:
+            stop.set()
+            thread.join(timeout=2.0)
+
+
+AIR_HEADER = b"".join(HttpFileResponse(AIR_LOG, b"").wire_writes())
+
+
+class TestFetchBounds:
+    def test_the_body_limit_is_a_row_per_air_delay_at_the_widest_row(self):
+        widest = format_row(LogRow("31.12.9999", "23:59:59", *[-ARDUINO_FLOAT_LIMIT] * 5))
+        assert len(widest) == 94
+        assert BODY_LIMIT == 28_800 * len(widest) == 2_707_200
+
+    def test_a_trickling_server_fails_sync_at_its_deadline(self, monkeypatch, tmp_path,
+                                                           capsys):
+        # one body byte per 0.1 s keeps every read under a 0.5 s timeout for 3 s;
+        # the timeout bounds the whole call, so sync fails with exit 4 after 0.5 s
+        def trickle(conn, stop) -> None:
+            conn.sendall(AIR_HEADER)
+            for _ in range(30):
+                conn.sendall(b"x")
+                if stop.wait(0.1):
+                    return
+
+        monkeypatch.setattr(synclink, "fetch",
+                            lambda host, port, path, timeout: fetch(host, port, path, 0.5))
+        with one_shot_server(trickle) as (host, port):
+            start = time.monotonic()
+            code = cli.main(["sync", "--host", host, "--port", str(port),
+                             "--out", str(tmp_path)])
+            elapsed = time.monotonic() - start
+        assert code == cli.EXIT_TRANSPORT
+        assert capsys.readouterr().err == \
+            f"transport error: connection to {host}:{port} failed: timed out\n"
+        assert 0.5 <= elapsed < 1.5
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_body_longer_than_the_device_can_write_exits_data_error(self, server, monkeypatch,
+                                                                      tmp_path, capsys):
+        monkeypatch.setattr(synclink, "BODY_LIMIT", len(AIR_BYTES) - 1)
+        code = cli.main(["sync", "--host", server.host, "--port", str(server.port),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: a body of {len(AIR_BYTES)} bytes is longer than the device can "
+            f"write ({len(AIR_BYTES) - 1} bytes)\n")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(synclink, "BODY_LIMIT", len(AIR_BYTES))
+        assert fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=5.0) == AIR_BYTES
+
+    def test_a_long_body_is_not_read_past_the_limit(self, monkeypatch):
+        # 1 MiB against a 100-byte limit: fetch stops reading once the response
+        # passes the limit and REQUEST_LIMIT for the header block
+        def long_body(conn, stop) -> None:
+            conn.sendall(AIR_HEADER)
+            for _ in range(1024):
+                if stop.is_set():
+                    return
+                conn.sendall(b"x" * 1024)
+
+        monkeypatch.setattr(synclink, "BODY_LIMIT", 100)
+        with one_shot_server(long_body) as (host, port):
+            with pytest.raises(ProtocolError, match=f"the response passed "
+                               f"{synclink.REQUEST_LIMIT + 100} bytes"):
+                fetch(host, port, AIR_REQUEST_PATH, timeout=5.0)
