@@ -135,8 +135,9 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     """Fly one motion command and add one sample per DT to ``samples``; the
     one function that advances altitude, speed, battery and time.
 
-    ``samples`` is flat: each sample is four floats, extended in the order
-    (t, altitude, vertical_speed, heading).
+    ``samples`` is flat: each sample is three floats, extended in the order
+    (t, altitude, vertical_speed).  The heading is not read: it changes only
+    at a yaw command, and ``run_mission`` records it per run of samples.
 
     The command holds ``target`` until ``end`` or until the altitude is within
     ``band`` of it.  Each pass evaluates the density ratio, runs the
@@ -150,8 +151,8 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     Returns True when the command is done, and False when the flight must
     stop: the pack is empty (checked first) or the time passed ``stop``.
     """
-    t, altitude, v = state.t, state.altitude, state.vertical_speed
-    heading, battery = state.heading, state.battery_remaining
+    t, altitude, v, battery = state.t, state.altitude, state.vertical_speed, \
+        state.battery_remaining
     n_motors, max_thrust, hover = cfg.n_motors, cfg.motor.max_thrust_per_motor, \
         hover_throttle(cfg)
     weight_n, drag, mass_kg = cfg.weight_n, cfg.frame_drag_coefficient, cfg.total_mass / 1000.0
@@ -176,7 +177,7 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
         battery = battery - HOVER_CURRENT_A * (throttle / hover) ** 1.5 * dt / 3.6
         battery = battery if battery > 0.0 else 0.0
         t += dt
-        extend((t, altitude, v, heading))
+        extend((t, altitude, v))
         if battery <= 0.0 or t > stop:
             done = False
             break
@@ -189,26 +190,31 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
 class Trajectory:
     """Record of a simulated flight, one sample per DT from the start sample on."""
 
-    samples: list[float]  # flat: sample i is samples[4*i:4*i+4], (t, altitude, v, heading)
+    samples: list[float]  # flat: sample i is samples[3*i:3*i+3], (t, altitude, v)
+    # (first sample index, heading) per yaw; a run lasts until the next entry's index
+    headings: list[tuple[int, float]]
     camera_events: list[CameraEvent]
     landing_offset: float  # m downwind
 
     @property
     def duration(self) -> float:
-        return self.samples[-4]
+        return self.samples[-3]
 
     @property
     def max_altitude(self) -> float:
-        return max(self.samples[1::4])
+        return max(self.samples[1::3])
 
     def altitude_at(self, t: float) -> float:
-        index = min(int(round(t / DT)), len(self.samples) // 4 - 1)
-        return self.samples[4 * max(0, index) + 1]
+        index = min(int(round(t / DT)), len(self.samples) // 3 - 1)
+        return self.samples[3 * max(0, index) + 1]
 
     def to_csv(self) -> str:
-        # one % over the whole table, header included: no per-row string is built
-        return ("t,altitude,vertical_speed,heading\n"
-                + "%.2f,%.4f,%.4f,%.1f\n" * (len(self.samples) // 4)) % tuple(self.samples)
+        # one % over the whole table, header included: no per-row string is built,
+        # and each run's heading is formatted once, into its rows' format
+        ends = [start for start, _ in self.headings[1:]] + [len(self.samples) // 3]
+        return ("t,altitude,vertical_speed,heading\n" + "".join(
+            ("%.2f,%.4f,%.4f," + "%.1f\n" % heading) * (end - start)
+            for (start, heading), end in zip(self.headings, ends))) % tuple(self.samples)
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),
@@ -238,7 +244,8 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         raise mission.MissionValidationError(violations)
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
-    samples = [0.0, 0.0, 0.0, 0.0]  # flat, as in Trajectory.samples
+    samples = [0.0, 0.0, 0.0]  # flat, as in Trajectory.samples
+    headings = [(0, 0.0)]
     events: list[CameraEvent] = []
 
     def _drift(duration: float) -> float:
@@ -249,6 +256,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         kind = cmd.kind
         if kind == mission.CONDITION_YAW:
             state.heading = cmd.p1 % 360.0
+            headings.append((len(samples) // 3, state.heading))
             continue
         if kind == mission.DO_DIGICAM_CONTROL:
             events.append(CameraEvent(t=state.t, altitude=state.altitude,
@@ -272,7 +280,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if not step(state, cfg, target, end, band, stop, samples):
             if state.battery_remaining <= 0.0:
                 raise BatteryExhaustedError(
-                    Trajectory(samples=samples, camera_events=events,
+                    Trajectory(samples=samples, headings=headings, camera_events=events,
                                landing_offset=_drift(state.t)))
             if state.t > limit_s:
                 raise SimulationError(f"flight passed {limit_s:g} s, the logger clock's limit")
@@ -280,7 +288,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            samples.extend((state.t, 0.0, 0.0, state.heading))
+            samples.extend((state.t, 0.0, 0.0))
 
-    return Trajectory(samples=samples, camera_events=events,
+    return Trajectory(samples=samples, headings=headings, camera_events=events,
                       landing_offset=_drift(state.t))

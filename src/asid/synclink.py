@@ -28,8 +28,8 @@ REQUEST_LIMIT = 8192  # bytes; the device has no bound, this one stops runaway b
 # writes at most one row per AIR_DELAY_MS of the logger clock (28,800 rows), and its
 # widest row is 94 bytes: a four-digit year and five floats at -4294967040
 BODY_LIMIT = CLOCK_LIMIT_MS // AIR_DELAY_MS * 94
-# seconds a read, a write or the whole request line may take before the server drops
-# the connection; below fetch's 10 s default, so one slow client cannot time out the next
+# seconds the whole request line, or one write, may take before the server drops the
+# connection; below fetch's 10 s default, so one slow client cannot time out the next
 CONNECTION_TIMEOUT_S = 2.0
 AIR_REQUEST_PATH = "/download/air.csv"
 GROUND_REQUEST_PATH = "/ground.csv"
@@ -75,23 +75,33 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> str | Non
 
     The transport needs recv/sendall/close.  Requests are read up to the first
     LF, the 8 KiB bound or CONNECTION_TIMEOUT_S, whichever comes first; with no
-    LF by then, None is returned and nothing written.  Writes happen exactly
-    one sendall per header line and per 1760-byte body chunk, so a counting
-    transport can observe the chunking.  Once the last chunk of ground.csv is
-    out, both logs are removed from the card and ``on_ground_served`` runs; a
-    transport error before that propagates and leaves the card as it was.
+    LF by then, None is returned and nothing written.  On a socket (a
+    transport with settimeout) each read waits only for the time left, so a
+    read stalled at the deadline raises, and each write may take
+    CONNECTION_TIMEOUT_S.  Writes happen exactly one sendall per header line
+    and per 1760-byte body chunk, so a counting transport can observe the
+    chunking.  Once the last chunk of ground.csv is out, both logs are removed
+    from the card and ``on_ground_served`` runs; a transport error before that
+    propagates and leaves the card as it was.
     """
     deadline = time.monotonic() + CONNECTION_TIMEOUT_S
+    settimeout = getattr(conn, "settimeout", None)
     try:
         buffer = b""
-        while b"\n" not in buffer and len(buffer) < REQUEST_LIMIT \
-                and time.monotonic() < deadline:
+        while b"\n" not in buffer and len(buffer) < REQUEST_LIMIT:
+            left = deadline - time.monotonic()
+            if left <= 0.0:
+                break
+            if settimeout is not None:
+                settimeout(left)
             chunk = conn.recv(1024)
             if not chunk:
                 break
             buffer += chunk
         if b"\n" not in buffer:
             return None
+        if settimeout is not None:
+            settimeout(CONNECTION_TIMEOUT_S)
         name = route(buffer.split(b"\n", 1)[0].decode("latin-1"))
         body = sd.read(name)
         if body is None:  # the device drops the connection with nothing written
@@ -139,7 +149,6 @@ class LogServer:
                 continue
             except OSError:
                 break
-            conn.settimeout(CONNECTION_TIMEOUT_S)
             try:
                 handle_connection(conn, self.sd, self.on_ground_served)
             except OSError as exc:

@@ -105,7 +105,8 @@ def test_criterion_05_climb_claims(monkeypatch):
     start = time.perf_counter()
     assert step(state, cfg, 2.0 * 6096.0, math.inf, 6096.0, math.inf, samples)
     elapsed = time.perf_counter() - start
-    rows = list(zip(*[iter(samples)] * 4))  # the flat list as (t, altitude, v, heading)
+    # the flat list as (t, altitude, v, heading), one heading run from the state's heading
+    rows = [triple + (state.heading,) for triple in zip(*[iter(samples)] * 3)]
     peak_low = max([v for _, h, v, _ in rows if h < 300.0], default=0.0)
     v_near = next(v for _, h, v, _ in rows if h >= near_ceiling)
     t_design = state.t

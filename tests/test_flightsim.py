@@ -1,11 +1,14 @@
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from asid.airframe import GF_TO_N, reference_config, service_ceiling, wind_drift, \
     max_progressive_speed
-from asid import flightsim
+from asid import config, flightsim, mission
 from asid.atmosphere import density_ratio
 from asid.flightsim import (
     DEADBAND_M,
@@ -21,7 +24,7 @@ from asid.flightsim import (
     true_sample,
 )
 from asid.mission import MissionCommand, MissionParams, MissionPlan, MissionValidationError, \
-    TAKEOFF, WAYPOINT, DELAY, LAND, DO_DIGICAM_CONTROL, generate_sounding_profile
+    TAKEOFF, WAYPOINT, DELAY, LAND, CONDITION_YAW, DO_DIGICAM_CONTROL, generate_sounding_profile
 
 CFG = reference_config()
 CALM = Environment()
@@ -35,9 +38,19 @@ def _terminal_speed_at(altitude: float) -> float:
     return math.sqrt((thrust_n - CFG.weight_n) / CFG.frame_drag_coefficient)
 
 
-def rows(samples: list[float]) -> list[tuple[float, float, float, float]]:
-    """The flat sample list regrouped into (t, altitude, vertical_speed, heading) tuples."""
-    return list(zip(*[iter(samples)] * 4))
+def rows(samples: list[float], headings: list[tuple[int, float]]) \
+        -> list[tuple[float, float, float, float]]:
+    """The flat sample list regrouped into (t, altitude, vertical_speed, heading)
+    tuples, each sample given the heading of the run it falls in."""
+    triples = list(zip(*[iter(samples)] * 3))
+    ends = [start for start, _ in headings[1:]] + [len(triples)]
+    return [triple + (heading,) for (start, heading), end in zip(headings, ends)
+            for triple in triples[start:end]]
+
+
+def sample_rows(traj: Trajectory) -> list[tuple[float, float, float, float]]:
+    """A trajectory's samples as (t, altitude, vertical_speed, heading) tuples."""
+    return rows(traj.samples, traj.headings)
 
 
 def full_throttle_climb(monkeypatch, top: float) -> tuple[SimState, list]:
@@ -60,7 +73,7 @@ class TestStep:
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         samples = []
         assert step(state, CFG, 0.0, 2.0, -1.0, math.inf, samples)
-        assert len(samples) == 4 * 200
+        assert len(samples) == 3 * 200
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -88,8 +101,8 @@ class TestStep:
         assert state.battery_remaining < 5000.0
 
     def test_full_throttle_climb_approaches_the_terminal_speed(self, monkeypatch):
-        _, samples = full_throttle_climb(monkeypatch, 300.0)
-        peak = max(v for _, _, v, _ in rows(samples))
+        state, samples = full_throttle_climb(monkeypatch, 300.0)
+        peak = max(v for _, _, v, _ in rows(samples, [(0, state.heading)]))
         assert peak < _terminal_speed_at(0.0)
         assert peak == pytest.approx(_terminal_speed_at(300.0), rel=0.01)
 
@@ -100,9 +113,9 @@ class TestStep:
         state = SimState(battery_remaining=capacity)
         samples = []
         assert not step(state, CFG, 10.0, math.inf, DEADBAND_M, stop, samples)
-        assert len(samples) == 4 * stopped_at
-        assert rows(samples)[-1] == (state.t, state.altitude, state.vertical_speed,
-                                     state.heading)
+        assert len(samples) == 3 * stopped_at
+        assert rows(samples, [(0, state.heading)])[-1] == (state.t, state.altitude,
+                                                           state.vertical_speed, state.heading)
 
 
 class TestTrueSample:
@@ -148,8 +161,8 @@ class TestRunMission:
         ))
         traj = run_mission(plan, CFG, CALM)
         assert traj.max_altitude == pytest.approx(10.0, abs=0.2)
-        assert rows(traj.samples)[0][1] == 0.0
-        assert rows(traj.samples)[-1][1] == 0.0
+        assert sample_rows(traj)[0][1] == 0.0
+        assert sample_rows(traj)[-1][1] == 0.0
 
     def test_generator_plan_camera_events(self):
         plan = generate_sounding_profile(MissionParams(target_alt=35.0))
@@ -210,7 +223,7 @@ class TestRunMission:
             run_mission(plan, tiny, CALM)
         trajectory = err.value.trajectory
         assert trajectory.samples
-        assert rows(trajectory.samples)[-1][1] > 0.0  # stopped mid-air
+        assert sample_rows(trajectory)[-1][1] > 0.0  # stopped mid-air
 
     def test_battery_exhaustion_between_capture_levels_keeps_the_camera_events(self):
         # a 150 mAh pack empties on the climb from the 10 m to the 20 m level:
@@ -222,7 +235,7 @@ class TestRunMission:
         with pytest.raises(BatteryExhaustedError) as err:
             run_mission(plan, small, CALM)
         trajectory = err.value.trajectory
-        last_t, last_altitude = rows(trajectory.samples)[-1][:2]
+        last_t, last_altitude = sample_rows(trajectory)[-1][:2]
         assert 10.0 + DEADBAND_M < last_altitude < 20.0 - DEADBAND_M
         climb = next(i for i, cmd in enumerate(plan.commands)
                      if cmd.kind == WAYPOINT and cmd.alt == 20.0)
@@ -243,8 +256,8 @@ class TestRunMission:
         with pytest.raises(BatteryExhaustedError) as err:
             run_mission(generate_sounding_profile(MissionParams()), tiny, windy)
         trajectory = err.value.trajectory
-        assert len(trajectory.samples) == 4 * 332
-        assert hashlib.sha256(repr(rows(trajectory.samples)).encode("ascii")).hexdigest() \
+        assert len(trajectory.samples) == 3 * 332
+        assert hashlib.sha256(repr(sample_rows(trajectory)).encode("ascii")).hexdigest() \
             == "b603ce0e2d89296dfcfc1979ed81a221231bf792d0e38d81c9ea017c9a752e85"
         assert trajectory.landing_offset == 26.8874374019806
 
@@ -267,10 +280,10 @@ class TestRunMission:
         counted("density_ratio")
         plan = generate_sounding_profile(MissionParams())
         traj = run_mission(plan, CFG, CALM)
-        assert rows(traj.samples)[-1][1] == 0.0
+        assert sample_rows(traj)[-1][1] == 0.0
         motion = (TAKEOFF, WAYPOINT, DELAY, LAND)
         assert calls["step"] == sum(cmd.kind in motion for cmd in plan.commands) == 38
-        assert calls["density_ratio"] == len(rows(traj.samples)) - 2
+        assert calls["density_ratio"] == len(sample_rows(traj)) - 2
 
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
         # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop.
@@ -321,7 +334,7 @@ class TestRunMission:
         # are those of an open-loop full-throttle loop of 0.01 s steps
         state, samples = full_throttle_climb(monkeypatch, 6096.0)
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
-        assert len(samples) == 4 * 27_616
+        assert len(samples) == 3 * 27_616
         assert state.t == 276.15999999989384
         assert state.altitude == 6096.056994198126
 
@@ -341,7 +354,113 @@ class TestRunMission:
         finally:
             tracemalloc.stop()
         assert live <= 115 * n_samples
-        assert len(traj.samples) == 4 * n_samples
+        assert len(traj.samples) == 3 * n_samples
+
+    def test_a_sample_holds_at_most_105_traced_bytes(self):
+        # the same column: three floats per sample and the heading once per
+        # run hold ~97.4 B per sample
+        import tracemalloc
+        cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
+                                "firmware": {"server_threshold": 290}})
+        plan = generate_sounding_profile(cfg.mission)
+        n_samples = 41_084
+        tracemalloc.start()
+        try:
+            traj = run_mission(plan, cfg.airframe, cfg.environment)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live <= 105 * n_samples
+        assert len(traj.samples) == 3 * n_samples
+
+
+def fly_with_step_headings(monkeypatch, plan: MissionPlan, cfg=CFG, env=CALM) \
+        -> tuple[Trajectory, list[tuple[float, float, float, float]]]:
+    """Fly ``plan`` and return its trajectory (the partial one when the pack
+    empties) with a reference for its rows: every sample with the heading that
+    the state held when ``step`` began the command that flew it, the start
+    sample with 0.0.  The reference never reads ``Trajectory.headings``."""
+    starts = [(0, 0.0)]  # (first sample index, state.heading) per step call
+    original = flightsim.step
+
+    def recording(state, *args):
+        starts.append((len(args[-1]) // 3, state.heading))
+        return original(state, *args)
+
+    monkeypatch.setattr(flightsim, "step", recording)
+    try:
+        traj = run_mission(plan, cfg, env)
+    except BatteryExhaustedError as err:
+        traj = err.trajectory
+    return traj, rows(traj.samples, starts)
+
+
+def reference_csv(table: list[tuple[float, float, float, float]]) -> str:
+    """trajectory.csv with every field of every sample formatted on its own."""
+    return "t,altitude,vertical_speed,heading\n" \
+        + "".join("%.2f,%.4f,%.4f,%.1f\n" % row for row in table)
+
+
+def _workloads():
+    """The benchmark's sounding generator, loaded from its file without changing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["perfbench_workloads"] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules["perfbench_workloads"]
+    return module
+
+
+class TestHeadingRuns:
+    """to_csv formats each heading once per run; the text must equal formatting
+    every sample's heading on its own."""
+
+    def test_yaws_at_every_run_boundary(self, monkeypatch):
+        # validate wants TAKEOFF first and LAND last; run_mission flies any
+        # order, so the plan can start and end with a yaw
+        monkeypatch.setattr(mission, "validate", lambda plan, ceiling: [])
+        plan = MissionPlan(commands=(
+            MissionCommand(CONDITION_YAW, p1=45.0),    # before TAKEOFF
+            MissionCommand(TAKEOFF, alt=3.0),
+            MissionCommand(CONDITION_YAW, p1=90.0),
+            MissionCommand(CONDITION_YAW, p1=90.0),    # two in a row: an empty run
+            MissionCommand(DELAY, p1=0.5),
+            MissionCommand(LAND),
+            MissionCommand(CONDITION_YAW, p1=359.9),   # between LAND and a second TAKEOFF
+            MissionCommand(TAKEOFF, alt=2.0),
+            MissionCommand(CONDITION_YAW, p1=-0.0),
+            MissionCommand(DELAY, p1=0.2),
+            MissionCommand(LAND),
+            MissionCommand(CONDITION_YAW, p1=0.0),     # after the last LAND: an empty run
+        ))
+        traj, table = fly_with_step_headings(monkeypatch, plan)
+        n = len(traj.samples) // 3
+        starts = [start for start, _ in traj.headings]
+        assert starts[:2] == [0, 1] and starts[-1] == n
+        assert len(set(starts)) < len(starts)  # an empty run inside the flight
+        assert {heading for *_, heading in table} == {0.0, 45.0, 90.0, 359.9}
+        assert traj.to_csv() == reference_csv(table)
+
+    def test_a_battery_exhausted_partial_trajectory(self, monkeypatch):
+        import dataclasses
+        from asid.airframe import BatterySpec
+        small = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=150.0, c_rate=50.0))
+        traj, table = fly_with_step_headings(
+            monkeypatch, generate_sounding_profile(MissionParams()), cfg=small)
+        assert len(traj.headings) > 2  # it yawed before the pack emptied
+        assert traj.to_csv() == reference_csv(table)
+
+    @pytest.mark.parametrize("workload", ["paper_sounding", "tall_column", "surface_watch"])
+    def test_the_first_soundings_of_each_workload(self, monkeypatch, workload):
+        for document in _workloads().schedule(workload, seed=1, count=3):
+            cfg = config.from_dict(document)
+            traj, table = fly_with_step_headings(
+                monkeypatch, generate_sounding_profile(cfg.mission), cfg.airframe,
+                cfg.environment)
+            assert traj.to_csv() == reference_csv(table)
 
 
 class TestAltitudeAt:
@@ -350,25 +469,26 @@ class TestAltitudeAt:
     @pytest.fixture(scope="class")
     def climb(self):
         state = SimState(altitude=2.0, heading=90.0, battery_remaining=5000.0)
-        samples = [0.0, 2.0, 0.0, 90.0]
+        samples = [0.0, 2.0, 0.0]
         assert step(state, CFG, 10.0, math.inf, DEADBAND_M, math.inf, samples)
-        return Trajectory(samples=samples, camera_events=[], landing_offset=0.0)
+        return Trajectory(samples=samples, headings=[(0, 90.0)], camera_events=[],
+                          landing_offset=0.0)
 
     def test_time_zero_is_the_start_sample(self, climb):
-        assert climb.altitude_at(0.0) == rows(climb.samples)[0][1] == 2.0
+        assert climb.altitude_at(0.0) == sample_rows(climb)[0][1] == 2.0
 
     def test_a_mid_flight_time_is_its_own_sample(self, climb):
-        mid = rows(climb.samples)[150]
+        mid = sample_rows(climb)[150]
         assert climb.altitude_at(mid[0]) == mid[1]
-        assert 2.0 < mid[1] < rows(climb.samples)[151][1]
+        assert 2.0 < mid[1] < sample_rows(climb)[151][1]
 
     def test_past_the_duration_clamps_to_the_last_sample(self, climb):
-        last = rows(climb.samples)[-1]
+        last = sample_rows(climb)[-1]
         assert climb.duration == last[0]
         assert climb.altitude_at(climb.duration + 5.0) == last[1] > 10.0 - DEADBAND_M - 0.1
 
     def test_a_negative_time_clamps_to_the_first_sample(self, climb):
-        assert climb.altitude_at(-3.0) == rows(climb.samples)[0][1] == 2.0
+        assert climb.altitude_at(-3.0) == sample_rows(climb)[0][1] == 2.0
 
 
 class TestTrajectoryExports:
@@ -380,7 +500,7 @@ class TestTrajectoryExports:
         traj = run_mission(plan, CFG, CALM)
         lines = traj.to_csv().splitlines()
         assert lines[0] == "t,altitude,vertical_speed,heading"
-        assert len(lines) == len(rows(traj.samples)) + 1
+        assert len(lines) == len(sample_rows(traj)) + 1
 
     def test_camera_manifest_is_json(self):
         import json
@@ -410,7 +530,7 @@ class TestTrajectoryExports:
         plan = generate_sounding_profile(cfg.mission)
         traj = run_mission(plan, cfg.airframe, cfg.environment)
         assert hashlib.sha256(traj.to_csv().encode("ascii")).hexdigest() == csv_sha256
-        assert hashlib.sha256(repr(rows(traj.samples)).encode("ascii")).hexdigest() \
+        assert hashlib.sha256(repr(sample_rows(traj)).encode("ascii")).hexdigest() \
             == samples_sha256
 
     @pytest.mark.parametrize("document, air_sha256, ground_sha256", [

@@ -260,6 +260,19 @@ class TestLoopback:
             dripper.join(timeout=2.0)
         assert not dripper.is_alive()
 
+    def test_a_read_waits_only_for_the_time_left(self, server, monkeypatch):
+        # one byte just before the deadline, then silence: the read after it
+        # ends at the deadline, not a whole CONNECTION_TIMEOUT_S later
+        monkeypatch.setattr(synclink, "CONNECTION_TIMEOUT_S", 0.6)
+        with socket.create_connection((server.host, server.port)) as stalled:
+            accepted = time.monotonic()
+            time.sleep(0.45)
+            stalled.sendall(b"G")
+            air = fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=3.0)
+            served = time.monotonic() - accepted
+        assert air == AIR_BYTES
+        assert served < 0.85  # ~0.6 s; ~1.05 s when the read gets a full timeout
+
     def test_plain_air_path_is_served_ground(self, server):
         # "air" at index 5 of "GET /air.csv" routes to the ground handler
         assert fetch(server.host, server.port, "/air.csv", timeout=5.0) == GROUND_BYTES
