@@ -24,7 +24,7 @@ profile = wxindices.build_profile(air, ground)
 print(f"profile: {len(profile.levels)} levels, "
       f"{profile.levels[0].cal_altitude:.1f} .. {profile.levels[-1].cal_altitude:.1f} m")
 
-report, written = groundstation.write_report(air, ground, OUT)
+_, report, written = groundstation.write_report(air, ground, OUT)
 print()
 print(groundstation.render_text_report(report), end="")
 

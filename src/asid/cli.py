@@ -187,7 +187,11 @@ def _cmd_report(args) -> int:
     if not ground_path.is_file():
         raise wxindices.ProfileError(f"missing {ground_path}")
     air = air_path.read_bytes() if air_path.is_file() else b""
-    report, written = groundstation.write_report(air, ground_path.read_bytes(), args.out)
+    profile, report, written = groundstation.write_report(air, ground_path.read_bytes(),
+                                                          args.out)
+    if profile.skipped:
+        print(f"note: air-log rows {', '.join(map(str, profile.skipped))} do not climb above "
+              f"an earlier row; the profile leaves them out", file=sys.stderr)
     print(f"wrote {len(written)} report files to {args.out}")
     print(groundstation.render_text_report(report), end="")
     return EXIT_OK

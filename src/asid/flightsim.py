@@ -13,7 +13,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, TextIO
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
@@ -33,6 +34,7 @@ DEADBAND_M = 0.2
 DT = 0.01                 # s, integrator step of a mission
 HOVER_CURRENT_A = 20.0    # A, battery draw at the hover throttle
 COMMAND_TIMEOUT_S = 300.0
+CSV_CHUNK_ROWS = 4096     # trajectory.csv rows formatted and written per write call
 # km/h; above the 408 km/h surface-gust record (Barrow Island, 1996), so it refuses
 # no real wind, and it keeps the landing drift finite
 WIND_LIMIT_KMH = 500.0
@@ -135,9 +137,11 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     """Fly one motion command and add one sample per DT to ``samples``; the
     one function that advances altitude, speed, battery and time.
 
-    ``samples`` is flat: each sample is three floats, extended in the order
-    (t, altitude, vertical_speed).  The heading is not read: it changes only
-    at a yaw command, and ``run_mission`` records it per run of samples.
+    ``samples`` is flat: each sample is two floats, extended in the order
+    (altitude, vertical_speed).  A sample's t is not kept: it is the previous
+    sample's t plus DT, which ``Trajectory.to_csv`` adds up again.  The
+    heading is not read: it changes only at a yaw command, and
+    ``run_mission`` records it per run of samples.
 
     The command holds ``target`` until ``end`` or until the altitude is within
     ``band`` of it.  Each pass evaluates the density ratio, runs the
@@ -177,7 +181,7 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
         battery = battery - HOVER_CURRENT_A * (throttle / hover) ** 1.5 * dt / 3.6
         battery = battery if battery > 0.0 else 0.0
         t += dt
-        extend((t, altitude, v))
+        extend((altitude, v))
         if battery <= 0.0 or t > stop:
             done = False
             break
@@ -188,33 +192,59 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
 
 @dataclass
 class Trajectory:
-    """Record of a simulated flight, one sample per DT from the start sample on."""
+    """Record of a simulated flight, one sample per DT from the start sample on.
 
-    samples: list[float]  # flat: sample i is samples[3*i:3*i+3], (t, altitude, v)
+    A sample's t is not stored.  The start sample is at t = 0.0, each later
+    sample is DT after the one before it, and each LAND stop (the ground
+    sample added after a landing) repeats the t of the sample before it.
+    """
+
+    samples: list[float]  # flat: sample i is samples[2*i:2*i+2], (altitude, v)
     # (first sample index, heading) per yaw; a run lasts until the next entry's index
     headings: list[tuple[int, float]]
+    stops: list[int]  # sample index of each LAND stop
+    duration: float  # s, the last sample's t
     camera_events: list[CameraEvent]
     landing_offset: float  # m downwind
 
     @property
-    def duration(self) -> float:
-        return self.samples[-3]
-
-    @property
     def max_altitude(self) -> float:
-        return max(self.samples[1::3])
+        return max(self.samples[0::2])
 
     def altitude_at(self, t: float) -> float:
-        index = min(int(round(t / DT)), len(self.samples) // 3 - 1)
-        return self.samples[3 * max(0, index) + 1]
+        index = min(int(round(t / DT)), len(self.samples) // 2 - 1)
+        return self.samples[2 * max(0, index)]
 
-    def to_csv(self) -> str:
-        # one % over the whole table, header included: no per-row string is built,
-        # and each run's heading is formatted once, into its rows' format
-        ends = [start for start, _ in self.headings[1:]] + [len(self.samples) // 3]
-        return ("t,altitude,vertical_speed,heading\n" + "".join(
-            ("%.2f,%.4f,%.4f," + "%.1f\n" % heading) * (end - start)
-            for (start, heading), end in zip(self.headings, ends))) % tuple(self.samples)
+    def to_csv(self, out: TextIO) -> None:
+        """Write trajectory.csv to ``out``: the header, then CSV_CHUNK_ROWS rows per write.
+
+        t is summed again as ``step`` summed it: DT per sample, 0.0 at the
+        start sample and at each LAND stop (t + 0.0 == t, bit for bit).  Each
+        chunk is one % over its rows, each heading formatted once per run
+        into the rows' format, so no whole-table string or tuple is built.
+        """
+        samples, n = self.samples, len(self.samples) // 2
+        runs = [(start, end, "%.2f,%.4f,%.4f," + "%.1f\n" % heading)
+                for (start, heading), end in zip(
+                    self.headings, [start for start, _ in self.headings[1:]] + [n])]
+        zeros = [0] + self.stops  # the samples that add 0.0 to the t before them
+        out.write("t,altitude,vertical_speed,heading\n")
+        t = 0.0
+        for first in range(0, n, CSV_CHUNK_ROWS):
+            last = min(first + CSV_CHUNK_ROWS, n)
+            steps = [DT] * (last - first)
+            for index in zeros:
+                if first <= index < last:
+                    steps[index - first] = 0.0
+            steps[0] += t  # the chunk's sums go on from the t before it
+            row = [0.0] * (3 * (last - first))
+            row[0::3] = accumulate(steps)
+            t = row[-3]
+            row[1::3] = samples[2 * first:2 * last:2]
+            row[2::3] = samples[2 * first + 1:2 * last:2]
+            out.write("".join(fmt * (min(end, last) - max(start, first))
+                              for start, end, fmt in runs
+                              if start < last and end > first) % tuple(row))
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),
@@ -244,8 +274,9 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         raise mission.MissionValidationError(violations)
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
-    samples = [0.0, 0.0, 0.0]  # flat, as in Trajectory.samples
+    samples = [0.0, 0.0]  # flat, as in Trajectory.samples
     headings = [(0, 0.0)]
+    stops: list[int] = []
     events: list[CameraEvent] = []
 
     def _drift(duration: float) -> float:
@@ -256,7 +287,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         kind = cmd.kind
         if kind == mission.CONDITION_YAW:
             state.heading = cmd.p1 % 360.0
-            headings.append((len(samples) // 3, state.heading))
+            headings.append((len(samples) // 2, state.heading))
             continue
         if kind == mission.DO_DIGICAM_CONTROL:
             events.append(CameraEvent(t=state.t, altitude=state.altitude,
@@ -280,7 +311,8 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if not step(state, cfg, target, end, band, stop, samples):
             if state.battery_remaining <= 0.0:
                 raise BatteryExhaustedError(
-                    Trajectory(samples=samples, headings=headings, camera_events=events,
+                    Trajectory(samples=samples, headings=headings, stops=stops,
+                               duration=state.t, camera_events=events,
                                landing_offset=_drift(state.t)))
             if state.t > limit_s:
                 raise SimulationError(f"flight passed {limit_s:g} s, the logger clock's limit")
@@ -288,7 +320,8 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            samples.extend((state.t, 0.0, 0.0))
+            stops.append(len(samples) // 2)
+            samples.extend((0.0, 0.0))
 
-    return Trajectory(samples=samples, headings=headings, camera_events=events,
-                      landing_offset=_drift(state.t))
+    return Trajectory(samples=samples, headings=headings, stops=stops, duration=state.t,
+                      camera_events=events, landing_offset=_drift(state.t))

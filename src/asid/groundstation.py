@@ -197,11 +197,12 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list[Path]:
     return written
 
 
-def write_report(air_csv: bytes, ground_csv: bytes, out_dir) -> tuple[WxReport, list[Path]]:
+def write_report(air_csv: bytes, ground_csv: bytes, out_dir) \
+        -> tuple[SoundingProfile, WxReport, list[Path]]:
     """Parse the synced logs, build the report and its plots and write them to
-    out_dir; returns the report and the written paths."""
+    out_dir; returns the profile, the report and the written paths."""
     profile = wxindices.build_profile(air_csv, ground_csv)
     report = wxindices.build_report(profile)
     bundle = build_bundle(report, profile, sources=(AIR_LOG, GROUND_LOG),
                           generated_at=report.collection_time)
-    return report, write_bundle(bundle, out_dir)
+    return profile, report, write_bundle(bundle, out_dir)

@@ -35,7 +35,7 @@ class SimulationResult:
 
 
 def _row_count(sd: SdCardImage, name: str) -> int:
-    data = sd.read(name)
+    data = sd.files.get(name)  # the card's own buffer: read() would copy it
     return data.count(b"\r\n") if data else 0
 
 
@@ -78,9 +78,11 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
 
 def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
-    """Run the pipeline and write the SD image plus trajectory.csv to out_dir."""
+    """Run the pipeline and write the SD image plus trajectory.csv to out_dir;
+    the trajectory is written to the file in chunks, never built whole."""
     result = run_simulation(cfg)
     directory = Path(out_dir)
     result.sd.to_dir(directory)
-    (directory / "trajectory.csv").write_text(result.trajectory.to_csv(), encoding="ascii")
+    with (directory / "trajectory.csv").open("w", encoding="ascii") as out:
+        result.trajectory.to_csv(out)
     return result

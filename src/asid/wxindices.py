@@ -160,9 +160,10 @@ def surface_summary(ground_rows: list[LogRow]) -> SurfaceSummary:
 
 @dataclass(frozen=True)
 class SoundingProfile:
-    levels: tuple[LogRow, ...]  # the air-log rows, height coordinate cal_altitude
+    levels: tuple[LogRow, ...]  # the air-log rows that climb, height coordinate cal_altitude
     surface: SurfaceSummary
     collection_time: datetime
+    skipped: tuple[int, ...] = ()  # 1-based numbers of the air-log rows left out of levels
 
 
 @dataclass(frozen=True)
@@ -239,20 +240,27 @@ def freezing_level(profile: SoundingProfile) -> FreezingLevel:
 def build_profile(air_csv: bytes, ground_csv: bytes) -> SoundingProfile:
     """Assemble a vertical profile from the two logger files.
 
-    Air-log altitudes must be strictly increasing; the calibrated altitude
-    is the height coordinate throughout.
+    The levels are the air-log rows that set a new running maximum of
+    cal_altitude, the ascent envelope; the calibrated altitude is the height
+    coordinate throughout.  The logger raises its threshold one step per row
+    written, so while the drone holds a level below it, it writes a row per
+    poll and pressure noise makes their altitudes jitter.  Those rows are
+    the device's, not a fault: ``skipped`` names them by row number.
     """
     air_rows = parse_log(air_csv)
     ground_rows = parse_log(ground_csv)
     surface = surface_summary(ground_rows)
-    for previous, current in zip(air_rows, air_rows[1:]):
-        if current.cal_altitude <= previous.cal_altitude:
-            raise ProfileError(
-                f"air-log altitudes must increase: {previous.cal_altitude} then "
-                f"{current.cal_altitude}")
+    levels, skipped, top = [], [], -math.inf
+    for number, row in enumerate(air_rows, start=1):
+        if row.cal_altitude > top:
+            levels.append(row)
+            top = row.cal_altitude
+        else:
+            skipped.append(number)
     try:
-        return SoundingProfile(levels=tuple(air_rows), surface=surface,
-                               collection_time=(air_rows or ground_rows)[-1].timestamp)
+        return SoundingProfile(levels=tuple(levels), surface=surface,
+                               collection_time=(air_rows or ground_rows)[-1].timestamp,
+                               skipped=tuple(skipped))
     except ValueError as exc:  # strptime refuses the last row's stamp
         raise ProfileError(f"last {'air' if air_rows else 'ground'}-log row: {exc}") from None
 

@@ -473,6 +473,21 @@ class TestServeSyncReport:
         assert not (out / "plots").exists()
         assert "indeterminate" in (out / "report.txt").read_text()
 
+    def test_report_names_the_air_rows_below_an_earlier_row_on_stderr(self, tmp_path, capsys):
+        # two hover rows after the golden log's 10.06 m row: the device writes
+        # them while its threshold catches up; the report is the golden one
+        rows = (GOLDEN / "air.csv").read_bytes().split(b"\r\n")
+        jitter = [rows[1].replace(b",10.06,", altitude) for altitude in (b",10.02,", b",10.06,")]
+        (tmp_path / "air.csv").write_bytes(b"\r\n".join(rows[:2] + jitter + rows[2:]))
+        (tmp_path / "ground.csv").write_bytes((GOLDEN / "ground.csv").read_bytes())
+        out = tmp_path / "out"
+        code, err = _exit_code(["report", "--in", str(tmp_path), "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        assert err == "note: air-log rows 3, 4 do not climb above an earlier row; " \
+            "the profile leaves them out\n"
+        for name in ("report.txt", "report.json", "plots/height_temperature.svg"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
     def test_end_to_end_loopback_reproduces_golden_report(self, tmp_path, capsys):
         sd_dir = tmp_path / "sd"
         assert main(["simulate", "--out", str(sd_dir)]) == EXIT_OK

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import io
 import math
 import random
 import sys
@@ -6,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from asid.airframe import GF_TO_N, reference_config, service_ceiling, wind_drift, \
-    max_progressive_speed
+from asid.airframe import GF_TO_N, BatterySpec, reference_config, service_ceiling, \
+    wind_drift, max_progressive_speed
 from asid import config, flightsim, mission
 from asid.atmosphere import density_ratio
 from asid.flightsim import (
@@ -28,6 +30,8 @@ from asid.mission import MissionCommand, MissionParams, MissionPlan, MissionVali
 
 CFG = reference_config()
 CALM = Environment()
+# a 150 mAh pack empties on the climb from the 10 m to the 20 m level of the default plan
+SMALL_PACK = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=150.0, c_rate=50.0))
 
 FT = 0.3048
 
@@ -38,11 +42,17 @@ def _terminal_speed_at(altitude: float) -> float:
     return math.sqrt((thrust_n - CFG.weight_n) / CFG.frame_drag_coefficient)
 
 
-def rows(samples: list[float], headings: list[tuple[int, float]]) \
+def rows(samples: list[float], headings: list[tuple[int, float]], stops=()) \
         -> list[tuple[float, float, float, float]]:
     """The flat sample list regrouped into (t, altitude, vertical_speed, heading)
-    tuples, each sample given the heading of the run it falls in."""
-    triples = list(zip(*[iter(samples)] * 3))
+    tuples, each sample given the heading of the run it falls in.  t is summed
+    here as the integrator sums it: 0.0 at the start sample, DT per sample
+    after it, and the same t again at each index in ``stops``."""
+    t, triples = 0.0, []
+    for index, pair in enumerate(zip(*[iter(samples)] * 2)):
+        if index and index not in stops:
+            t += DT
+        triples.append((t,) + pair)
     ends = [start for start, _ in headings[1:]] + [len(triples)]
     return [triple + (heading,) for (start, heading), end in zip(headings, ends)
             for triple in triples[start:end]]
@@ -50,7 +60,14 @@ def rows(samples: list[float], headings: list[tuple[int, float]]) \
 
 def sample_rows(traj: Trajectory) -> list[tuple[float, float, float, float]]:
     """A trajectory's samples as (t, altitude, vertical_speed, heading) tuples."""
-    return rows(traj.samples, traj.headings)
+    return rows(traj.samples, traj.headings, traj.stops)
+
+
+def csv_text(traj: Trajectory) -> str:
+    """trajectory.csv as to_csv writes it."""
+    out = io.StringIO()
+    traj.to_csv(out)
+    return out.getvalue()
 
 
 def full_throttle_climb(monkeypatch, top: float) -> tuple[SimState, list]:
@@ -73,7 +90,7 @@ class TestStep:
         state = SimState(altitude=0.0, battery_remaining=5000.0)
         samples = []
         assert step(state, CFG, 0.0, 2.0, -1.0, math.inf, samples)
-        assert len(samples) == 3 * 200
+        assert len(samples) == 2 * 200
         assert state.vertical_speed == pytest.approx(0.0, abs=1e-12)
         assert state.altitude == pytest.approx(0.0, abs=1e-12)
 
@@ -111,9 +128,9 @@ class TestStep:
     def test_an_empty_pack_or_the_stop_time_ends_the_command_early(self, capacity, stop,
                                                                    stopped_at):
         state = SimState(battery_remaining=capacity)
-        samples = []
+        samples = [0.0, 0.0]  # the start sample, as run_mission adds it
         assert not step(state, CFG, 10.0, math.inf, DEADBAND_M, stop, samples)
-        assert len(samples) == 3 * stopped_at
+        assert len(samples) == 2 * (1 + stopped_at)
         assert rows(samples, [(0, state.heading)])[-1] == (state.t, state.altitude,
                                                            state.vertical_speed, state.heading)
 
@@ -228,12 +245,9 @@ class TestRunMission:
     def test_battery_exhaustion_between_capture_levels_keeps_the_camera_events(self):
         # a 150 mAh pack empties on the climb from the 10 m to the 20 m level:
         # the partial trajectory carries the four events taken at 10 m
-        import dataclasses
-        from asid.airframe import BatterySpec
-        small = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=150.0, c_rate=50.0))
         plan = generate_sounding_profile(MissionParams())
         with pytest.raises(BatteryExhaustedError) as err:
-            run_mission(plan, small, CALM)
+            run_mission(plan, SMALL_PACK, CALM)
         trajectory = err.value.trajectory
         last_t, last_altitude = sample_rows(trajectory)[-1][:2]
         assert 10.0 + DEADBAND_M < last_altitude < 20.0 - DEADBAND_M
@@ -256,7 +270,7 @@ class TestRunMission:
         with pytest.raises(BatteryExhaustedError) as err:
             run_mission(generate_sounding_profile(MissionParams()), tiny, windy)
         trajectory = err.value.trajectory
-        assert len(trajectory.samples) == 3 * 332
+        assert len(trajectory.samples) == 2 * 332
         assert hashlib.sha256(repr(sample_rows(trajectory)).encode("ascii")).hexdigest() \
             == "b603ce0e2d89296dfcfc1979ed81a221231bf792d0e38d81c9ea017c9a752e85"
         assert trajectory.landing_offset == 26.8874374019806
@@ -334,7 +348,7 @@ class TestRunMission:
         # are those of an open-loop full-throttle loop of 0.01 s steps
         state, samples = full_throttle_climb(monkeypatch, 6096.0)
         assert 4.0 * 60.0 <= state.t <= 8.0 * 60.0
-        assert len(samples) == 3 * 27_616
+        assert len(samples) == 2 * 27_616
         assert state.t == 276.15999999989384
         assert state.altitude == 6096.056994198126
 
@@ -354,11 +368,11 @@ class TestRunMission:
         finally:
             tracemalloc.stop()
         assert live <= 115 * n_samples
-        assert len(traj.samples) == 3 * n_samples
+        assert len(traj.samples) == 2 * n_samples
 
-    def test_a_sample_holds_at_most_105_traced_bytes(self):
-        # the same column: three floats per sample and the heading once per
-        # run hold ~97.4 B per sample
+    def test_a_sample_holds_at_most_70_traced_bytes(self):
+        # the same column: two floats per sample, with t and the heading
+        # summed up or formatted by to_csv, hold ~65.5 B per sample
         import tracemalloc
         cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
                                 "firmware": {"server_threshold": 290}})
@@ -370,35 +384,87 @@ class TestRunMission:
             live, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert live <= 105 * n_samples
-        assert len(traj.samples) == 3 * n_samples
+        assert live <= 70 * n_samples
+        assert len(traj.samples) == 2 * n_samples
+
+
+def record_step_rows(monkeypatch):
+    """Wrap ``flightsim.step`` and return a function that gives the reference
+    rows of the flight flown next, from its flat sample list.
+
+    Each sample gets the heading the state held when ``step`` began the
+    command that flew it, the start sample 0.0.  A sample no ``step`` call
+    added, after the start sample, is a LAND stop and repeats the t before
+    it.  The reference never reads ``Trajectory.headings`` or ``.stops``."""
+    starts = [(0, 0.0)]  # (first sample index, state.heading) per step call
+    spans = []  # (first, end) sample index per step call
+    original = flightsim.step
+
+    def recording(state, *args):
+        first = len(args[-1]) // 2
+        starts.append((first, state.heading))
+        try:
+            return original(state, *args)
+        finally:
+            spans.append((first, len(args[-1]) // 2))
+
+    def reference(samples: list[float]) -> list[tuple[float, float, float, float]]:
+        stops, covered = [], 1  # samples before `covered` are the start sample or stepped
+        for first, end in spans:
+            stops.extend(range(covered, first))
+            covered = end
+        stops.extend(range(covered, len(samples) // 2))
+        return rows(samples, starts, stops)
+
+    monkeypatch.setattr(flightsim, "step", recording)
+    return reference
 
 
 def fly_with_step_headings(monkeypatch, plan: MissionPlan, cfg=CFG, env=CALM) \
         -> tuple[Trajectory, list[tuple[float, float, float, float]]]:
     """Fly ``plan`` and return its trajectory (the partial one when the pack
-    empties) with a reference for its rows: every sample with the heading that
-    the state held when ``step`` began the command that flew it, the start
-    sample with 0.0.  The reference never reads ``Trajectory.headings``."""
-    starts = [(0, 0.0)]  # (first sample index, state.heading) per step call
-    original = flightsim.step
-
-    def recording(state, *args):
-        starts.append((len(args[-1]) // 3, state.heading))
-        return original(state, *args)
-
-    monkeypatch.setattr(flightsim, "step", recording)
+    empties) with the reference rows of ``record_step_rows``."""
+    reference = record_step_rows(monkeypatch)
     try:
         traj = run_mission(plan, cfg, env)
     except BatteryExhaustedError as err:
         traj = err.trajectory
-    return traj, rows(traj.samples, starts)
+    return traj, reference(traj.samples)
+
+
+def yaw_plan(monkeypatch) -> MissionPlan:
+    """Two flights with a yaw at every kind of run boundary: empty runs, a yaw
+    before TAKEOFF, between a LAND and a TAKEOFF and after the last LAND."""
+    # validate wants TAKEOFF first and LAND last; run_mission flies any
+    # order, so the plan can start and end with a yaw
+    monkeypatch.setattr(mission, "validate", lambda plan, ceiling: [])
+    return MissionPlan(commands=(
+        MissionCommand(CONDITION_YAW, p1=45.0),    # before TAKEOFF
+        MissionCommand(TAKEOFF, alt=3.0),
+        MissionCommand(CONDITION_YAW, p1=90.0),
+        MissionCommand(CONDITION_YAW, p1=90.0),    # two in a row: an empty run
+        MissionCommand(DELAY, p1=0.5),
+        MissionCommand(LAND),
+        MissionCommand(CONDITION_YAW, p1=359.9),   # between LAND and a second TAKEOFF
+        MissionCommand(TAKEOFF, alt=2.0),
+        MissionCommand(CONDITION_YAW, p1=-0.0),
+        MissionCommand(DELAY, p1=0.2),
+        MissionCommand(LAND),
+        MissionCommand(CONDITION_YAW, p1=0.0),     # after the last LAND: an empty run
+    ))
 
 
 def reference_csv(table: list[tuple[float, float, float, float]]) -> str:
     """trajectory.csv with every field of every sample formatted on its own."""
     return "t,altitude,vertical_speed,heading\n" \
         + "".join("%.2f,%.4f,%.4f,%.1f\n" % row for row in table)
+
+
+def assert_rows_match(text: str, table: list[tuple[float, float, float, float]]) -> None:
+    """``text`` equals ``reference_csv(table)``, compared line by line: a failure
+    names the first row that differs, where a diff of two whole texts takes
+    minutes on a long flight."""
+    assert text.split("\n") == reference_csv(table).split("\n")
 
 
 def _workloads():
@@ -419,39 +485,19 @@ class TestHeadingRuns:
     every sample's heading on its own."""
 
     def test_yaws_at_every_run_boundary(self, monkeypatch):
-        # validate wants TAKEOFF first and LAND last; run_mission flies any
-        # order, so the plan can start and end with a yaw
-        monkeypatch.setattr(mission, "validate", lambda plan, ceiling: [])
-        plan = MissionPlan(commands=(
-            MissionCommand(CONDITION_YAW, p1=45.0),    # before TAKEOFF
-            MissionCommand(TAKEOFF, alt=3.0),
-            MissionCommand(CONDITION_YAW, p1=90.0),
-            MissionCommand(CONDITION_YAW, p1=90.0),    # two in a row: an empty run
-            MissionCommand(DELAY, p1=0.5),
-            MissionCommand(LAND),
-            MissionCommand(CONDITION_YAW, p1=359.9),   # between LAND and a second TAKEOFF
-            MissionCommand(TAKEOFF, alt=2.0),
-            MissionCommand(CONDITION_YAW, p1=-0.0),
-            MissionCommand(DELAY, p1=0.2),
-            MissionCommand(LAND),
-            MissionCommand(CONDITION_YAW, p1=0.0),     # after the last LAND: an empty run
-        ))
-        traj, table = fly_with_step_headings(monkeypatch, plan)
-        n = len(traj.samples) // 3
+        traj, table = fly_with_step_headings(monkeypatch, yaw_plan(monkeypatch))
+        n = len(traj.samples) // 2
         starts = [start for start, _ in traj.headings]
         assert starts[:2] == [0, 1] and starts[-1] == n
         assert len(set(starts)) < len(starts)  # an empty run inside the flight
         assert {heading for *_, heading in table} == {0.0, 45.0, 90.0, 359.9}
-        assert traj.to_csv() == reference_csv(table)
+        assert_rows_match(csv_text(traj), table)
 
     def test_a_battery_exhausted_partial_trajectory(self, monkeypatch):
-        import dataclasses
-        from asid.airframe import BatterySpec
-        small = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=150.0, c_rate=50.0))
         traj, table = fly_with_step_headings(
-            monkeypatch, generate_sounding_profile(MissionParams()), cfg=small)
+            monkeypatch, generate_sounding_profile(MissionParams()), cfg=SMALL_PACK)
         assert len(traj.headings) > 2  # it yawed before the pack emptied
-        assert traj.to_csv() == reference_csv(table)
+        assert_rows_match(csv_text(traj), table)
 
     @pytest.mark.parametrize("workload", ["paper_sounding", "tall_column", "surface_watch"])
     def test_the_first_soundings_of_each_workload(self, monkeypatch, workload):
@@ -460,7 +506,49 @@ class TestHeadingRuns:
             traj, table = fly_with_step_headings(
                 monkeypatch, generate_sounding_profile(cfg.mission), cfg.airframe,
                 cfg.environment)
-            assert traj.to_csv() == reference_csv(table)
+            assert_rows_match(csv_text(traj), table)
+
+
+class _Writes(list):
+    """A text stream that keeps each write."""
+
+    write = list.append
+
+
+class TestCsvChunks:
+    """to_csv writes CSV_CHUNK_ROWS rows per write.  With a small prime, the
+    seams fall inside heading runs and next to LAND stops; the text must still
+    equal the per-sample reference."""
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["yaw_plan", "battery_exhausted"])
+    def test_chunks_of_7_rows(self, monkeypatch, partial):
+        plan = generate_sounding_profile(MissionParams()) if partial else yaw_plan(monkeypatch)
+        traj, table = fly_with_step_headings(monkeypatch, plan,
+                                             cfg=SMALL_PACK if partial else CFG)
+        assert not partial or sample_rows(traj)[-1][1] > 0.0  # stopped mid-air
+        monkeypatch.setattr(flightsim, "CSV_CHUNK_ROWS", 7)
+        writes = _Writes()
+        traj.to_csv(writes)
+        assert_rows_match("".join(writes), table)
+        rows_per_write = [text.count("\n") for text in writes[1:]]
+        assert rows_per_write[:-1] == [7] * (len(writes) - 2)
+        assert 1 <= rows_per_write[-1] <= 7
+
+    def test_a_seam_on_each_side_of_each_land_stop(self, monkeypatch):
+        traj, table = fly_with_step_headings(monkeypatch, yaw_plan(monkeypatch))
+        assert len(traj.stops) == 2
+        for stop in traj.stops:
+            for chunk in (stop, stop + 1):  # the stop opens a chunk, then closes one
+                monkeypatch.setattr(flightsim, "CSV_CHUNK_ROWS", chunk)
+                assert_rows_match(csv_text(traj), table)
+
+    def test_simulate_writes_the_reference_to_trajectory_csv(self, monkeypatch, tmp_path):
+        from asid import pipeline
+        reference = record_step_rows(monkeypatch)
+        result = pipeline.simulate(config.default_run_config(), tmp_path)
+        table = reference(result.trajectory.samples)
+        assert len(table) > 2 * flightsim.CSV_CHUNK_ROWS  # three chunks
+        assert_rows_match((tmp_path / "trajectory.csv").read_bytes().decode("ascii"), table)
 
 
 class TestAltitudeAt:
@@ -469,10 +557,10 @@ class TestAltitudeAt:
     @pytest.fixture(scope="class")
     def climb(self):
         state = SimState(altitude=2.0, heading=90.0, battery_remaining=5000.0)
-        samples = [0.0, 2.0, 0.0]
+        samples = [2.0, 0.0]
         assert step(state, CFG, 10.0, math.inf, DEADBAND_M, math.inf, samples)
-        return Trajectory(samples=samples, headings=[(0, 90.0)], camera_events=[],
-                          landing_offset=0.0)
+        return Trajectory(samples=samples, headings=[(0, 90.0)], stops=[], duration=state.t,
+                          camera_events=[], landing_offset=0.0)
 
     def test_time_zero_is_the_start_sample(self, climb):
         assert climb.altitude_at(0.0) == sample_rows(climb)[0][1] == 2.0
@@ -498,7 +586,7 @@ class TestTrajectoryExports:
             MissionCommand(LAND),
         ))
         traj = run_mission(plan, CFG, CALM)
-        lines = traj.to_csv().splitlines()
+        lines = csv_text(traj).splitlines()
         assert lines[0] == "t,altitude,vertical_speed,heading"
         assert len(lines) == len(sample_rows(traj)) + 1
 
@@ -529,7 +617,7 @@ class TestTrajectoryExports:
         cfg = config.from_dict(document)
         plan = generate_sounding_profile(cfg.mission)
         traj = run_mission(plan, cfg.airframe, cfg.environment)
-        assert hashlib.sha256(traj.to_csv().encode("ascii")).hexdigest() == csv_sha256
+        assert hashlib.sha256(csv_text(traj).encode("ascii")).hexdigest() == csv_sha256
         assert hashlib.sha256(repr(sample_rows(traj)).encode("ascii")).hexdigest() \
             == samples_sha256
 

@@ -16,7 +16,9 @@ import pytest
 from asid import config, mission
 from asid.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_SIMULATION, main
 from asid.firmware import AIR_LOG, GROUND_LOG, SdCardImage
+from asid.pipeline import run_simulation
 from asid.synclink import AIR_REQUEST_PATH, GROUND_REQUEST_PATH, handle_connection, route
+from asid.wxindices import build_profile
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,6 +152,32 @@ def test_logs_report_or_exit_data_error(name, tmp_path, capsys):
         codes.add(code)
     assert codes == {EXIT_OK, EXIT_DATA}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_every_log_the_device_writes_builds_a_profile():
+    # writer -> reader: below its server threshold the logger raises its
+    # interval one step per row, so with a small step it writes a row on every
+    # poll while the drone holds a level, and pressure noise makes those rows
+    # jitter; the ground station must read what the device writes
+    rng = random.Random(8006)
+    skipped = 0
+    for case in range(16):
+        target = round(rng.uniform(20.0, 60.0), 1)
+        document = {
+            "mission": {"target_alt": target},
+            "firmware": {"interval_step": rng.choice((1.0, 1.5, 2.5, 5.0)),
+                         "server_threshold": round(target - rng.uniform(0.0, 10.0), 2)},
+            "environment": {"rng_seed": case, "sensor_noise": {
+                "temperature": round(rng.uniform(0.0, 0.2), 4),
+                "humidity": round(rng.uniform(0.0, 1.0), 4),
+                "pressure": round(rng.uniform(0.5, 5.0), 4)}},
+        }
+        sd = run_simulation(config.from_dict(document)).sd
+        profile = build_profile(sd.read(AIR_LOG) or b"", sd.read(GROUND_LOG))
+        levels = [level.cal_altitude for level in profile.levels]
+        assert levels == sorted(set(levels)), document
+        skipped += len(profile.skipped)
+    assert skipped > 0  # the list reaches logs whose altitudes do not only climb
 
 
 class _ScriptedTransport:

@@ -94,6 +94,24 @@ def test_simulate_writes_all_outputs(tmp_path):
     assert (tmp_path / GROUND_LOG).read_bytes() == result.sd.read(GROUND_LOG)
 
 
+def test_simulate_peaks_at_100_traced_bytes_per_sample(tmp_path):
+    # the 300 m column of tests/test_flightsim.py (41,084 samples): the
+    # trajectory holds two floats per sample and trajectory.csv is written in
+    # chunks, so no whole-file text or 3n-float tuple is ever held
+    import tracemalloc
+    cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
+                            "firmware": {"server_threshold": 290}})
+    tracemalloc.start()
+    try:
+        result = simulate(cfg, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_samples = 41_084
+    assert len(result.trajectory.samples) == 2 * n_samples
+    assert peak <= 100 * n_samples
+
+
 @pytest.mark.parametrize("document, card_sha256", [
     ({"firmware": {"server_threshold": 3.0}},
      "07a5b6b2c9b89d303197f74aa61126ce2dbf14d749147dbdd997f905c097f8fc"),

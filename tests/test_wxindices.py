@@ -270,10 +270,18 @@ class TestBuildProfileAndReport:
         assert profile.surface.temperature == 15.0
         assert profile.collection_time == datetime(2021, 6, 1, 10, 16, 2)
 
-    def test_shuffled_air_rows_rejected(self):
-        air = _air_blob([(10.06, 14.9), (5.04, 15.0)])
-        with pytest.raises(ProfileError):
-            build_profile(air, GROUND_BLOB)
+    @pytest.mark.parametrize("altitudes, levels, skipped", [
+        ([10.06, 5.04], [10.06], (2,)),                              # shuffled
+        ([5.04, 10.06, 10.02, 10.06, 10.07, 17.88], [5.04, 10.06, 10.07, 17.88], (3, 4)),
+        ([5.04, 10.06, 17.88], [5.04, 10.06, 17.88], ()),           # a climb keeps every row
+    ], ids=["shuffled", "hover_jitter", "monotone"])
+    def test_the_levels_are_the_rows_that_climb(self, altitudes, levels, skipped):
+        # a row at or below an earlier row's altitude leaves the levels and is named
+        air = _air_blob([(altitude, 15.0) for altitude in altitudes])
+        profile = build_profile(air, GROUND_BLOB)
+        assert [l.cal_altitude for l in profile.levels] == levels
+        assert profile.skipped == skipped
+        assert profile.collection_time == datetime(2021, 6, 1, 10, 16, len(altitudes) - 1)
 
     def test_empty_air_gives_surface_only_report(self):
         profile = build_profile(b"", GROUND_BLOB)
