@@ -108,9 +108,11 @@ class SdCardImage:
 
     @classmethod
     def from_dir(cls, path) -> "SdCardImage":
+        """The card in ``path``: the files the device writes, whatever else lies there."""
         directory = Path(path)
-        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
-        return cls(files)
+        present = {entry.name for entry in directory.iterdir() if entry.is_file()}
+        return cls({name: (directory / name).read_bytes()
+                    for name in (AIR_LOG, GROUND_LOG, PHOTO_MANIFEST) if name in present})
 
 
 @dataclass

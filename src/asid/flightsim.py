@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
@@ -34,14 +34,14 @@ DEADBAND_M = 0.2
 DT = 0.01                 # s, integrator step of a mission
 HOVER_CURRENT_A = 20.0    # A, battery draw at the hover throttle
 COMMAND_TIMEOUT_S = 300.0
-CSV_CHUNK_ROWS = 4096     # trajectory.csv rows formatted and written per write call
+CSV_CHUNK_ROWS = 4096     # about the most samples run_mission hands over in one block
 # km/h; above the 408 km/h surface-gust record (Barrow Island, 1996), so it refuses
 # no real wind, and it keeps the landing drift finite
 WIND_LIMIT_KMH = 500.0
 
 
 class BatteryExhaustedError(SimulationError):
-    """Battery ran out mid-flight; carries the truncated trajectory."""
+    """Battery ran out mid-flight; carries the summary of the flight so far."""
 
     def __init__(self, trajectory: "Trajectory"):
         super().__init__("battery exhausted before the plan completed")
@@ -141,7 +141,7 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     (altitude, vertical_speed).  A sample's t is not kept: it is the previous
     sample's t plus DT, which ``Trajectory.to_csv`` adds up again.  The
     heading is not read: it changes only at a yaw command, and
-    ``run_mission`` records it per run of samples.
+    ``run_mission`` hands it over with each block.
 
     The command holds ``target`` until ``end`` or until the altitude is within
     ``band`` of it.  Each pass evaluates the density ratio, runs the
@@ -150,10 +150,11 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     converted from gram-force to Newtons and de-rated by the density ratio,
     and the battery current scales as (throttle / hover throttle)^1.5.  The
     state and the airframe's figures are read into locals once per command,
-    and the state is written back when the command ends.
+    and the state is written back when the call ends.
 
     Returns True when the command is done, and False when the flight must
-    stop: the pack is empty (checked first) or the time passed ``stop``.
+    stop or pause: the pack is empty (checked first) or the time passed
+    ``stop``.
     """
     t, altitude, v, battery = state.t, state.altitude, state.vertical_speed, \
         state.battery_remaining
@@ -190,61 +191,50 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     return done
 
 
-@dataclass
-class Trajectory:
-    """Record of a simulated flight, one sample per DT from the start sample on.
+class Block(NamedTuple):
+    """Samples that ``run_mission`` hands over as the flight goes, all under one heading.
 
-    A sample's t is not stored.  The start sample is at t = 0.0, each later
-    sample is DT after the one before it, and each LAND stop (the ground
-    sample added after a landing) repeats the t of the sample before it.
+    ``samples`` is flat: each sample is two floats, (altitude, vertical_speed).
+    Each sample after the first is DT after the one before it.  The first
+    sample is DT after the last sample of the block before, or, when it is the
+    start sample or a LAND stop (the ground sample added after a landing),
+    repeats that sample's t (0.0 for the start sample).
     """
 
-    samples: list[float]  # flat: sample i is samples[2*i:2*i+2], (altitude, v)
-    # (first sample index, heading) per yaw; a run lasts until the next entry's index
-    headings: list[tuple[int, float]]
-    stops: list[int]  # sample index of each LAND stop
-    duration: float  # s, the last sample's t
-    camera_events: list[CameraEvent]
-    landing_offset: float  # m downwind
+    samples: list[float]
+    heading: float  # deg
+    t: float        # s, the first sample's t
+    end: float      # s, the last sample's t
 
-    @property
-    def max_altitude(self) -> float:
-        return max(self.samples[0::2])
 
-    def altitude_at(self, t: float) -> float:
-        index = min(int(round(t / DT)), len(self.samples) // 2 - 1)
-        return self.samples[2 * max(0, index)]
+CSV_HEADER = "t,altitude,vertical_speed,heading\n"
 
-    def to_csv(self, out: TextIO) -> None:
-        """Write trajectory.csv to ``out``: the header, then CSV_CHUNK_ROWS rows per write.
 
-        t is summed again as ``step`` summed it: DT per sample, 0.0 at the
-        start sample and at each LAND stop (t + 0.0 == t, bit for bit).  Each
-        chunk is one % over its rows, each heading formatted once per run
-        into the rows' format, so no whole-table string or tuple is built.
+@dataclass
+class Trajectory:
+    """Running summary of a flight, kept as ``run_mission`` hands its blocks over."""
+
+    duration: float = 0.0      # s, the t of the last sample handed over
+    max_altitude: float = 0.0  # m, the peak of the samples handed over
+    camera_events: list[CameraEvent] = field(default_factory=list)
+    landing_offset: float = 0.0  # m downwind, set when the flight ends
+
+    @staticmethod
+    def to_csv(out: TextIO, block: Block) -> None:
+        """Write a block's rows of trajectory.csv to ``out`` with one ``%``; the
+        header (CSV_HEADER) is the caller's.
+
+        t is summed again as ``step`` summed it: from the block's first t,
+        DT per sample, so each row's t has the bits of the flight's own.
         """
-        samples, n = self.samples, len(self.samples) // 2
-        runs = [(start, end, "%.2f,%.4f,%.4f," + "%.1f\n" % heading)
-                for (start, heading), end in zip(
-                    self.headings, [start for start, _ in self.headings[1:]] + [n])]
-        zeros = [0] + self.stops  # the samples that add 0.0 to the t before them
-        out.write("t,altitude,vertical_speed,heading\n")
-        t = 0.0
-        for first in range(0, n, CSV_CHUNK_ROWS):
-            last = min(first + CSV_CHUNK_ROWS, n)
-            steps = [DT] * (last - first)
-            for index in zeros:
-                if first <= index < last:
-                    steps[index - first] = 0.0
-            steps[0] += t  # the chunk's sums go on from the t before it
-            row = [0.0] * (3 * (last - first))
-            row[0::3] = accumulate(steps)
-            t = row[-3]
-            row[1::3] = samples[2 * first:2 * last:2]
-            row[2::3] = samples[2 * first + 1:2 * last:2]
-            out.write("".join(fmt * (min(end, last) - max(start, first))
-                              for start, end, fmt in runs
-                              if start < last and end > first) % tuple(row))
+        samples, n = block.samples, len(block.samples) // 2
+        steps = [DT] * n
+        steps[0] = block.t
+        row = [0.0] * (3 * n)
+        row[0::3] = accumulate(steps)
+        row[1::3] = samples[0::2]
+        row[2::3] = samples[1::2]
+        out.write(("%.2f,%.4f,%.4f," + "%.1f\n" % block.heading) * n % tuple(row))
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),
@@ -252,15 +242,21 @@ class Trajectory:
         return json.dumps(events, indent=2) + "\n"
 
 
-def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment) -> Trajectory:
-    """Validate a plan against the service ceiling, fly it and return the
-    sampled trajectory; this is the one place a plan is checked.
+def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment,
+                consume: Callable[[Block], None]) -> Trajectory:
+    """Validate a plan against the service ceiling, fly it, hand its samples to
+    ``consume`` block by block and return the flight's summary; this is the one
+    place a plan is checked.
 
-    Each motion command is one call of ``step``.
+    Each call of ``step`` flies at most CSV_CHUNK_ROWS * DT of one motion
+    command (a longer command takes more calls), and its samples are handed
+    over when it returns, so no sample list outlives its block.  The start
+    sample and each LAND stop lead the next block, which a yaw or the end of
+    the plan hands over on its own.
 
     Raises MissionValidationError for unflyable plans (a plan whose DELAY
     time alone passes the logger clock's limit among them),
-    BatteryExhaustedError (carrying the partial trajectory) when the pack
+    BatteryExhaustedError (carrying the summary so far) when the pack
     empties mid-flight, and SimulationError when a command passes its
     deadline or the flight outlasts the logger clock (CLOCK_LIMIT_MS).
     """
@@ -274,24 +270,32 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         raise mission.MissionValidationError(violations)
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
-    samples = [0.0, 0.0]  # flat, as in Trajectory.samples
-    headings = [(0, 0.0)]
-    stops: list[int] = []
-    events: list[CameraEvent] = []
+    trajectory = Trajectory()
+    samples, first_t = [0.0, 0.0], 0.0  # the block in hand, led by the start sample
 
     def _drift(duration: float) -> float:
         return wind_drift(env.wind, max_progressive_speed(cfg), duration)
+
+    def hand_over() -> None:
+        nonlocal samples
+        trajectory.duration = state.t
+        peak = max(samples[0::2])
+        if peak > trajectory.max_altitude:
+            trajectory.max_altitude = peak
+        consume(Block(samples, state.heading, first_t, state.t))
+        samples = []
 
     target = 0.0
     for cmd in plan.commands:
         kind = cmd.kind
         if kind == mission.CONDITION_YAW:
+            if samples:
+                hand_over()
             state.heading = cmd.p1 % 360.0
-            headings.append((len(samples) // 2, state.heading))
             continue
         if kind == mission.DO_DIGICAM_CONTROL:
-            events.append(CameraEvent(t=state.t, altitude=state.altitude,
-                                      heading=state.heading))
+            trajectory.camera_events.append(CameraEvent(t=state.t, altitude=state.altitude,
+                                                        heading=state.heading))
             continue
         # A motion command holds `target` until `end` (DELAY, no deadline)
         # or until the altitude is within `band` of it (a climb or the
@@ -308,20 +312,29 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             target = cmd.alt
             end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
             overdue = f"{kind} to {target:g} m did not converge"
-        if not step(state, cfg, target, end, band, stop, samples):
+        while True:
+            if not samples:
+                first_t = state.t + DT  # the t step gives its first sample
+            done = step(state, cfg, target, end, band,
+                        min(stop, state.t + CSV_CHUNK_ROWS * DT), samples)
+            if samples:
+                hand_over()
+            if done or state.battery_remaining <= 0.0 or state.t > stop:
+                break
+        if not done:
             if state.battery_remaining <= 0.0:
-                raise BatteryExhaustedError(
-                    Trajectory(samples=samples, headings=headings, stops=stops,
-                               duration=state.t, camera_events=events,
-                               landing_offset=_drift(state.t)))
+                trajectory.landing_offset = _drift(state.t)
+                raise BatteryExhaustedError(trajectory)
             if state.t > limit_s:
                 raise SimulationError(f"flight passed {limit_s:g} s, the logger clock's limit")
             raise SimulationError(overdue)
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            stops.append(len(samples) // 2)
-            samples.extend((0.0, 0.0))
+            samples, first_t = [0.0, 0.0], state.t
 
-    return Trajectory(samples=samples, headings=headings, stops=stops, duration=state.t,
-                      camera_events=events, landing_offset=_drift(state.t))
+    if samples:
+        hand_over()
+    trajectory.landing_offset = _drift(state.t)
+    return trajectory
+

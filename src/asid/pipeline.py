@@ -9,10 +9,12 @@ and buzzes), whichever is longer.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from . import firmware, flightsim, mission
 from .airframe import service_ceiling  # noqa: F401  uncalled; perfbench/tracer.py probes this name
@@ -39,29 +41,70 @@ def _row_count(sd: SdCardImage, name: str) -> int:
     return data.count(b"\r\n") if data else 0
 
 
-def run_simulation(cfg: RunConfig) -> SimulationResult:
-    """Run the full pipeline in memory and return the SD image + trajectory."""
+def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResult:
+    """Run the full pipeline in memory and return the SD image + the flight's summary.
+
+    The logger polls the flight as it is flown: each block ``run_mission``
+    hands over goes to the air loop, and to ``Trajectory.to_csv`` when a
+    ``csv`` stream is given, so no sample outlives its block.  Errors come in
+    the order of a run that flies first and logs after: a flight error wins,
+    then the logger's first error, then one writing ``csv``.
+    """
     env = cfg.environment
     rng = random.Random(env.rng_seed)
 
     plan = mission.generate_sounding_profile(cfg.mission)
     log.info("mission: %d commands", len(plan.commands))
 
-    trajectory = flightsim.run_mission(plan, cfg.airframe, env)
-    if log.isEnabledFor(logging.INFO):  # max_altitude is a pass over every sample
-        log.info("flight: %.1f s, peak %.2f m, %d camera events",
-                 trajectory.duration, trajectory.max_altitude, len(trajectory.camera_events))
-
     sd = SdCardImage()
-    first = flightsim.true_sample(env, 0.0, rng)
-    state = firmware.setup(cfg.firmware, first.pressure)
+    logger_error: Exception | None = None
+    csv_error: OSError | None = None
+    try:
+        first = flightsim.true_sample(env, 0.0, rng)
+        state = firmware.setup(cfg.firmware, first.pressure)
+        # ms, logger clock; the flight starts when the ground rows are written
+        start = clock = firmware.log_ground(
+            state, lambda: flightsim.true_sample(env, 0.0, rng), sd)
+    except Exception as exc:  # held: an error of the flight, still to come, wins
+        logger_error = exc
+    # The count of DT steps to the newest sample handed over (its t is their
+    # sum, so round(t / DT) is the count), and the altitude of the first
+    # sample at that count: a LAND stop repeats the count before it.
+    count, altitude = 0, 0.0
 
-    # ms, logger clock; the flight starts when the ground rows are written
-    start = clock = firmware.log_ground(state, lambda: flightsim.true_sample(env, 0.0, rng), sd)
-    end = start + int(trajectory.duration * 1000.0)
-    while not state.serving and clock <= end:
-        reading = flightsim.true_sample(env, trajectory.altitude_at((clock - start) / 1000.0), rng)
-        clock += max(firmware.tick(state, reading, clock, sd), LOOP_POLL_MS)
+    def consume(block: flightsim.Block) -> None:
+        nonlocal clock, count, altitude, logger_error, csv_error
+        if logger_error is not None:
+            return
+        if csv is not None and csv_error is None:
+            try:
+                flightsim.Trajectory.to_csv(csv, block)
+            except OSError as exc:
+                csv_error = exc
+        samples, last = block.samples, round(block.end / flightsim.DT)
+        limit = start + int(block.end * 1000.0)
+        try:
+            # a poll at t reads the first sample of count round(t / DT); the
+            # block's last `last - count` samples are those of the counts after `count`
+            while not state.serving and clock <= limit:
+                k = round((clock - start) / 1000.0 / flightsim.DT)
+                if k > last:  # not flown yet; the clock test above already implies this
+                    break
+                at = altitude if k <= count else samples[len(samples) - 2 * (last - k) - 2]
+                reading = flightsim.true_sample(env, at, rng)
+                clock += max(firmware.tick(state, reading, clock, sd), LOOP_POLL_MS)
+        except Exception as exc:  # held, as above
+            logger_error = exc
+        if last > count:
+            count, altitude = last, samples[-2]
+
+    trajectory = flightsim.run_mission(plan, cfg.airframe, env, consume)
+    log.info("flight: %.1f s, peak %.2f m, %d camera events",
+             trajectory.duration, trajectory.max_altitude, len(trajectory.camera_events))
+    if logger_error is not None:
+        raise logger_error
+    if csv_error is not None:
+        raise csv_error
 
     sd.append(firmware.PHOTO_MANIFEST, trajectory.camera_manifest().encode("ascii"))
 
@@ -78,11 +121,32 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
 
 def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
-    """Run the pipeline and write the SD image plus trajectory.csv to out_dir;
-    the trajectory is written to the file in chunks, never built whole."""
-    result = run_simulation(cfg)
+    """Run the pipeline and write the SD image plus trajectory.csv to out_dir.
+
+    trajectory.csv is written block by block as the flight goes, under a
+    temporary name renamed on success; a failed run removes it, and the
+    directories it made for it.
+    """
     directory = Path(out_dir)
-    result.sd.to_dir(directory)
-    with (directory / "trajectory.csv").open("w", encoding="ascii") as out:
-        result.trajectory.to_csv(out)
+    made = [path for path in (directory, *directory.parents) if not path.exists()]
+    partial = directory / "trajectory.csv.partial"
+    try:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            csv = partial.open("w", encoding="ascii")
+        except OSError:
+            run_simulation(cfg)  # an error of the run wins, as when the card was written after it
+            raise
+        with csv:
+            csv.write(flightsim.CSV_HEADER)
+            result = run_simulation(cfg, csv)
+        result.sd.to_dir(directory)
+        partial.replace(directory / "trajectory.csv")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            partial.unlink(missing_ok=True)
+        for path in made:  # deepest first; a directory the card went to is kept
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return result

@@ -285,6 +285,42 @@ class TestSimulate:
         assert err.startswith("simulation error: DELAY commands total 1.6e+301 s, past the "
                               "logger clock's 86400 s limit")
 
+    @pytest.mark.parametrize("document, message", [
+        # the noise also fails the logger's first reading: the flight's error wins
+        ({"airframe": {"battery": {"capacity_mah": 150}},
+          "environment": {"sensor_noise": {"pressure": 1e7}}},
+         "simulation error: battery exhausted before the plan completed\n"),
+        ({"environment": {"sensor_noise": {"pressure": 1e7}}},
+         "simulation error: sensor noise drove the pressure to "),
+    ], ids=["battery_and_noise", "noise"])
+    def test_a_failed_run_leaves_no_out_directory(self, document, message, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "c.json", document)
+        out = tmp_path / "new" / "sd"
+        code, err = _exit_code(["simulate", "--config", cfg_path, "--out", str(out)], capsys)
+        assert code == EXIT_SIMULATION
+        assert err.startswith(message)
+        assert not (tmp_path / "new").exists()
+
+    def test_a_failed_run_leaves_an_existing_out_directory_as_it_was(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "c.json",
+                                 {"environment": {"sensor_noise": {"pressure": 1e7}}})
+        out = tmp_path / "sd"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        code, _ = _exit_code(["simulate", "--config", cfg_path, "--out", str(out)], capsys)
+        assert code == EXIT_SIMULATION
+        assert [path.name for path in out.iterdir()] == ["notes.txt"]
+
+    def test_a_run_error_wins_over_an_out_path_that_is_a_file(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "c.json", {"mission": {"target_alt": 7000.0}})
+        out = tmp_path / "sd"
+        out.write_text("not a directory\n")
+        code, err = _exit_code(["simulate", "--config", cfg_path, "--out", str(out)], capsys)
+        assert (code, err.split(":")[0]) == (EXIT_SIMULATION, "simulation error")
+        code, err = _exit_code(["simulate", "--out", str(out)], capsys)
+        assert (code, err.split(":")[0]) == (EXIT_CONFIG, "configuration error")
+        assert out.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("environment", [
         {"surface_temperature": 1e308},
         {"surface_pressure": 1e308},

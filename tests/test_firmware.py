@@ -366,10 +366,18 @@ class TestSdCardImage:
         sd.remove("a.csv")  # removing a missing file is a no-op
 
     def test_dir_round_trip(self, tmp_path):
-        sd = SdCardImage({"x.csv": b"1,\r\n", "photos.json": b"[]"})
+        sd = SdCardImage({"air.csv": b"1,\r\n", "photos.json": b"[]"})
         sd.to_dir(tmp_path)
         loaded = SdCardImage.from_dir(tmp_path)
         assert loaded.files == sd.files
+
+    def test_from_dir_loads_only_the_files_the_device_writes(self, tmp_path):
+        card = {"air.csv": b"1,\r\n", "ground.csv": b"2,\r\n", "photos.json": b"[]"}
+        SdCardImage(card).to_dir(tmp_path)
+        (tmp_path / "trajectory.csv").write_text("t,altitude,vertical_speed,heading\n")
+        (tmp_path / "notes.txt").write_text("not the device's\n")
+        (tmp_path / "sub").mkdir()
+        assert SdCardImage.from_dir(tmp_path).files == card
 
 
 def test_config_validation():

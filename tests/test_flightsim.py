@@ -1,21 +1,24 @@
+import contextlib
 import dataclasses
 import importlib.util
 import io
 import math
 import random
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from asid.airframe import GF_TO_N, BatterySpec, reference_config, service_ceiling, \
     wind_drift, max_progressive_speed
-from asid import config, flightsim, mission
+from asid import config, firmware, flightsim, mission
 from asid.atmosphere import density_ratio
 from asid.flightsim import (
     DEADBAND_M,
     DT,
     BatteryExhaustedError,
+    Block,
     Environment,
     SensorNoise,
     SimState,
@@ -58,15 +61,35 @@ def rows(samples: list[float], headings: list[tuple[int, float]], stops=()) \
             for triple in triples[start:end]]
 
 
-def sample_rows(traj: Trajectory) -> list[tuple[float, float, float, float]]:
-    """A trajectory's samples as (t, altitude, vertical_speed, heading) tuples."""
-    return rows(traj.samples, traj.headings, traj.stops)
+def discard(block: Block) -> None:
+    """A consumer for flights whose samples a test does not read."""
 
 
-def csv_text(traj: Trajectory) -> str:
-    """trajectory.csv as to_csv writes it."""
+def fly(plan: MissionPlan, cfg=CFG, env=CALM) -> tuple[Trajectory, list[Block]]:
+    """Fly ``plan`` and return its summary with the blocks it handed over."""
+    blocks = []
+    return run_mission(plan, cfg, env, blocks.append), blocks
+
+
+def block_rows(blocks: list[Block]) -> list[tuple[float, float, float, float]]:
+    """The blocks' samples as (t, altitude, vertical_speed, heading) tuples, with
+    t summed from each block's first t."""
+    table = []
+    for block in blocks:
+        t = block.t
+        for index, (altitude, v) in enumerate(zip(*[iter(block.samples)] * 2)):
+            if index:
+                t += DT
+            table.append((t, altitude, v, block.heading))
+    return table
+
+
+def csv_text(blocks: list[Block]) -> str:
+    """trajectory.csv as to_csv writes it, block by block."""
     out = io.StringIO()
-    traj.to_csv(out)
+    out.write(flightsim.CSV_HEADER)
+    for block in blocks:
+        Trajectory.to_csv(out, block)
     return out.getvalue()
 
 
@@ -176,14 +199,15 @@ class TestRunMission:
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(LAND),
         ))
-        traj = run_mission(plan, CFG, CALM)
+        traj, blocks = fly(plan)
         assert traj.max_altitude == pytest.approx(10.0, abs=0.2)
-        assert sample_rows(traj)[0][1] == 0.0
-        assert sample_rows(traj)[-1][1] == 0.0
+        assert traj.max_altitude == max(altitude for _, altitude, _, _ in block_rows(blocks))
+        assert block_rows(blocks)[0][1] == 0.0
+        assert block_rows(blocks)[-1][1] == 0.0
 
     def test_generator_plan_camera_events(self):
         plan = generate_sounding_profile(MissionParams(target_alt=35.0))
-        traj = run_mission(plan, CFG, CALM)
+        traj = run_mission(plan, CFG, CALM, discard)
         assert len(traj.camera_events) == 16
         # events cluster at the four capture levels
         levels = sorted(set(round(e.altitude) for e in traj.camera_events))
@@ -191,7 +215,7 @@ class TestRunMission:
 
     def test_altitude_never_exceeds_plan_max(self):
         plan = generate_sounding_profile(MissionParams(target_alt=40.0))
-        traj = run_mission(plan, CFG, CALM)
+        traj = run_mission(plan, CFG, CALM, discard)
         assert traj.max_altitude <= plan.max_altitude + 0.5
 
     def test_battery_monotone_nonincreasing(self):
@@ -210,17 +234,16 @@ class TestRunMission:
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(LAND),
         ))
-        traj = run_mission(plan, CFG, env)
+        traj = run_mission(plan, CFG, env, discard)
         expected = wind_drift(118.0, max_progressive_speed(CFG), traj.duration)
         assert traj.landing_offset == expected
 
     def test_bit_identical_across_runs(self):
         plan = generate_sounding_profile(MissionParams(target_alt=30.0))
-        a = run_mission(plan, CFG, CALM)
-        b = run_mission(plan, CFG, CALM)
-        assert a.samples == b.samples
-        assert a.camera_events == b.camera_events
-        assert a.landing_offset == b.landing_offset
+        a, a_blocks = fly(plan)
+        b, b_blocks = fly(plan)
+        assert a_blocks == b_blocks
+        assert a == b
 
     def test_invalid_plan_rejected(self):
         from asid.mission import MissionValidationError
@@ -229,27 +252,28 @@ class TestRunMission:
             MissionCommand(LAND),
         ))
         with pytest.raises(MissionValidationError):
-            run_mission(plan, CFG, CALM)
+            run_mission(plan, CFG, CALM, discard)
 
     def test_battery_exhaustion_flags_truncated_trajectory(self):
         import dataclasses
         from asid.airframe import BatterySpec
         tiny = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=20.0, c_rate=50.0))
         plan = generate_sounding_profile(MissionParams(target_alt=40.0))
+        blocks = []
         with pytest.raises(BatteryExhaustedError) as err:
-            run_mission(plan, tiny, CALM)
-        trajectory = err.value.trajectory
-        assert trajectory.samples
-        assert sample_rows(trajectory)[-1][1] > 0.0  # stopped mid-air
+            run_mission(plan, tiny, CALM, blocks.append)
+        assert err.value.trajectory.duration == block_rows(blocks)[-1][0]
+        assert block_rows(blocks)[-1][1] > 0.0  # stopped mid-air
 
     def test_battery_exhaustion_between_capture_levels_keeps_the_camera_events(self):
         # a 150 mAh pack empties on the climb from the 10 m to the 20 m level:
         # the partial trajectory carries the four events taken at 10 m
         plan = generate_sounding_profile(MissionParams())
+        blocks = []
         with pytest.raises(BatteryExhaustedError) as err:
-            run_mission(plan, SMALL_PACK, CALM)
+            run_mission(plan, SMALL_PACK, CALM, blocks.append)
         trajectory = err.value.trajectory
-        last_t, last_altitude = sample_rows(trajectory)[-1][:2]
+        last_t, last_altitude = block_rows(blocks)[-1][:2]
         assert 10.0 + DEADBAND_M < last_altitude < 20.0 - DEADBAND_M
         climb = next(i for i, cmd in enumerate(plan.commands)
                      if cmd.kind == WAYPOINT and cmd.alt == 20.0)
@@ -267,13 +291,13 @@ class TestRunMission:
         from asid.airframe import BatterySpec
         tiny = dataclasses.replace(CFG, battery=BatterySpec(capacity_mah=20.0, c_rate=50.0))
         windy = Environment(wind=118.0)  # above max_progressive_speed: the drone drifts
+        blocks = []
         with pytest.raises(BatteryExhaustedError) as err:
-            run_mission(generate_sounding_profile(MissionParams()), tiny, windy)
-        trajectory = err.value.trajectory
-        assert len(trajectory.samples) == 2 * 332
-        assert hashlib.sha256(repr(sample_rows(trajectory)).encode("ascii")).hexdigest() \
+            run_mission(generate_sounding_profile(MissionParams()), tiny, windy, blocks.append)
+        assert len(block_rows(blocks)) == 332
+        assert hashlib.sha256(repr(block_rows(blocks)).encode("ascii")).hexdigest() \
             == "b603ce0e2d89296dfcfc1979ed81a221231bf792d0e38d81c9ea017c9a752e85"
-        assert trajectory.landing_offset == 26.8874374019806
+        assert err.value.trajectory.landing_offset == 26.8874374019806
 
     def test_a_landed_flight_calls_step_once_per_motion_command(self, monkeypatch):
         # the benchmark reads both counts through these module attributes:
@@ -293,11 +317,11 @@ class TestRunMission:
         counted("step")
         counted("density_ratio")
         plan = generate_sounding_profile(MissionParams())
-        traj = run_mission(plan, CFG, CALM)
-        assert sample_rows(traj)[-1][1] == 0.0
+        _, blocks = fly(plan)
+        assert block_rows(blocks)[-1][1] == 0.0
         motion = (TAKEOFF, WAYPOINT, DELAY, LAND)
         assert calls["step"] == sum(cmd.kind in motion for cmd in plan.commands) == 38
-        assert calls["density_ratio"] == len(sample_rows(traj)) - 2
+        assert calls["density_ratio"] == len(block_rows(blocks)) - 2
 
     def test_flight_stops_at_the_logger_clock_limit(self, monkeypatch):
         # a day of simulated flight is 8.6M steps; a 60 s limit shows the same stop.
@@ -309,7 +333,7 @@ class TestRunMission:
             MissionCommand(LAND),
         ))
         with pytest.raises(SimulationError, match="logger clock"):
-            run_mission(plan, CFG, CALM)
+            run_mission(plan, CFG, CALM, discard)
 
     # a DELAY longer than the timeout has no deadline; none may pass the clock limit
     @pytest.mark.parametrize("takeoff_alt, timeout_s, limit_ms, delay_s, message", [
@@ -328,7 +352,7 @@ class TestRunMission:
             MissionCommand(LAND),
         ))
         with pytest.raises(SimulationError, match=message):
-            run_mission(plan, CFG, CALM)
+            run_mission(plan, CFG, CALM, discard)
 
     def test_delay_time_past_the_logger_clock_limit_is_refused_before_flight(self, monkeypatch):
         monkeypatch.setattr(flightsim, "CLOCK_LIMIT_MS", 60_000)
@@ -341,7 +365,7 @@ class TestRunMission:
         ))
         with pytest.raises(MissionValidationError,
                            match="DELAY commands total 60.5 s, past the logger clock's 60 s"):
-            run_mission(plan, CFG, CALM)
+            run_mission(plan, CFG, CALM, discard)
 
     def test_time_to_design_altitude_in_expected_band(self, monkeypatch):
         # full-throttle climb to 20,000 ft takes 4-8 minutes; the pinned floats
@@ -352,84 +376,69 @@ class TestRunMission:
         assert state.t == 276.15999999989384
         assert state.altitude == 6096.056994198126
 
-    def test_a_sample_holds_at_most_115_traced_bytes(self):
-        # the 300 m column of test_csv_bytes_and_sample_bits_are_pinned; a sample
-        # held as a 4-tuple costs ~153 B, four floats of a flat list ~107 B
-        import tracemalloc
-        from asid import config
-        cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
-                                "firmware": {"server_threshold": 290}})
-        plan = generate_sounding_profile(cfg.mission)
-        n_samples = 41_084
-        tracemalloc.start()
-        try:
-            traj = run_mission(plan, cfg.airframe, cfg.environment)
-            live, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert live <= 115 * n_samples
-        assert len(traj.samples) == 2 * n_samples
 
-    def test_a_sample_holds_at_most_70_traced_bytes(self):
-        # the same column: two floats per sample, with t and the heading
-        # summed up or formatted by to_csv, hold ~65.5 B per sample
-        import tracemalloc
-        cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
-                                "firmware": {"server_threshold": 290}})
-        plan = generate_sounding_profile(cfg.mission)
-        n_samples = 41_084
-        tracemalloc.start()
-        try:
-            traj = run_mission(plan, cfg.airframe, cfg.environment)
-            live, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert live <= 70 * n_samples
-        assert len(traj.samples) == 2 * n_samples
+class StepRecorder:
+    """A consumer that keeps a flight's blocks, and a wrapper of ``flightsim.step``
+    that gives the reference rows of the flight flown next.
 
+    Each sample gets the heading the state held when the ``step`` call that
+    flew it began, the start sample 0.0.  A sample no ``step`` call added,
+    after the start sample, is a LAND stop and repeats the t before it.  The
+    reference reads the samples' floats only: never a block's t, end or
+    heading."""
 
-def record_step_rows(monkeypatch):
-    """Wrap ``flightsim.step`` and return a function that gives the reference
-    rows of the flight flown next, from its flat sample list.
+    def __init__(self, monkeypatch):
+        self.blocks: list[Block] = []
+        self.handed = 0  # samples handed over so far
+        self.starts = [(0, 0.0)]  # (first sample index, state.heading) per step call
+        self.spans = []  # (first, end) sample index per step call
+        original = flightsim.step
 
-    Each sample gets the heading the state held when ``step`` began the
-    command that flew it, the start sample 0.0.  A sample no ``step`` call
-    added, after the start sample, is a LAND stop and repeats the t before
-    it.  The reference never reads ``Trajectory.headings`` or ``.stops``."""
-    starts = [(0, 0.0)]  # (first sample index, state.heading) per step call
-    spans = []  # (first, end) sample index per step call
-    original = flightsim.step
+        def recording(state, *args):
+            first = self.handed + len(args[-1]) // 2
+            self.starts.append((first, state.heading))
+            try:
+                return original(state, *args)
+            finally:
+                self.spans.append((first, self.handed + len(args[-1]) // 2))
 
-    def recording(state, *args):
-        first = len(args[-1]) // 2
-        starts.append((first, state.heading))
-        try:
-            return original(state, *args)
-        finally:
-            spans.append((first, len(args[-1]) // 2))
+        monkeypatch.setattr(flightsim, "step", recording)
 
-    def reference(samples: list[float]) -> list[tuple[float, float, float, float]]:
+    def __call__(self, block: Block) -> None:
+        self.blocks.append(block)
+        self.handed += len(block.samples) // 2
+
+    def tee(self, monkeypatch) -> None:
+        """Also receive the blocks of every ``flightsim.run_mission`` called
+        through the module, as ``pipeline`` calls it."""
+        original = flightsim.run_mission
+
+        def teeing(plan, cfg, env, consume):
+            def both(block):
+                self(block)
+                consume(block)
+            return original(plan, cfg, env, both)
+
+        monkeypatch.setattr(flightsim, "run_mission", teeing)
+
+    def reference(self) -> list[tuple[float, float, float, float]]:
+        samples = [value for block in self.blocks for value in block.samples]
         stops, covered = [], 1  # samples before `covered` are the start sample or stepped
-        for first, end in spans:
+        for first, end in self.spans:
             stops.extend(range(covered, first))
             covered = end
         stops.extend(range(covered, len(samples) // 2))
-        return rows(samples, starts, stops)
-
-    monkeypatch.setattr(flightsim, "step", recording)
-    return reference
+        return rows(samples, self.starts, stops)
 
 
 def fly_with_step_headings(monkeypatch, plan: MissionPlan, cfg=CFG, env=CALM) \
-        -> tuple[Trajectory, list[tuple[float, float, float, float]]]:
-    """Fly ``plan`` and return its trajectory (the partial one when the pack
-    empties) with the reference rows of ``record_step_rows``."""
-    reference = record_step_rows(monkeypatch)
-    try:
-        traj = run_mission(plan, cfg, env)
-    except BatteryExhaustedError as err:
-        traj = err.trajectory
-    return traj, reference(traj.samples)
+        -> tuple[list[Block], list[tuple[float, float, float, float]]]:
+    """Fly ``plan`` and return its blocks (up to the empty pack, if it empties)
+    with the reference rows of ``StepRecorder``."""
+    recorder = StepRecorder(monkeypatch)
+    with contextlib.suppress(BatteryExhaustedError):
+        run_mission(plan, cfg, env, recorder)
+    return recorder.blocks, recorder.reference()
 
 
 def yaw_plan(monkeypatch) -> MissionPlan:
@@ -481,32 +490,47 @@ def _workloads():
 
 
 class TestHeadingRuns:
-    """to_csv formats each heading once per run; the text must equal formatting
+    """to_csv formats each block's heading once; the text must equal formatting
     every sample's heading on its own."""
 
     def test_yaws_at_every_run_boundary(self, monkeypatch):
-        traj, table = fly_with_step_headings(monkeypatch, yaw_plan(monkeypatch))
-        n = len(traj.samples) // 2
-        starts = [start for start, _ in traj.headings]
-        assert starts[:2] == [0, 1] and starts[-1] == n
-        assert len(set(starts)) < len(starts)  # an empty run inside the flight
+        blocks, table = fly_with_step_headings(monkeypatch, yaw_plan(monkeypatch))
+        # the yaw before TAKEOFF hands the start sample over alone, and the
+        # end of the plan the last LAND stop
+        assert [len(blocks[0].samples), len(blocks[-1].samples)] == [2, 2]
         assert {heading for *_, heading in table} == {0.0, 45.0, 90.0, 359.9}
-        assert_rows_match(csv_text(traj), table)
+        assert_rows_match(csv_text(blocks), table)
 
     def test_a_battery_exhausted_partial_trajectory(self, monkeypatch):
-        traj, table = fly_with_step_headings(
+        blocks, table = fly_with_step_headings(
             monkeypatch, generate_sounding_profile(MissionParams()), cfg=SMALL_PACK)
-        assert len(traj.headings) > 2  # it yawed before the pack emptied
-        assert_rows_match(csv_text(traj), table)
+        assert len({block.heading for block in blocks}) > 1  # it yawed before the pack emptied
+        assert_rows_match(csv_text(blocks), table)
 
     @pytest.mark.parametrize("workload", ["paper_sounding", "tall_column", "surface_watch"])
     def test_the_first_soundings_of_each_workload(self, monkeypatch, workload):
         for document in _workloads().schedule(workload, seed=1, count=3):
             cfg = config.from_dict(document)
-            traj, table = fly_with_step_headings(
-                monkeypatch, generate_sounding_profile(cfg.mission), cfg.airframe,
-                cfg.environment)
-            assert_rows_match(csv_text(traj), table)
+            with monkeypatch.context() as patch:
+                blocks, table = fly_with_step_headings(
+                    patch, generate_sounding_profile(cfg.mission), cfg.airframe,
+                    cfg.environment)
+            assert_rows_match(csv_text(blocks), table)
+
+
+def two_landings() -> MissionPlan:
+    """A plan that lands in mid-flight: its LAND stops are samples 1165 and 2496."""
+    return MissionPlan(commands=(
+        MissionCommand(TAKEOFF, alt=3.0),
+        MissionCommand(LAND),
+        MissionCommand(TAKEOFF, alt=5.0),
+        MissionCommand(LAND),
+    ))
+
+
+def block_seams(blocks: list[Block]) -> list[int]:
+    """The sample index at which each block begins, then the flight's sample count."""
+    return list(accumulate([0] + [len(block.samples) // 2 for block in blocks]))
 
 
 class _Writes(list):
@@ -516,67 +540,140 @@ class _Writes(list):
 
 
 class TestCsvChunks:
-    """to_csv writes CSV_CHUNK_ROWS rows per write.  With a small prime, the
+    """run_mission hands a motion command over in blocks of about CSV_CHUNK_ROWS
+    samples, and to_csv writes a block with one write.  With a small chunk, the
     seams fall inside heading runs and next to LAND stops; the text must still
     equal the per-sample reference."""
 
     @pytest.mark.parametrize("partial", [False, True], ids=["yaw_plan", "battery_exhausted"])
     def test_chunks_of_7_rows(self, monkeypatch, partial):
         plan = generate_sounding_profile(MissionParams()) if partial else yaw_plan(monkeypatch)
-        traj, table = fly_with_step_headings(monkeypatch, plan,
-                                             cfg=SMALL_PACK if partial else CFG)
-        assert not partial or sample_rows(traj)[-1][1] > 0.0  # stopped mid-air
         monkeypatch.setattr(flightsim, "CSV_CHUNK_ROWS", 7)
+        blocks, table = fly_with_step_headings(monkeypatch, plan,
+                                               cfg=SMALL_PACK if partial else CFG)
+        assert not partial or table[-1][1] > 0.0  # stopped mid-air
         writes = _Writes()
-        traj.to_csv(writes)
-        assert_rows_match("".join(writes), table)
-        rows_per_write = [text.count("\n") for text in writes[1:]]
-        assert rows_per_write[:-1] == [7] * (len(writes) - 2)
-        assert 1 <= rows_per_write[-1] <= 7
+        for block in blocks:
+            Trajectory.to_csv(writes, block)
+        assert_rows_match(flightsim.CSV_HEADER + "".join(writes), table)
+        # a step call passes 7 DT by one step at most, after a start sample or LAND stop
+        rows_per_write = [text.count("\n") for text in writes]
+        assert len(writes) == len(blocks) > len(table) // 9
+        assert max(rows_per_write) <= 9
 
     def test_a_seam_on_each_side_of_each_land_stop(self, monkeypatch):
-        traj, table = fly_with_step_headings(monkeypatch, yaw_plan(monkeypatch))
-        assert len(traj.stops) == 2
-        for stop in traj.stops:
-            for chunk in (stop, stop + 1):  # the stop opens a chunk, then closes one
-                monkeypatch.setattr(flightsim, "CSV_CHUNK_ROWS", chunk)
-                assert_rows_match(csv_text(traj), table)
+        # A LAND stop leads the block after its landing.  The yaw after each
+        # landing of yaw_plan hands it over alone; in two_landings the first
+        # stop leads the second TAKEOFF, cut into blocks of 1, 7 or 4096 DT.
+        for plan, alone in ((yaw_plan(monkeypatch), [True, True]),
+                            (two_landings(), [False, True])):
+            for chunk in (1, 7, flightsim.CSV_CHUNK_ROWS):
+                with monkeypatch.context() as patch:
+                    patch.setattr(flightsim, "CSV_CHUNK_ROWS", chunk)
+                    blocks, table = fly_with_step_headings(patch, plan)
+                stops = [i for i in range(1, len(table)) if table[i][0] == table[i - 1][0]]
+                seams = block_seams(blocks)
+                assert len(stops) == 2 and set(stops) <= set(seams)
+                assert [stop + 1 in seams for stop in stops] == alone
+                assert_rows_match(csv_text(blocks), table)
+
+    def test_a_long_command_takes_blocks_of_chunk_rows(self, monkeypatch):
+        # the 300 m column lands from 300 m, about 2.5 blocks of flight
+        cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]}})
+        plan = generate_sounding_profile(cfg.mission)
+        calls = []
+        step = flightsim.step
+        monkeypatch.setattr(flightsim, "step", lambda *args: calls.append(1) or step(*args))
+        _, blocks = fly(plan, cfg.airframe, cfg.environment)
+        sizes = [len(block.samples) // 2 for block in blocks]
+        assert max(sizes) == flightsim.CSV_CHUNK_ROWS + 1
+        assert sum(sizes) == 41_084
+        motion = sum(cmd.kind in (TAKEOFF, WAYPOINT, DELAY, LAND) for cmd in plan.commands)
+        assert len(calls) > motion
 
     def test_simulate_writes_the_reference_to_trajectory_csv(self, monkeypatch, tmp_path):
         from asid import pipeline
-        reference = record_step_rows(monkeypatch)
-        result = pipeline.simulate(config.default_run_config(), tmp_path)
-        table = reference(result.trajectory.samples)
-        assert len(table) > 2 * flightsim.CSV_CHUNK_ROWS  # three chunks
-        assert_rows_match((tmp_path / "trajectory.csv").read_bytes().decode("ascii"), table)
+        recorder = StepRecorder(monkeypatch)
+        recorder.tee(monkeypatch)
+        pipeline.simulate(config.default_run_config(), tmp_path)
+        assert len(recorder.blocks) > 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "air.csv", "ground.csv", "photos.json", "trajectory.csv"]
+        assert_rows_match((tmp_path / "trajectory.csv").read_bytes().decode("ascii"),
+                          recorder.reference())
+
+
+def record_polls(monkeypatch) -> list[tuple[int, float]]:
+    """(logger clock in ms, altitude read) of each air poll of the next run."""
+    polls, read = [], []
+    true_sample, tick = flightsim.true_sample, firmware.tick
+
+    def reading(env, altitude, rng):
+        read.append(altitude)
+        return true_sample(env, altitude, rng)
+
+    def ticking(state, reading, clock, sd):
+        polls.append((clock, read[-1]))
+        return tick(state, reading, clock, sd)
+
+    monkeypatch.setattr(flightsim, "true_sample", reading)
+    monkeypatch.setattr(firmware, "tick", ticking)
+    return polls
 
 
 class TestAltitudeAt:
-    # a climb from 2 m to 10 m that ends in the air, heading 90, so that no
-    # sample's altitude equals its time, speed or heading
-    @pytest.fixture(scope="class")
-    def climb(self):
-        state = SimState(altitude=2.0, heading=90.0, battery_remaining=5000.0)
-        samples = [2.0, 0.0]
-        assert step(state, CFG, 10.0, math.inf, DEADBAND_M, math.inf, samples)
-        return Trajectory(samples=samples, headings=[(0, 90.0)], stops=[], duration=state.t,
-                          camera_events=[], landing_offset=0.0)
+    """The altitude an air poll reads: at t after the flight began, the first
+    sample whose t, counted as to_csv counts it (a LAND stop repeats the t
+    before it), rounds to t / DT."""
 
-    def test_time_zero_is_the_start_sample(self, climb):
-        assert climb.altitude_at(0.0) == sample_rows(climb)[0][1] == 2.0
+    @staticmethod
+    def polled(monkeypatch, document=None, plan=None):
+        """Polls every 10 ms (ms since the flight began, altitude read) of a
+        run, with the reference altitude of each DT count of its flight."""
+        from asid import pipeline
+        monkeypatch.setattr(pipeline, "LOOP_POLL_MS", 10)
+        if plan is not None:
+            monkeypatch.setattr(mission, "generate_sounding_profile", lambda params: plan)
+        recorder = StepRecorder(monkeypatch)
+        recorder.tee(monkeypatch)
+        polls = record_polls(monkeypatch)
+        result = pipeline.run_simulation(config.from_dict(document or {}))
+        table = recorder.reference()
+        first = {}
+        for t, altitude, _, _ in table:
+            first.setdefault(round(t / DT), altitude)
+        start = polls[0][0]
+        return [(clock - start, altitude) for clock, altitude in polls], table, first, result
 
-    def test_a_mid_flight_time_is_its_own_sample(self, climb):
-        mid = sample_rows(climb)[150]
-        assert climb.altitude_at(mid[0]) == mid[1]
-        assert 2.0 < mid[1] < sample_rows(climb)[151][1]
+    def test_time_zero_is_the_start_sample(self, monkeypatch):
+        polls, table, _, _ = self.polled(monkeypatch)
+        assert polls[0] == (0, table[0][1]) == (0, 0.0)
 
-    def test_past_the_duration_clamps_to_the_last_sample(self, climb):
-        last = sample_rows(climb)[-1]
-        assert climb.duration == last[0]
-        assert climb.altitude_at(climb.duration + 5.0) == last[1] > 10.0 - DEADBAND_M - 0.1
+    def test_a_mid_flight_time_is_its_own_sample(self, monkeypatch):
+        polls, _, first, _ = self.polled(monkeypatch)
+        assert len(polls) > 1000
+        for ms, altitude in polls:
+            assert altitude == first[round(ms / 1000.0 / DT)], ms
 
-    def test_a_negative_time_clamps_to_the_first_sample(self, climb):
-        assert climb.altitude_at(-3.0) == sample_rows(climb)[0][1] == 2.0
+    def test_no_poll_passes_the_duration(self, monkeypatch):
+        # a logger that never serves polls to the end of the flight
+        polls, _, first, result = self.polled(
+            monkeypatch, {"firmware": {"server_threshold": 1000}})
+        end = int(result.trajectory.duration * 1000.0)
+        assert not result.server_started
+        assert end - 10 < polls[-1][0] <= end
+        assert polls[-1][1] == first[round(polls[-1][0] / 1000.0 / DT)]
+
+    def test_a_poll_after_a_land_stop_reads_its_own_sample(self, monkeypatch):
+        polls, table, first, _ = self.polled(monkeypatch, plan=two_landings())
+        stops = [i for i in range(1, len(table)) if table[i][0] == table[i - 1][0]]
+        assert stops == [1165, 2496]
+        # 12.14 s is sample 1215's t: one DT step fewer than its index, for the stop
+        assert round(table[1215][0], 2) == 12.14
+        assert dict(polls)[12140] == table[1215][1] == pytest.approx(0.5928, abs=1e-4)
+        assert table[1214][1] == pytest.approx(0.5746, abs=1e-4)
+        for ms, altitude in polls:
+            assert altitude == first[round(ms / 1000.0 / DT)], ms
 
 
 class TestTrajectoryExports:
@@ -585,15 +682,15 @@ class TestTrajectoryExports:
             MissionCommand(TAKEOFF, alt=10.0),
             MissionCommand(LAND),
         ))
-        traj = run_mission(plan, CFG, CALM)
-        lines = csv_text(traj).splitlines()
+        _, blocks = fly(plan)
+        lines = csv_text(blocks).splitlines()
         assert lines[0] == "t,altitude,vertical_speed,heading"
-        assert len(lines) == len(sample_rows(traj)) + 1
+        assert len(lines) == len(block_rows(blocks)) + 1
 
     def test_camera_manifest_is_json(self):
         import json
         plan = generate_sounding_profile(MissionParams(target_alt=10.0))
-        traj = run_mission(plan, CFG, CALM)
+        traj = run_mission(plan, CFG, CALM, discard)
         events = json.loads(traj.camera_manifest())
         assert len(events) == 4
         assert set(events[0]) == {"t", "altitude", "heading"}
@@ -616,9 +713,9 @@ class TestTrajectoryExports:
         from asid import config
         cfg = config.from_dict(document)
         plan = generate_sounding_profile(cfg.mission)
-        traj = run_mission(plan, cfg.airframe, cfg.environment)
-        assert hashlib.sha256(csv_text(traj).encode("ascii")).hexdigest() == csv_sha256
-        assert hashlib.sha256(repr(sample_rows(traj)).encode("ascii")).hexdigest() \
+        _, blocks = fly(plan, cfg.airframe, cfg.environment)
+        assert hashlib.sha256(csv_text(blocks).encode("ascii")).hexdigest() == csv_sha256
+        assert hashlib.sha256(repr(block_rows(blocks)).encode("ascii")).hexdigest() \
             == samples_sha256
 
     @pytest.mark.parametrize("document, air_sha256, ground_sha256", [

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from asid import config
-from asid.firmware import AIR_LOG, GROUND_LOG, INTERVAL_START_M, PHOTO_MANIFEST
+from asid.firmware import AIR_LOG, GROUND_LOG, INTERVAL_START_M, PHOTO_MANIFEST, \
+    SimulationError
+from asid.flightsim import BatteryExhaustedError
 from asid.pipeline import run_simulation, simulate
 
 
@@ -94,22 +96,49 @@ def test_simulate_writes_all_outputs(tmp_path):
     assert (tmp_path / GROUND_LOG).read_bytes() == result.sd.read(GROUND_LOG)
 
 
-def test_simulate_peaks_at_100_traced_bytes_per_sample(tmp_path):
-    # the 300 m column of tests/test_flightsim.py (41,084 samples): the
-    # trajectory holds two floats per sample and trajectory.csv is written in
-    # chunks, so no whole-file text or 3n-float tuple is ever held
+def test_simulate_peaks_flat_as_the_flight_grows(tmp_path):
+    # The default plan (a 100 Ah pack) at a 3 s and a 50 s capture_dwell:
+    # 11,232 and 86,444 samples.  The flight is handed over in blocks of at
+    # most about CSV_CHUNK_ROWS samples, so the peaks differ by the largest
+    # block only (1,185 samples against CSV_CHUNK_ROWS + 1), at ~190 B a
+    # sample with its trajectory.csv rows; holding the flight, as a sample
+    # list, costs ~80 B for each of the 75,212 samples more (+4.8 MB).
     import tracemalloc
-    cfg = config.from_dict({"mission": {"target_alt": 300, "headings": [90]},
-                            "firmware": {"server_threshold": 290}})
-    tracemalloc.start()
-    try:
-        result = simulate(cfg, tmp_path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    n_samples = 41_084
-    assert len(result.trajectory.samples) == 2 * n_samples
-    assert peak <= 100 * n_samples
+    from asid import flightsim
+    peaks = []
+    for dwell in (3.0, 50.0):
+        cfg = config.from_dict({"airframe": {"battery": {"capacity_mah": 100_000.0}},
+                                "mission": {"capture_dwell": dwell}})
+        tracemalloc.start()
+        try:
+            result = simulate(cfg, tmp_path / str(dwell))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        assert result.trajectory.duration == pytest.approx(
+            {3.0: 112.30, 50.0: 864.42}[dwell], abs=0.01)
+    assert peaks[1] - peaks[0] <= 200 * flightsim.CSV_CHUNK_ROWS
+
+
+class _FullDisk:
+    """A text stream whose every write fails, as on a full disk."""
+
+    def write(self, text: str) -> int:
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("document, error", [
+    ({}, OSError),
+    ({"airframe": {"battery": {"capacity_mah": 150}}}, BatteryExhaustedError),
+    ({"environment": {"sensor_noise": {"pressure": 1e7}}}, SimulationError),
+], ids=["write", "flight", "logger"])
+def test_a_failed_csv_write_is_raised_after_the_flight_and_the_logger(document, error):
+    # trajectory.csv is written as the flight goes, yet its error comes last,
+    # as when the file was written after the run
+    with pytest.raises(Exception) as raised:
+        run_simulation(config.from_dict(document), _FullDisk())
+    assert type(raised.value) is error
 
 
 @pytest.mark.parametrize("document, card_sha256", [
