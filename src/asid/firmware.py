@@ -170,8 +170,9 @@ def arduino_print_float(value: float, decimals: int) -> str:
     """Fixed-decimal rendering, ties away from zero, as the device prints floats.
 
     Like Print::printFloat, non-finite values print as "nan"/"inf" and
-    magnitudes above 4294967040 as "ovf".
+    magnitudes above 4294967040 as "ovf", and only a value below 0.0 gets a "-".
     """
+    value += 0.0  # turns only -0.0 into 0.0
     if _printf_exact(value, decimals):
         return "%.*f" % (decimals, value)
     if not abs(value) <= ARDUINO_FLOAT_LIMIT:
@@ -215,12 +216,13 @@ def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
     date, time, t, h, hi, p, a = row
     lim = ARDUINO_FLOAT_LIMIT
-    # _printf_exact on each field, inlined: one range check, one tie check
+    # _printf_exact on each field, inlined; + 0.0 turns only -0.0 into 0.0
     if -lim <= t <= lim and -lim <= h <= lim and -lim <= hi <= lim and -lim <= p <= lim \
             and -lim <= a <= lim and not 4.99 < t * 100.0 % 10.0 < 5.01 \
             and not 4.99 < h * 100.0 % 10.0 < 5.01 and not 4.99 < hi * 100.0 % 10.0 < 5.01 \
             and not 4.99 < p * 1000.0 % 10.0 < 5.01 and not 4.99 < a * 1000.0 % 10.0 < 5.01:
-        text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % row
+        text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % (date, time, t + 0.0, h + 0.0,
+                                                        hi + 0.0, p + 0.0, a + 0.0)
     else:
         parts = (date, time, arduino_print_float(t, 1), arduino_print_float(h, 1),
                  arduino_print_float(hi, 1), arduino_print_float(p, 2),

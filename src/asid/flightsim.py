@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, TextIO
 
 from . import mission
@@ -138,8 +138,8 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     one function that advances altitude, speed, battery and time.
 
     ``samples`` is flat: each sample is two floats, extended in the order
-    (altitude, vertical_speed).  A sample's t is not kept: it is the previous
-    sample's t plus DT, which ``Trajectory.to_csv`` adds up again.  The
+    (altitude, vertical_speed).  A sample's t is not kept: it is DT after the
+    sample before, and ``run_mission`` counts those steps in ``Block.count``.  The
     heading is not read: it changes only at a yaw command, and
     ``run_mission`` hands it over with each block.
 
@@ -195,16 +195,15 @@ class Block(NamedTuple):
     """Samples that ``run_mission`` hands over as the flight goes, all under one heading.
 
     ``samples`` is flat: each sample is two floats, (altitude, vertical_speed).
-    Each sample after the first is DT after the one before it.  The first
-    sample is DT after the last sample of the block before, or, when it is the
+    Sample i is ``count + i`` DT steps after the start: the first sample is
+    one step after the last sample of the block before, or, when it is the
     start sample or a LAND stop (the ground sample added after a landing),
-    repeats that sample's t (0.0 for the start sample).
+    repeats that sample's count (0 for the start sample).
     """
 
     samples: list[float]
     heading: float  # deg
-    t: float        # s, the first sample's t
-    end: float      # s, the last sample's t
+    count: int      # DT steps from the start to the first sample
 
 
 CSV_HEADER = "t,altitude,vertical_speed,heading\n"
@@ -224,14 +223,13 @@ class Trajectory:
         """Write a block's rows of trajectory.csv to ``out`` with one ``%``; the
         header (CSV_HEADER) is the caller's.
 
-        t is summed again as ``step`` summed it: from the block's first t,
-        DT per sample, so each row's t has the bits of the flight's own.
+        The first row's t is the block's count times DT, and each later row
+        adds DT (faster than a product per row): within 1e-4 s of the t ``step``
+        sums, up to the logger clock's limit, so ``%.2f`` prints the same digits.
         """
         samples, n = block.samples, len(block.samples) // 2
-        steps = [DT] * n
-        steps[0] = block.t
         row = [0.0] * (3 * n)
-        row[0::3] = accumulate(steps)
+        row[0::3] = accumulate(repeat(DT, n - 1), initial=block.count * DT)
         row[1::3] = samples[0::2]
         row[2::3] = samples[1::2]
         out.write(("%.2f,%.4f,%.4f," + "%.1f\n" % block.heading) * n % tuple(row))
@@ -271,18 +269,19 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
     trajectory = Trajectory()
-    samples, first_t = [0.0, 0.0], 0.0  # the block in hand, led by the start sample
+    samples, first = [0.0, 0.0], 0  # the block in hand, led by the start sample; its count
 
     def _drift(duration: float) -> float:
         return wind_drift(env.wind, max_progressive_speed(cfg), duration)
 
     def hand_over() -> None:
-        nonlocal samples
+        nonlocal samples, first
         trajectory.duration = state.t
         peak = max(samples[0::2])
         if peak > trajectory.max_altitude:
             trajectory.max_altitude = peak
-        consume(Block(samples, state.heading, first_t, state.t))
+        consume(Block(samples, state.heading, first))
+        first += len(samples) // 2
         samples = []
 
     target = 0.0
@@ -313,8 +312,6 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
             overdue = f"{kind} to {target:g} m did not converge"
         while True:
-            if not samples:
-                first_t = state.t + DT  # the t step gives its first sample
             done = step(state, cfg, target, end, band,
                         min(stop, state.t + CSV_CHUNK_ROWS * DT), samples)
             if samples:
@@ -331,7 +328,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            samples, first_t = [0.0, 0.0], state.t
+            samples, first = [0.0, 0.0], first - 1
 
     if samples:
         hand_over()

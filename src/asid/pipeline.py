@@ -2,9 +2,10 @@
 
 The logger writes its ground rows in one pass while the drone sits at
 altitude 0; the flight starts on the logger clock when that pass ends, so
-the air phase samples the mission trajectory.  The air loop is polled every
-100 ms of simulated time, or after the time each poll blocks (its delays
-and buzzes), whichever is longer.
+the air phase samples the mission trajectory: a poll t s into the flight
+reads the first sample that is round(t / DT) integrator steps from the
+start.  The air loop is polled every 100 ms of simulated time, or after the
+time each poll blocks (its delays and buzzes), whichever is longer.
 """
 
 from __future__ import annotations
@@ -67,13 +68,9 @@ def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResul
             state, lambda: flightsim.true_sample(env, 0.0, rng), sd)
     except Exception as exc:  # held: an error of the flight, still to come, wins
         logger_error = exc
-    # The count of DT steps to the newest sample handed over (its t is their
-    # sum, so round(t / DT) is the count), and the altitude of the first
-    # sample at that count: a LAND stop repeats the count before it.
-    count, altitude = 0, 0.0
 
     def consume(block: flightsim.Block) -> None:
-        nonlocal clock, count, altitude, logger_error, csv_error
+        nonlocal clock, logger_error, csv_error
         if logger_error is not None:
             return
         if csv is not None and csv_error is None:
@@ -81,22 +78,16 @@ def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResul
                 flightsim.Trajectory.to_csv(csv, block)
             except OSError as exc:
                 csv_error = exc
-        samples, last = block.samples, round(block.end / flightsim.DT)
-        limit = start + int(block.end * 1000.0)
         try:
-            # a poll at t reads the first sample of count round(t / DT); the
-            # block's last `last - count` samples are those of the counts after `count`
-            while not state.serving and clock <= limit:
-                k = round((clock - start) / 1000.0 / flightsim.DT)
-                if k > last:  # not flown yet; the clock test above already implies this
+            # an earlier block held the counts before this block's first
+            while not state.serving:
+                index = 2 * (round((clock - start) / 1000.0 / flightsim.DT) - block.count)
+                if index >= len(block.samples):  # not flown yet
                     break
-                at = altitude if k <= count else samples[len(samples) - 2 * (last - k) - 2]
-                reading = flightsim.true_sample(env, at, rng)
+                reading = flightsim.true_sample(env, block.samples[index], rng)
                 clock += max(firmware.tick(state, reading, clock, sd), LOOP_POLL_MS)
         except Exception as exc:  # held, as above
             logger_error = exc
-        if last > count:
-            count, altitude = last, samples[-2]
 
     trajectory = flightsim.run_mission(plan, cfg.airframe, env, consume)
     log.info("flight: %.1f s, peak %.2f m, %d camera events",
@@ -125,7 +116,8 @@ def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
 
     trajectory.csv is written block by block as the flight goes, under a
     temporary name renamed on success; a failed run removes it, and the
-    directories it made for it.
+    directories it made for it.  An error writing or closing it is raised
+    only when the run itself raised nothing.
     """
     directory = Path(out_dir)
     made = [path for path in (directory, *directory.parents) if not path.exists()]
@@ -137,9 +129,14 @@ def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
         except OSError:
             run_simulation(cfg)  # an error of the run wins, as when the card was written after it
             raise
-        with csv:
+        try:
             csv.write(flightsim.CSV_HEADER)
             result = run_simulation(cfg, csv)
+        except BaseException:
+            with contextlib.suppress(OSError):  # a csv write error, which the run's wins over
+                csv.close()
+            raise
+        csv.close()  # flushes: a full disk may raise here as a write would
         result.sd.to_dir(directory)
         partial.replace(directory / "trajectory.csv")
     except BaseException:

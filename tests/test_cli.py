@@ -301,6 +301,26 @@ class TestSimulate:
         assert err.startswith(message)
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("document, code, message", [
+        ({"airframe": {"battery": {"capacity_mah": 150}}}, EXIT_SIMULATION,
+         "simulation error: battery exhausted before the plan completed\n"),
+        ({"environment": {"sensor_noise": {"pressure": 1e7}}}, EXIT_SIMULATION,
+         "simulation error: sensor noise drove the pressure to "),
+        ({}, EXIT_CONFIG, "configuration error: [Errno 28] No space left on device\n"),
+    ], ids=["battery", "noise", "default"])
+    def test_a_full_disk_at_the_csv_close_loses_to_the_run_error(self, document, code,
+                                                                  message, tmp_path, capsys):
+        # closing trajectory.csv flushes its last rows, and /dev/full refuses them
+        cfg_path = _write_config(tmp_path / "c.json", document)
+        out = tmp_path / "sd"
+        out.mkdir()
+        (out / "trajectory.csv.partial").symlink_to("/dev/full")
+        got, err = _exit_code(["simulate", "--config", cfg_path, "--out", str(out)], capsys)
+        assert got == code
+        assert err.startswith(message)
+        assert list(out.iterdir()) == []
+
     def test_a_failed_run_leaves_an_existing_out_directory_as_it_was(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.json",
                                  {"environment": {"sensor_noise": {"pressure": 1e7}}})

@@ -182,6 +182,15 @@ class TestRowFormat:
         assert arduino_print_float(-4294967041.0, 2) == "ovf"
         assert arduino_print_float(4294967040.0, 2) == "4294967040.00"
 
+    @pytest.mark.parametrize("value, one, two", [
+        (-0.0, "0.0", "0.00"), (-0.04, "-0.0", "-0.04"), (-0.004, "-0.0", "-0.00"),
+    ])
+    def test_the_sign_prints_only_below_zero(self, value, one, two):
+        # printFloat prints "-" when number < 0.0, and -0.0 is not below zero
+        assert (arduino_print_float(value, 1), arduino_print_float(value, 2)) == (one, two)
+        row = LogRow("01.06.2021", "10:15:30", *[value] * 5)
+        assert format_row(row).decode() == f"01.06.2021,10:15:30,{one},{one},{one},{two},{two},\r\n"
+
     def test_fixed_decimals_keep_trailing_zeros(self):
         assert arduino_print_float(1013.2, 2) == "1013.20"
         assert arduino_print_float(5.0, 2) == "5.00"
@@ -194,7 +203,8 @@ class TestRowFormat:
 
 
 def _reference_print(value, decimals):
-    """The device's printFloat: repr rounded half up, or nan/inf/ovf."""
+    """The device's printFloat: nan/inf/ovf, or "-" for a value below 0.0 and
+    then its magnitude's repr rounded half up."""
     if math.isnan(value):
         return "nan"
     if math.isinf(value):
@@ -202,7 +212,8 @@ def _reference_print(value, decimals):
     if abs(value) > ARDUINO_FLOAT_LIMIT:
         return "ovf"
     quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return ("-" if value < 0.0 else "") \
+        + str(Decimal(repr(abs(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def _printer_cases():

@@ -73,13 +73,13 @@ def fly(plan: MissionPlan, cfg=CFG, env=CALM) -> tuple[Trajectory, list[Block]]:
 
 def block_rows(blocks: list[Block]) -> list[tuple[float, float, float, float]]:
     """The blocks' samples as (t, altitude, vertical_speed, heading) tuples, with
-    t summed from each block's first t."""
-    table = []
+    t summed as ``step`` sums it: DT for each count from 0.0."""
+    table, t, count = [], 0.0, 0
     for block in blocks:
-        t = block.t
         for index, (altitude, v) in enumerate(zip(*[iter(block.samples)] * 2)):
-            if index:
+            for _ in range(block.count + index - count):
                 t += DT
+            count = block.count + index
             table.append((t, altitude, v, block.heading))
     return table
 
@@ -384,7 +384,7 @@ class StepRecorder:
     Each sample gets the heading the state held when the ``step`` call that
     flew it began, the start sample 0.0.  A sample no ``step`` call added,
     after the start sample, is a LAND stop and repeats the t before it.  The
-    reference reads the samples' floats only: never a block's t, end or
+    reference reads the samples' floats only: never a block's count or
     heading."""
 
     def __init__(self, monkeypatch):
@@ -623,8 +623,8 @@ def record_polls(monkeypatch) -> list[tuple[int, float]]:
 
 class TestAltitudeAt:
     """The altitude an air poll reads: at t after the flight began, the first
-    sample whose t, counted as to_csv counts it (a LAND stop repeats the t
-    before it), rounds to t / DT."""
+    sample whose count of DT steps (a LAND stop repeats the count before it)
+    is round(t / DT)."""
 
     @staticmethod
     def polled(monkeypatch, document=None, plan=None):
@@ -663,6 +663,19 @@ class TestAltitudeAt:
         assert not result.server_started
         assert end - 10 < polls[-1][0] <= end
         assert polls[-1][1] == first[round(polls[-1][0] / 1000.0 / DT)]
+
+    def test_a_poll_at_the_last_sample_s_own_time_reads_it(self, monkeypatch):
+        # the summed duration falls 8e-11 s short of count 25,200; the poll
+        # at 252,000 ms still reads the last flown sample, whose count the
+        # LAND stop after it repeats
+        polls, table, first, result = self.polled(monkeypatch, {
+            "mission": {"target_alt": 40.49255549501995, "start_alt": 2.613149932291292,
+                        "step": 3.3487957617931423, "capture_dwell": 2.240865919101601},
+            "firmware": {"server_threshold": 1000}})
+        assert not result.server_started
+        assert result.trajectory.duration == 251.9999999999158
+        assert round(table[-1][0] / DT) == 25_200
+        assert polls[-1] == (252_000, first[25_200]) == (252_000, table[-2][1])
 
     def test_a_poll_after_a_land_stop_reads_its_own_sample(self, monkeypatch):
         polls, table, first, _ = self.polled(monkeypatch, plan=two_landings())
