@@ -145,36 +145,14 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
     return FirmwareState(cfg, mslp, INTERVAL_START_M, day_us, dates)
 
 
-def _printf_exact(value: float, decimals: int) -> bool:
-    """True when "%.*f" surely prints ``value`` as the device does.
-
-    "%.*f" rounds the exact binary value, the device rounds ``repr(value)``
-    half up.  The two differ only when ``repr(value)`` is itself a tie
-    (``decimals + 1`` fraction digits, the last one 5): a rounding boundary
-    strictly between the value and its repr would be a shorter round-trip
-    string.  The test is conservative: it may flag a value that is not a
-    tie, never passes one.  It flags every value whose scaled remainder
-    ``value * 10**(decimals + 1) % 10`` lies within 0.01 of 5.  A tie lies
-    within half an ulp of its repr k / 10**(decimals + 1), k ending in 5;
-    up to ARDUINO_FLOAT_LIMIT (ulp <= 2**-20) and at ``decimals`` <= 2 that
-    half ulp scaled, plus the rounding of the product, keeps the remainder
-    within 1e-3 of 5.  More decimals, non-finite values and "ovf" are
-    flagged too.
-    """
-    if not -ARDUINO_FLOAT_LIMIT <= value <= ARDUINO_FLOAT_LIMIT or decimals > 2:  # NaN too
-        return False
-    return not 4.99 < value * 10.0 ** (decimals + 1) % 10.0 < 5.01
-
-
 def arduino_print_float(value: float, decimals: int) -> str:
     """Fixed-decimal rendering, ties away from zero, as the device prints floats.
 
     Like Print::printFloat, non-finite values print as "nan"/"inf" and
     magnitudes above 4294967040 as "ovf", and only a value below 0.0 gets a "-".
+    format_row prints with it the rows that its tie test flags.
     """
     value += 0.0  # turns only -0.0 into 0.0
-    if _printf_exact(value, decimals):
-        return "%.*f" % (decimals, value)
     if not abs(value) <= ARDUINO_FLOAT_LIMIT:
         return "nan" if math.isnan(value) else "inf" if math.isinf(value) else "ovf"
     quantum = Decimal(1).scaleb(-decimals)
@@ -216,7 +194,17 @@ def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
     date, time, t, h, hi, p, a = row
     lim = ARDUINO_FLOAT_LIMIT
-    # _printf_exact on each field, inlined; + 0.0 turns only -0.0 into 0.0
+    # The tie test: "%.*f" surely prints a field as the device does unless
+    # the field lies past the limit (NaN too), or its scaled remainder
+    # x * 10**(d + 1) % 10 lies within 0.01 of 5.  "%.*f" rounds the exact
+    # binary value, the device rounds repr(x) half up.  The two differ only
+    # when repr(x) is itself a tie (d + 1 fraction digits, the last one 5):
+    # a rounding boundary strictly between x and its repr would be a shorter
+    # round-trip string.  A tie lies within half an ulp of its repr
+    # k / 10**(d + 1), k ending in 5; up to the limit (ulp <= 2**-20) and at
+    # d <= 2 that half ulp scaled, plus the rounding of the product, keeps
+    # the remainder within 1e-3 of 5.  The test may flag a field that is not
+    # a tie, never passes one.  + 0.0 turns only -0.0 into 0.0.
     if -lim <= t <= lim and -lim <= h <= lim and -lim <= hi <= lim and -lim <= p <= lim \
             and -lim <= a <= lim and not 4.99 < t * 100.0 % 10.0 < 5.01 \
             and not 4.99 < h * 100.0 % 10.0 < 5.01 and not 4.99 < hi * 100.0 % 10.0 < 5.01 \

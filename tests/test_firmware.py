@@ -236,7 +236,7 @@ def _printer_cases():
 
 
 class TestFastPrinter:
-    """The "%.*f" printer and the one-string row against the Decimal reference."""
+    """The exact printer and the one-string row against the Decimal reference."""
 
     @pytest.mark.parametrize("decimals", [1, 2])
     def test_matches_the_decimal_reference(self, decimals):
@@ -263,10 +263,10 @@ def _is_repr_tie(value, decimals):
 
 
 class TestTieSoundness:
-    """The fast printer's tie test may flag non-ties but never passes a tie."""
+    """format_row's tie test may send non-ties to the exact printer, never passes a tie."""
 
     @pytest.mark.parametrize("decimals", [1, 2])
-    def test_no_tie_passes_up_to_the_limit(self, decimals):
+    def test_no_tie_passes_up_to_the_limit(self, decimals, monkeypatch):
         rng = random.Random(1500 + decimals)
         scale = 10 ** (decimals + 1)
         top = (int(ARDUINO_FLOAT_LIMIT) * scale - 5) // 10  # the largest tie is 10 * top + 5
@@ -274,16 +274,40 @@ class TestTieSoundness:
         ties = [float(f"{sign}{10 * m + 5}e-{decimals + 1}") for m in tens for sign in "+-"]
         assert min(map(abs, ties)) == 5 / scale
         assert all(abs(x) <= ARDUINO_FLOAT_LIMIT and _is_repr_tie(x, decimals) for x in ties)
-        assert [x for x in ties if firmware._printf_exact(x, decimals)] == []
+        printer = firmware.arduino_print_float
+        printed = []
+
+        def record(value, places):
+            printed.append((value, places))
+            return printer(value, places)
+
+        monkeypatch.setattr(firmware, "arduino_print_float", record)
+        positions = (0, 1, 2) if decimals == 1 else (3, 4)  # the fields of this many decimals
+
+        def passes(value):
+            """Whether format_row prints a row with ``value`` in one of its fields
+            of ``decimals`` places with "%" instead of the exact printer."""
+            passed = False
+            for position in positions:
+                fields = [1.0] * 5
+                fields[position] = value
+                printed.clear()
+                format_row(LogRow("01.06.2021", "10:15:30", *fields))
+                assert printed == [] or (value, decimals) in printed
+                passed = passed or not printed
+            return passed
+
+        assert [x for x in ties if passes(x)] == []
+        past = [math.nextafter(ARDUINO_FLOAT_LIMIT, math.inf),
+                math.nextafter(-ARDUINO_FLOAT_LIMIT, -math.inf),
+                1e300, -1e300, math.inf, -math.inf, math.nan]
+        assert [x for x in past if passes(x)] == []
         # the values next to a tie and to the limit are no ties: where the
         # test passes them, "%.*f" must print them as the device does
         neighbours = [math.nextafter(x, direction) for direction in (-math.inf, math.inf)
                       for x in ties + [ARDUINO_FLOAT_LIMIT, -ARDUINO_FLOAT_LIMIT]]
-        assert [x for x in neighbours if firmware._printf_exact(x, decimals)
+        assert [x for x in neighbours if passes(x)
                 and "%.*f" % (decimals, x) != _reference_print(x, decimals)] == []
-        assert not firmware._printf_exact(math.nextafter(ARDUINO_FLOAT_LIMIT, math.inf), decimals)
-        assert not firmware._printf_exact(math.nextafter(-ARDUINO_FLOAT_LIMIT, -math.inf),
-                                          decimals)
 
 
 def test_card_bytes_of_five_thousand_ground_rows_are_pinned(monkeypatch):
