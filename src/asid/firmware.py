@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -146,17 +145,28 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
 
 
 def arduino_print_float(value: float, decimals: int) -> str:
-    """Fixed-decimal rendering, ties away from zero, as the device prints floats.
+    """Fixed-decimal rendering, step by step as the device's Print::printFloat.
 
-    Like Print::printFloat, non-finite values print as "nan"/"inf" and
-    magnitudes above 4294967040 as "ovf", and only a value below 0.0 gets a "-".
+    Non-finite values print as "nan"/"inf" and magnitudes above 4294967040 as
+    "ovf"; only a value below 0.0 gets a "-".  The rounding, 0.5 divided by
+    10.0 once per decimal, is added to the magnitude in double; the integer
+    part prints, then each digit is peeled off by *= 10.0 and truncation.
     format_row prints with it the rows that its tie test flags.
     """
-    value += 0.0  # turns only -0.0 into 0.0
     if not abs(value) <= ARDUINO_FLOAT_LIMIT:
         return "nan" if math.isnan(value) else "inf" if math.isinf(value) else "ovf"
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    rounding = 0.5
+    for _ in range(decimals):
+        rounding /= 10.0
+    number = abs(value) + rounding
+    text = ("-" if value < 0.0 else "") + str(int(number)) + ("." if decimals > 0 else "")
+    remainder = number - int(number)
+    for _ in range(decimals):
+        remainder *= 10.0
+        digit = int(remainder)
+        text += str(digit)
+        remainder -= digit
+    return text
 
 
 def _checked_hpa(state: FirmwareState, humidity: float, pressure_pa: float,
@@ -194,17 +204,16 @@ def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
     date, time, t, h, hi, p, a = row
     lim = ARDUINO_FLOAT_LIMIT
-    # The tie test: "%.*f" surely prints a field as the device does unless
-    # the field lies past the limit (NaN too), or its scaled remainder
-    # x * 10**(d + 1) % 10 lies within 0.01 of 5.  "%.*f" rounds the exact
-    # binary value, the device rounds repr(x) half up.  The two differ only
-    # when repr(x) is itself a tie (d + 1 fraction digits, the last one 5):
-    # a rounding boundary strictly between x and its repr would be a shorter
-    # round-trip string.  A tie lies within half an ulp of its repr
-    # k / 10**(d + 1), k ending in 5; up to the limit (ulp <= 2**-20) and at
-    # d <= 2 that half ulp scaled, plus the rounding of the product, keeps
-    # the remainder within 1e-3 of 5.  The test may flag a field that is not
-    # a tie, never passes one.  + 0.0 turns only -0.0 into 0.0.
+    # The tie test, the only one: "%" prints a field as the device does
+    # unless the field lies past the limit (NaN too) or its scaled remainder
+    # x * 10**(d + 1) % 10 lies within 0.01 of 5, that is, x lies within
+    # 10**-(d + 3) of a tie (m + 1/2) / 10**d.  "%" rounds the exact binary
+    # value; printFloat adds its rounding in double and truncates, so the two
+    # differ only where that sum's rounding error (below 2**-20 up to the
+    # limit) reaches across a tie.  At d <= 2 the window spans more than ten
+    # such errors, and the product x * 10**(d + 1) moves the remainder by less
+    # than 1e-3.  The test may flag a field that is not a tie, never passes
+    # one.  + 0.0 turns only -0.0 into 0.0, which printFloat prints "0.0".
     if -lim <= t <= lim and -lim <= h <= lim and -lim <= hi <= lim and -lim <= p <= lim \
             and -lim <= a <= lim and not 4.99 < t * 100.0 % 10.0 < 5.01 \
             and not 4.99 < h * 100.0 % 10.0 < 5.01 and not 4.99 < hi * 100.0 % 10.0 < 5.01 \
