@@ -88,6 +88,9 @@ class AirframeConfig:
             raise ValueError("total_mass must be positive")
         if self.frame_drag_coefficient < 0.0 or self.body_drag_area < 0.0:
             raise ValueError("drag parameters must be non-negative")
+        # the flight's battery draw, (throttle / hover throttle)^1.5, overflows past about 1e205
+        if self.motor.max_thrust_per_motor * self.n_motors / self.total_mass > 1e200:
+            raise ValueError("thrust / weight is too large for the battery model")
 
     @property
     def weight_n(self) -> float:
@@ -154,16 +157,15 @@ def service_ceiling(cfg: AirframeConfig) -> float:
     """Altitude (m) where the density-scaled thrust/weight ratio crosses 1.
 
     The exact inverse of ``density_ratio`` at 1 / thrust_to_weight:
-    T0/L * (1 - tw0^(-1/(g/(RL) - 1))).
+    T0/L * (1 - tw0^(-1/(g/(RL) - 1))), capped at TROPOPAUSE_M, the top of
+    the atmosphere model, which an airframe above a sea-level T/W of about
+    3.37 climbs past.
     """
     tw0 = thrust_to_weight(cfg)
     if tw0 <= 1.0:
         raise NoCeilingError(f"sea-level thrust/weight {tw0:.3f} <= 1; cannot climb")
     exponent = -1.0 / (PRESSURE_EXPONENT - 1.0)
-    ceiling = SEA_LEVEL_TEMPERATURE / LAPSE_RATE * (1.0 - tw0 ** exponent)
-    if ceiling > TROPOPAUSE_M:
-        raise NoCeilingError("ceiling lies above the troposphere model range")
-    return ceiling
+    return min(SEA_LEVEL_TEMPERATURE / LAPSE_RATE * (1.0 - tw0 ** exponent), TROPOPAUSE_M)
 
 
 def max_progressive_speed(cfg: AirframeConfig) -> float:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import airframe, config, firmware, groundstation, mission, pipeline, synclink, \
     wxindices
+from .atmosphere import TROPOPAUSE_M
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -220,7 +221,9 @@ def _cmd_sizing(args) -> int:
             if not math.isfinite(value):
                 raise ValueError(f"the {name} is too large to print (from {options})")
     print(f"Thrust/weight (sea level)     : {tw:.2f}")
-    print(f"Service ceiling               : {ceiling:.0f} m ({ceiling / 0.3048:.0f} ft)")
+    top = ", the atmosphere model's top: the airframe's own ceiling lies at or above it" \
+        if ceiling == TROPOPAUSE_M else ""
+    print(f"Service ceiling               : {ceiling:.0f} m ({ceiling / 0.3048:.0f} ft){top}")
     print(f"Required static thrust        : {required:.0f} g total "
           f"({required / cfg.n_motors:.0f} g per motor) for "
           f"{target:.0f} g at {args.design_altitude:.0f} m")

@@ -256,7 +256,8 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     time alone passes the logger clock's limit among them),
     BatteryExhaustedError (carrying the summary so far) when the pack
     empties mid-flight, and SimulationError when a command passes its
-    deadline or the flight outlasts the logger clock (CLOCK_LIMIT_MS).
+    deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or it
+    climbs past TROPOPAUSE_M.
     """
     limit_s = CLOCK_LIMIT_MS / 1000.0
     violations = mission.validate(plan, ceiling=service_ceiling(cfg))
@@ -312,8 +313,11 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
             overdue = f"{kind} to {target:g} m did not converge"
         while True:
-            done = step(state, cfg, target, end, band,
-                        min(stop, state.t + CSV_CHUNK_ROWS * DT), samples)
+            try:
+                done = step(state, cfg, target, end, band,
+                            min(stop, state.t + CSV_CHUNK_ROWS * DT), samples)
+            except ValueError as exc:  # density_ratio: an overshoot past the ceiling's cap
+                raise SimulationError(f"the flight left the atmosphere model: {exc}") from None
             if samples:
                 hand_over()
             if done or state.battery_remaining <= 0.0 or state.t > stop:

@@ -22,6 +22,7 @@ from asid.airframe import (
     thrust_to_weight,
     wind_drift,
 )
+from asid.atmosphere import TROPOPAUSE_M
 
 
 def _config(thrust_per_motor=1000.0, n_motors=4, mass=2000.0, **overrides):
@@ -48,6 +49,12 @@ class TestThrustToWeight:
     def test_mass_scaling_exact(self):
         assert thrust_to_weight(_config(mass=2000.0)) == 2.0 * thrust_to_weight(
             _config(mass=4000.0))
+
+    def test_a_ratio_the_battery_model_cannot_draw_refused(self):
+        # step's (throttle / hover throttle)^1.5 overflows past about 1e205
+        assert thrust_to_weight(_config(5e202, 4, 2000.0)) == 1e200
+        with pytest.raises(ValueError, match="thrust / weight is too large"):
+            _config(5.0000000001e202, 4, 2000.0)
 
 
 class TestPropThrust:
@@ -142,6 +149,12 @@ class TestServiceCeiling:
     def test_no_ceiling_when_overweight(self):
         with pytest.raises(NoCeilingError):
             service_ceiling(_config(500.0, 4, 2000.0))
+
+    def test_a_ceiling_past_the_model_is_its_top(self):
+        # sea-level T/W of about 3.366 reaches density ratio 1 / T/W at 11000 m
+        assert service_ceiling(_config(1683.0, 4, 2000.0)) < TROPOPAUSE_M
+        assert service_ceiling(_config(1684.0, 4, 2000.0)) == TROPOPAUSE_M
+        assert service_ceiling(_config(1e9, 4, 2000.0)) == TROPOPAUSE_M
 
     def test_strictly_increasing_in_tw(self):
         ceilings = [service_ceiling(_config(t, 4, 2000.0)) for t in (700.0, 1000.0, 1300.0)]

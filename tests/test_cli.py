@@ -262,6 +262,33 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "sd")]) == EXIT_SIMULATION
 
+    @pytest.mark.parametrize("thrust", [1700.0, 5000.0])
+    def test_an_airframe_past_the_model_s_ceiling_flies(self, thrust, tmp_path, capsys):
+        # sea-level T/W 3.4 and 10: the ceiling is capped at the model's 11000 m top
+        doc = {"airframe": {"motor": {"max_thrust_per_motor": thrust}}}
+        cfg_path = _write_config(tmp_path / "c.json", doc)
+        code, _ = _exit_code(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sd")],
+                             capsys)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("mission, message", [
+        ({"target_alt": 12000.0, "step": 100.0},
+         "simulation error: command 1871 (WAYPOINT) altitude 11010 m exceeds the 11000 m "
+         "ceiling; "),
+        # validation passes a plan to the top itself, and the climb overshoots it
+        ({"target_alt": 11000.0, "step": 1000.0, "capture_dwell": 1.0},
+         "simulation error: the flight left the atmosphere model: altitude 11000.0"),
+    ], ids=["above", "at_the_top"])
+    def test_a_plan_past_the_model_s_top_exits_simulation_error(self, mission, message,
+                                                                 tmp_path, capsys):
+        doc = {"airframe": {"motor": {"max_thrust_per_motor": 1700.0},
+                            "battery": {"capacity_mah": 1e6}}, "mission": mission}
+        cfg_path = _write_config(tmp_path / "c.json", doc)
+        code, err = _exit_code(["simulate", "--config", cfg_path,
+                                "--out", str(tmp_path / "sd")], capsys)
+        assert code == EXIT_SIMULATION
+        assert err.startswith(message)
+
     def test_run_past_the_logger_clock_exits_simulation_error(self, tmp_path, capsys,
                                                               monkeypatch):
         # the second ground row would be stamped after the end of the calendar
@@ -391,6 +418,14 @@ class TestSizing:
         assert abs(per_motor - 1400.0) / 1400.0 < 0.015
         assert "Thrust/weight (sea level)     : 2.00" in out
         assert "Bft 12" in out
+        assert "Service ceiling               : 6663 m (21859 ft)\n" in out
+
+    def test_a_ceiling_past_the_model_prints_as_its_top(self, tmp_path, capsys):
+        doc = {"airframe": {"motor": {"max_thrust_per_motor": 1700.0}}}
+        assert main(["sizing", "--config", _write_config(tmp_path / "c.json", doc)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Service ceiling               : 11000 m (36089 ft), the atmosphere model's " \
+            "top: the airframe's own ceiling lies at or above it\n" in out
 
 
 class TestMissionCommands:
