@@ -7,7 +7,8 @@ Runs ``pipeline.simulate`` on each document of ``documents()``: configs
 that reach the logger's and the flight's edges (a 300 m column, 2000 noisy
 ground rows, a server that starts before the air phase and one that never
 starts, a 0.1 m interval step, wind, a pack that empties, a -0.0
-temperature) and the first 6 soundings of each benchmark workload
+temperature, and a temperature and humidity that are ties on every row,
+so that every row takes the exact printer) and the first 6 soundings of each benchmark workload
 (``perfbench/workloads.schedule``, seed 1, read from this script's own
 checkout).  Each checkout runs in a fresh interpreter of its own that
 imports ``asid`` from that checkout's ``src``, and writes to a temporary
@@ -80,6 +81,8 @@ def documents() -> dict[str, dict]:
         "pack_150mah": {"airframe": {"battery": {"capacity_mah": 150.0}}},
         "negative_zero": {"environment": {"surface_temperature": -0.0,
                                           "temperature_lapse": 0.0}},
+        "print_ties": {"environment": {"surface_temperature": 2.25, "temperature_lapse": 0.0,
+                                       "surface_humidity": 50.35, "humidity_lapse": 0.0}},
     }
     for workload in workloads.WORKLOADS:
         for index, document in enumerate(workloads.schedule(workload, SEED, SOUNDINGS)):
