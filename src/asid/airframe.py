@@ -157,9 +157,7 @@ def service_ceiling(cfg: AirframeConfig) -> float:
     """Altitude (m) where the density-scaled thrust/weight ratio crosses 1.
 
     The exact inverse of ``density_ratio`` at 1 / thrust_to_weight:
-    T0/L * (1 - tw0^(-1/(g/(RL) - 1))), capped at TROPOPAUSE_M, the top of
-    the atmosphere model, which an airframe above a sea-level T/W of about
-    3.37 climbs past.
+    T0/L * (1 - tw0^(-1/(g/(RL) - 1))), capped at TROPOPAUSE_M, the model's top.
     """
     tw0 = thrust_to_weight(cfg)
     if tw0 <= 1.0:

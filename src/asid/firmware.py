@@ -145,13 +145,12 @@ def setup(cfg: FirmwareConfig, first_pressure_pa: float) -> FirmwareState:
 
 
 def arduino_print_float(value: float, decimals: int) -> str:
-    """Fixed-decimal rendering, step by step as the device's Print::printFloat.
+    """The device's Print::printFloat, step by step in double.
 
-    Non-finite values print as "nan"/"inf" and magnitudes above 4294967040 as
-    "ovf"; only a value below 0.0 gets a "-".  The rounding, 0.5 divided by
-    10.0 once per decimal, is added to the magnitude in double; the integer
-    part prints, then each digit is peeled off by *= 10.0 and truncation.
-    format_row prints with it the rows that its tie test flags.
+    "nan", "inf", "ovf" past 4294967040, a "-" only below 0.0, then the
+    magnitude plus 0.5 divided by 10.0 per decimal: its integer part, then
+    each digit by *= 10.0 and truncation.  format_row prints with it the rows
+    its tie test flags.
     """
     if not abs(value) <= ARDUINO_FLOAT_LIMIT:
         return "nan" if math.isnan(value) else "inf" if math.isinf(value) else "ovf"
@@ -163,9 +162,8 @@ def arduino_print_float(value: float, decimals: int) -> str:
     remainder = number - int(number)
     for _ in range(decimals):
         remainder *= 10.0
-        digit = int(remainder)
-        text += str(digit)
-        remainder -= digit
+        text += str(int(remainder))
+        remainder -= int(remainder)
     return text
 
 
@@ -204,16 +202,13 @@ def format_row(row: LogRow) -> bytes:
     """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
     date, time, t, h, hi, p, a = row
     lim = ARDUINO_FLOAT_LIMIT
-    # The tie test, the only one: "%" prints a field as the device does
-    # unless the field lies past the limit (NaN too) or its scaled remainder
-    # x * 10**(d + 1) % 10 lies within 0.01 of 5, that is, x lies within
-    # 10**-(d + 3) of a tie (m + 1/2) / 10**d.  "%" rounds the exact binary
-    # value; printFloat adds its rounding in double and truncates, so the two
-    # differ only where that sum's rounding error (below 2**-20 up to the
-    # limit) reaches across a tie.  At d <= 2 the window spans more than ten
-    # such errors, and the product x * 10**(d + 1) moves the remainder by less
-    # than 1e-3.  The test may flag a field that is not a tie, never passes
-    # one.  + 0.0 turns only -0.0 into 0.0, which printFloat prints "0.0".
+    # The one tie test.  "%" rounds the exact binary value; printFloat adds its
+    # rounding in double and truncates, so the two differ only where that sum's
+    # rounding error (below 2**-20 up to the limit) reaches across a tie
+    # (m + 1/2) / 10**d.  A row goes to arduino_print_float when a field lies
+    # past the limit (NaN too) or within 10**-(d + 3) of a tie, more than ten
+    # such errors: x * 10**(d + 1) % 10 within 0.01 of 5, which the product's
+    # own rounding moves by less than 1e-3.  + 0.0 turns only -0.0 into 0.0.
     if -lim <= t <= lim and -lim <= h <= lim and -lim <= hi <= lim and -lim <= p <= lim \
             and -lim <= a <= lim and not 4.99 < t * 100.0 % 10.0 < 5.01 \
             and not 4.99 < h * 100.0 % 10.0 < 5.01 and not 4.99 < hi * 100.0 % 10.0 < 5.01 \

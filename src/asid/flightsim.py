@@ -256,8 +256,7 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     time alone passes the logger clock's limit among them),
     BatteryExhaustedError (carrying the summary so far) when the pack
     empties mid-flight, and SimulationError when a command passes its
-    deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or it
-    climbs past TROPOPAUSE_M.
+    deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or climbs past TROPOPAUSE_M.
     """
     limit_s = CLOCK_LIMIT_MS / 1000.0
     violations = mission.validate(plan, ceiling=service_ceiling(cfg))
