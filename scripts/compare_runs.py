@@ -8,15 +8,16 @@ that reach the logger's and the flight's edges (a 300 m column, 2000 noisy
 ground rows, a server that starts before the air phase and one that never
 starts, a 0.1 m interval step, wind, a pack that empties, a -0.0
 temperature, and a temperature and humidity that are ties on every row,
-so that every row takes the exact printer) and the first 6 soundings of each benchmark workload
-(``perfbench/workloads.schedule``, seed 1, read from this script's own
-checkout).  Each checkout runs in a fresh interpreter of its own that
-imports ``asid`` from that checkout's ``src``, and writes to a temporary
-directory.  A run's outcome is the sha256 of each file left in its output
-directory (and whether that directory exists), and either its summary (row
-counts, server start, duration, peak, camera events, landing offset) or its
-error's type and message.  Prints each document whose outcome differs, with
-the fields that differ, and exits 1 if any does.  Standard library only.
+so that every row takes the exact printer) and the first 6 soundings of
+each benchmark workload (``perfbench/workloads.schedule``, seed 1, read
+from this script's own checkout).  Each checkout runs in a fresh
+interpreter of its own that imports ``asid`` from that checkout's
+``src``, and writes to a temporary directory.  A run's outcome is the
+sha256 of each file left in its output directory (and whether that
+directory exists), and either its summary (row counts, server start,
+duration, peak, camera events, landing offset) or its error's type and
+message.  Prints each document whose outcome differs, with the fields
+that differ, and exits 1 if any does.  Standard library only.
 """
 
 from __future__ import annotations
