@@ -195,10 +195,11 @@ class Block(NamedTuple):
     """Samples that ``run_mission`` hands over as the flight goes, all under one heading.
 
     ``samples`` is flat: each sample is two floats, (altitude, vertical_speed).
-    Sample i is ``count + i`` DT steps after the start: the first sample is
-    one step after the last sample of the block before, or, when it is the
-    start sample or a LAND stop (the ground sample added after a landing),
-    repeats that sample's count (0 for the start sample).
+    Sample i is ``count + i`` DT steps after the start.  The start sample and
+    each LAND stop (the ground sample added after a landing) are blocks of
+    their own: the start sample's count is 0, and a LAND stop repeats the
+    count of the sample before it.  Every other block's first sample is one
+    step after the last sample of the block before.
     """
 
     samples: list[float]
@@ -216,7 +217,7 @@ class Trajectory:
     duration: float = 0.0      # s, the t of the last sample handed over
     max_altitude: float = 0.0  # m, the peak of the samples handed over
     camera_events: list[CameraEvent] = field(default_factory=list)
-    landing_offset: float = 0.0  # m downwind, set when the flight ends
+    landing_offset: float = 0.0  # m downwind at the duration
 
     @staticmethod
     def to_csv(out: TextIO, block: Block) -> None:
@@ -249,13 +250,13 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     Each call of ``step`` flies at most CSV_CHUNK_ROWS * DT of one motion
     command (a longer command takes more calls), and its samples are handed
     over when it returns, so no sample list outlives its block.  The start
-    sample and each LAND stop lead the next block, which a yaw or the end of
-    the plan hands over on its own.
+    sample and each LAND stop are handed over at once, as blocks of their own.
 
-    Raises MissionValidationError for unflyable plans (a plan whose DELAY
-    time alone passes the logger clock's limit among them),
-    BatteryExhaustedError (carrying the summary so far) when the pack
-    empties mid-flight, and SimulationError when a command passes its
+    Every refusal comes before the first ``step``: MissionValidationError for
+    unflyable plans (a plan whose DELAY time alone passes the logger clock's
+    limit among them), and NoCeilingError for a propeller that cannot hold a
+    hover.  In flight, raises BatteryExhaustedError (carrying the summary so
+    far) when the pack empties, and SimulationError when a command passes its
     deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or climbs past TROPOPAUSE_M.
     """
     limit_s = CLOCK_LIMIT_MS / 1000.0
@@ -267,29 +268,25 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     if violations:
         raise mission.MissionValidationError(violations)
 
+    speed = max_progressive_speed(cfg)  # km/h; a prop that cannot hover raises here
+
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
     trajectory = Trajectory()
-    samples, first = [0.0, 0.0], 0  # the block in hand, led by the start sample; its count
 
-    def _drift(duration: float) -> float:
-        return wind_drift(env.wind, max_progressive_speed(cfg), duration)
-
-    def hand_over() -> None:
-        nonlocal samples, first
+    def hand_over(samples: list[float], first: int) -> None:
         trajectory.duration = state.t
+        trajectory.landing_offset = wind_drift(env.wind, speed, state.t)
         peak = max(samples[0::2])
         if peak > trajectory.max_altitude:
             trajectory.max_altitude = peak
         consume(Block(samples, state.heading, first))
-        first += len(samples) // 2
-        samples = []
 
+    hand_over([0.0, 0.0], 0)  # the start sample
+    last = 0  # the count of the last sample handed over
     target = 0.0
     for cmd in plan.commands:
         kind = cmd.kind
         if kind == mission.CONDITION_YAW:
-            if samples:
-                hand_over()
             state.heading = cmd.p1 % 360.0
             continue
         if kind == mission.DO_DIGICAM_CONTROL:
@@ -312,18 +309,19 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
             end, band, stop = math.inf, DEADBAND_M, min(state.t + COMMAND_TIMEOUT_S, limit_s)
             overdue = f"{kind} to {target:g} m did not converge"
         while True:
+            samples = []
             try:
                 done = step(state, cfg, target, end, band,
                             min(stop, state.t + CSV_CHUNK_ROWS * DT), samples)
             except ValueError as exc:  # density_ratio: an overshoot past the ceiling's cap
                 raise SimulationError(f"the flight left the atmosphere model: {exc}") from None
             if samples:
-                hand_over()
+                hand_over(samples, last + 1)
+                last += len(samples) // 2
             if done or state.battery_remaining <= 0.0 or state.t > stop:
                 break
         if not done:
             if state.battery_remaining <= 0.0:
-                trajectory.landing_offset = _drift(state.t)
                 raise BatteryExhaustedError(trajectory)
             if state.t > limit_s:
                 raise SimulationError(f"flight passed {limit_s:g} s, the logger clock's limit")
@@ -331,10 +329,6 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
         if kind == mission.LAND:
             state.altitude = 0.0
             state.vertical_speed = 0.0
-            samples, first = [0.0, 0.0], first - 1
-
-    if samples:
-        hand_over()
-    trajectory.landing_offset = _drift(state.t)
+            hand_over([0.0, 0.0], last)  # the LAND stop
     return trajectory
 

@@ -495,8 +495,7 @@ class TestHeadingRuns:
 
     def test_yaws_at_every_run_boundary(self, monkeypatch):
         blocks, table = fly_with_step_headings(monkeypatch, yaw_plan(monkeypatch))
-        # the yaw before TAKEOFF hands the start sample over alone, and the
-        # end of the plan the last LAND stop
+        # the start sample and the last LAND stop are blocks of their own
         assert [len(blocks[0].samples), len(blocks[-1].samples)] == [2, 2]
         assert {heading for *_, heading in table} == {0.0, 45.0, 90.0, 359.9}
         assert_rows_match(csv_text(blocks), table)
@@ -562,11 +561,9 @@ class TestCsvChunks:
         assert max(rows_per_write) <= 9
 
     def test_a_seam_on_each_side_of_each_land_stop(self, monkeypatch):
-        # A LAND stop leads the block after its landing.  The yaw after each
-        # landing of yaw_plan hands it over alone; in two_landings the first
-        # stop leads the second TAKEOFF, cut into blocks of 1, 7 or 4096 DT.
-        for plan, alone in ((yaw_plan(monkeypatch), [True, True]),
-                            (two_landings(), [False, True])):
+        # Each LAND stop is a block of its own, in yaw_plan and in two_landings,
+        # with the flight cut into blocks of 1, 7 or 4096 DT.
+        for plan in (yaw_plan(monkeypatch), two_landings()):
             for chunk in (1, 7, flightsim.CSV_CHUNK_ROWS):
                 with monkeypatch.context() as patch:
                     patch.setattr(flightsim, "CSV_CHUNK_ROWS", chunk)
@@ -574,7 +571,7 @@ class TestCsvChunks:
                 stops = [i for i in range(1, len(table)) if table[i][0] == table[i - 1][0]]
                 seams = block_seams(blocks)
                 assert len(stops) == 2 and set(stops) <= set(seams)
-                assert [stop + 1 in seams for stop in stops] == alone
+                assert all(stop + 1 in seams for stop in stops)
                 assert_rows_match(csv_text(blocks), table)
 
     def test_a_long_command_takes_blocks_of_chunk_rows(self, monkeypatch):
