@@ -253,15 +253,27 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     sample and each LAND stop are handed over at once, as blocks of their own.
 
     Every refusal comes before the first ``step``: MissionValidationError for
-    unflyable plans (a plan whose DELAY time alone passes the logger clock's
-    limit among them), and NoCeilingError for a propeller that cannot hold a
+    unflyable plans (among them a plan whose DELAY time alone passes the
+    logger clock's limit, or with a TAKEOFF, WAYPOINT or LAND leg longer
+    than CLIMB_SPEED_LIMIT * COMMAND_TIMEOUT_S, measured from the target
+    before it), and NoCeilingError for a propeller that cannot hold a
     hover.  In flight, raises BatteryExhaustedError (carrying the summary so
     far) when the pack empties, and SimulationError when a command passes its
     deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or climbs past TROPOPAUSE_M.
     """
     limit_s = CLOCK_LIMIT_MS / 1000.0
     violations = mission.validate(plan, ceiling=service_ceiling(cfg))
-    delay = sum(cmd.p1 for cmd in plan.commands if cmd.kind == mission.DELAY)
+    reach = CLIMB_SPEED_LIMIT * COMMAND_TIMEOUT_S  # m, the longest leg flown by its deadline
+    delay = target = 0.0
+    for index, cmd in enumerate(plan.commands, 1):
+        if cmd.kind == mission.DELAY:
+            delay += cmd.p1
+        elif cmd.kind in (mission.TAKEOFF, mission.WAYPOINT, mission.LAND):
+            start, target = target, 0.0 if cmd.kind == mission.LAND else cmd.alt
+            if abs(target - start) > reach:
+                violations.append(f"command {index} ({cmd.kind}) to {target:g} m is a "
+                                  f"{abs(target - start):g} m leg, past the {reach:g} m a "
+                                  f"command flies by its deadline")
     if delay > limit_s:
         violations.append(f"DELAY commands total {delay:g} s, past the logger clock's "
                           f"{limit_s:g} s limit")

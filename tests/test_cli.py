@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import asid
-from asid import cli, config, firmware, pipeline, synclink
+from asid import cli, config, firmware, flightsim, pipeline, synclink
 from asid.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -275,9 +275,11 @@ class TestSimulate:
         ({"target_alt": 12000.0, "step": 100.0},
          "simulation error: command 1871 (WAYPOINT) altitude 11010 m exceeds the 11000 m "
          "ceiling; "),
-        # validation passes a plan to the top itself, and the climb overshoots it
+        # a plan to the top itself has a descent leg no command flies by its
+        # deadline (tests/test_flightsim.py flies its climb, which overshoots)
         ({"target_alt": 11000.0, "step": 1000.0, "capture_dwell": 1.0},
-         "simulation error: the flight left the atmosphere model: altitude 11000.0"),
+         "simulation error: command 205 (WAYPOINT) to 10 m is a 10990 m leg, past the "
+         "1200 m a command flies by its deadline\n"),
     ], ids=["above", "at_the_top"])
     def test_a_plan_past_the_model_s_top_exits_simulation_error(self, mission, message,
                                                                  tmp_path, capsys):
@@ -327,6 +329,23 @@ class TestSimulate:
         assert code == EXIT_SIMULATION
         assert err.startswith(message)
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("document, message", [
+        ({"airframe": {"battery": {"capacity_mah": 1e6}},
+          "mission": {"target_alt": 1500, "step": 100, "capture_dwell": 1}},
+         "command 273 (WAYPOINT) to 10 m is a 1490 m leg, past the 1200 m a command flies "
+         "by its deadline"),
+        ({"airframe": {"prop": {"diameter": 2.0}}},
+         "propeller static thrust cannot hold a hover"),
+    ], ids=["leg_1500m", "prop_cannot_hover"])
+    def test_a_run_refused_before_the_flight_flies_no_step(self, document, message,
+                                                            tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(flightsim, "step", None)  # a refused run never integrates
+        cfg_path = _write_config(tmp_path / "c.json", document)
+        out = tmp_path / "sd"
+        code, err = _exit_code(["simulate", "--config", cfg_path, "--out", str(out)], capsys)
+        assert (code, err) == (EXIT_SIMULATION, f"simulation error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("document, code, message", [

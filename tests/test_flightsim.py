@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from asid.airframe import GF_TO_N, BatterySpec, reference_config, service_ceiling, \
-    wind_drift, max_progressive_speed
+from asid.airframe import GF_TO_N, BatterySpec, NoCeilingError, reference_config, \
+    service_ceiling, wind_drift, max_progressive_speed
 from asid import config, firmware, flightsim, mission
 from asid.atmosphere import density_ratio
 from asid.flightsim import (
@@ -335,11 +335,12 @@ class TestRunMission:
         with pytest.raises(SimulationError, match="logger clock"):
             run_mission(plan, CFG, CALM, discard)
 
-    # a DELAY longer than the timeout has no deadline; none may pass the clock limit
+    # a DELAY longer than the timeout has no deadline; none may pass the clock limit.
+    # Each leg is within CLIMB_SPEED_LIMIT * timeout_s, or the plan is refused unflown.
     @pytest.mark.parametrize("takeoff_alt, timeout_s, limit_ms, delay_s, message", [
-        (10.0, 1.0, 60_000, 5.0, "TAKEOFF to 10 m did not converge"),
+        (3.0, 1.0, 60_000, 5.0, "TAKEOFF to 3 m did not converge"),
         (0.5, 3.0, 60_000, 5.0, "landing did not converge"),
-        (10.0, 1.0, 1_000, 1.0, "logger clock"),  # both passed: the clock limit is named
+        (3.0, 1.0, 1_000, 1.0, "logger clock"),  # both passed: the clock limit is named
     ], ids=["takeoff", "land", "clock_limit_first"])
     def test_a_command_past_its_deadline_stops_the_flight(self, monkeypatch, takeoff_alt,
                                                            timeout_s, limit_ms, delay_s,
@@ -366,6 +367,52 @@ class TestRunMission:
         with pytest.raises(MissionValidationError,
                            match="DELAY commands total 60.5 s, past the logger clock's 60 s"):
             run_mission(plan, CFG, CALM, discard)
+
+    @pytest.mark.parametrize("commands, message", [
+        (generate_sounding_profile(MissionParams(target_alt=1500.0, step=100.0,
+                                                 capture_dwell=1.0)).commands,
+         "command 273 (WAYPOINT) to 10 m is a 1490 m leg"),
+        ((MissionCommand(TAKEOFF, alt=1200.5), MissionCommand(WAYPOINT, alt=1000.0),
+          MissionCommand(LAND)),
+         "command 1 (TAKEOFF) to 1200.5 m is a 1200.5 m leg"),
+        ((MissionCommand(TAKEOFF, alt=1000.0), MissionCommand(WAYPOINT, alt=2200.0),
+          MissionCommand(DELAY, p1=1.0), MissionCommand(LAND, alt=2200.0)),
+         "command 4 (LAND) to 0 m is a 2200 m leg"),
+    ], ids=["descent_1490m", "takeoff_1200.5m", "land_2200m"])
+    def test_a_leg_no_command_flies_by_its_deadline_is_refused_before_flight(
+            self, monkeypatch, commands, message):
+        # 4 m/s for 300 s: a leg runs from the target before it, the first
+        # from the ground, and a LAND's to the ground whatever its alt
+        monkeypatch.setattr(flightsim, "step", None)  # a refused plan never integrates
+        with pytest.raises(MissionValidationError) as err:
+            run_mission(MissionPlan(commands=tuple(commands)), CFG, CALM, discard)
+        assert err.value.violations == [
+            f"{message}, past the 1200 m a command flies by its deadline"]
+
+    def test_a_prop_that_cannot_hover_is_refused_before_flight(self, monkeypatch):
+        cfg = config.from_dict({"airframe": {"prop": {"diameter": 2.0}}})
+        blocks = []
+        monkeypatch.setattr(flightsim, "step", None)
+        with pytest.raises(NoCeilingError, match="^propeller static thrust cannot hold a "
+                                                 "hover$"):
+            run_mission(generate_sounding_profile(cfg.mission), cfg.airframe,
+                        cfg.environment, blocks.append)
+        assert blocks == []
+
+    def test_a_climb_past_the_model_s_top_stops_the_flight(self):
+        # T/W 3.4 puts the ceiling at the model's 11000 m top, and the sounding's
+        # last climb, from 10010 m, overshoots it.  Its descent is cut into
+        # 1000 m legs: the one 10990 m leg would be refused before the flight.
+        cfg = dataclasses.replace(
+            CFG, motor=dataclasses.replace(CFG.motor, max_thrust_per_motor=1700.0),
+            battery=BatterySpec(capacity_mah=1e6, c_rate=50.0))
+        sounding = generate_sounding_profile(MissionParams(target_alt=11000.0, step=1000.0,
+                                                           capture_dwell=1.0))
+        descent = tuple(MissionCommand(WAYPOINT, alt=1000.0 * k) for k in range(10, 0, -1))
+        plan = MissionPlan(commands=sounding.commands[:-2] + descent + (MissionCommand(LAND),))
+        with pytest.raises(SimulationError,
+                           match="^the flight left the atmosphere model: altitude 11000.0"):
+            run_mission(plan, cfg, CALM, discard)
 
     def test_time_to_design_altitude_in_expected_band(self, monkeypatch):
         # full-throttle climb to 20,000 ft takes 4-8 minutes; the pinned floats
