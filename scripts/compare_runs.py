@@ -7,10 +7,11 @@ Runs ``pipeline.simulate`` on each document of ``documents()``: configs
 that reach the logger's and the flight's edges (a 300 m column, 2000 noisy
 ground rows, a server that starts before the air phase and one that never
 starts, a 0.1 m interval step, wind, a pack that empties, a -0.0
-temperature, and a temperature and humidity that are ties on every row,
-so that every row takes the exact printer) and the first 6 soundings of
-each benchmark workload (``perfbench/workloads.schedule``, seed 1, read
-from this script's own checkout).  Each checkout runs in a fresh
+temperature, a temperature and humidity that are ties on every row, so
+that every row takes the exact printer, a propeller that cannot hold a
+hover, and a 1500 m column whose descent is one 1490 m leg) and the first
+6 soundings of each benchmark workload (``perfbench/workloads.schedule``,
+seed 1, read from this script's own checkout).  Each checkout runs in a fresh
 interpreter of its own that imports ``asid`` from that checkout's
 ``src``, and writes to a temporary directory.  A run's outcome is the
 sha256 of each file left in its output directory (and whether that
@@ -84,6 +85,9 @@ def documents() -> dict[str, dict]:
                                           "temperature_lapse": 0.0}},
         "print_ties": {"environment": {"surface_temperature": 2.25, "temperature_lapse": 0.0,
                                        "surface_humidity": 50.35, "humidity_lapse": 0.0}},
+        "prop_cannot_hover": {"airframe": {"prop": {"diameter": 2.0}}},
+        "leg_1500m": {"airframe": {"battery": {"capacity_mah": 1000000}},
+                      "mission": {"target_alt": 1500, "step": 100, "capture_dwell": 1}},
     }
     for workload in workloads.WORKLOADS:
         for index, document in enumerate(workloads.schedule(workload, SEED, SOUNDINGS)):
