@@ -15,11 +15,12 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .atmosphere import HYPSO_SCALE, linear_altitude, mslp_from_station
+from .atmosphere import HYPSO_SCALE, LINEAR_ALTIMETER_SLOPE, linear_altitude, \
+    mslp_from_station
 from .wxindices import LogRow, heat_index
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Iterable
 
     from .flightsim import RawReading
 
@@ -149,8 +150,8 @@ def arduino_print_float(value: float, decimals: int) -> str:
 
     "nan", "inf", "ovf" past 4294967040, a "-" only below 0.0, then the
     magnitude plus 0.5 divided by 10.0 per decimal: its integer part, then
-    each digit by *= 10.0 and truncation.  format_row prints with it the rows
-    its tie test flags.
+    each digit by *= 10.0 and truncation.  format_row and log_ground print
+    with it the rows their one tie test flags.
     """
     if not abs(value) <= ARDUINO_FLOAT_LIMIT:
         return "nan" if math.isnan(value) else "inf" if math.isinf(value) else "ovf"
@@ -198,9 +199,9 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
                   linear_altitude(corrected_hpa, state.mslp_hpa))
 
 
-def format_row(row: LogRow) -> bytes:
-    """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
-    date, time, t, h, hi, p, a = row
+def _row_text(date: str, time: str, t: float, h: float, hi: float, p: float,
+              a: float) -> str:
+    """One log row's text: every field comma-terminated, then CRLF."""
     lim = ARDUINO_FLOAT_LIMIT
     # The one tie test.  "%" rounds the exact binary value; printFloat adds its
     # rounding in double and truncates, so the two differ only where that sum's
@@ -213,31 +214,53 @@ def format_row(row: LogRow) -> bytes:
             and -lim <= a <= lim and not 4.99 < t * 100.0 % 10.0 < 5.01 \
             and not 4.99 < h * 100.0 % 10.0 < 5.01 and not 4.99 < hi * 100.0 % 10.0 < 5.01 \
             and not 4.99 < p * 1000.0 % 10.0 < 5.01 and not 4.99 < a * 1000.0 % 10.0 < 5.01:
-        text = "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % (date, time, t + 0.0, h + 0.0,
-                                                        hi + 0.0, p + 0.0, a + 0.0)
-    else:
-        parts = (date, time, arduino_print_float(t, 1), arduino_print_float(h, 1),
-                 arduino_print_float(hi, 1), arduino_print_float(p, 2),
-                 arduino_print_float(a, 2))
-        text = "".join(part + "," for part in parts) + "\r\n"
-    return text.encode("ascii")
+        return "%s,%s,%.1f,%.1f,%.1f,%.2f,%.2f,\r\n" % (date, time, t + 0.0, h + 0.0,
+                                                       hi + 0.0, p + 0.0, a + 0.0)
+    parts = (date, time, arduino_print_float(t, 1), arduino_print_float(h, 1),
+             arduino_print_float(hi, 1), arduino_print_float(p, 2), arduino_print_float(a, 2))
+    return "".join(part + "," for part in parts) + "\r\n"
 
 
-def log_ground(state: FirmwareState, read: Callable[[], RawReading], sd: SdCardImage) -> int:
+def format_row(row: LogRow) -> bytes:
+    """Render one log row byte-exactly: every field comma-terminated, then CRLF."""
+    return _row_text(*row).encode("ascii")
+
+
+def log_ground(state: FirmwareState, readings: Iterable[tuple[float, float, float]],
+               sd: SdCardImage) -> int:
     """The ground phase in one pass.
 
-    Writes ``cfg.ground_samples`` rows, one per ``read()``, each announced by a
-    GROUND_BUZZ_MS buzz and followed by a GROUND_DELAY_MS delay, so they are
-    stamped at clocks 0, 3500, ...  A threshold below the first interval
-    starts the server here, with its long buzz.  Returns the logger clock at
-    which the flight starts.
+    Writes ``cfg.ground_samples`` rows, one per (temperature, humidity,
+    pressure) reading taken from ``readings``, and takes no reading past the
+    last row.  Each row is announced by a GROUND_BUZZ_MS buzz and followed by a
+    GROUND_DELAY_MS delay, so the rows are stamped at clocks 0, 3500, ...  Every
+    row makes make_sample's checks in its order and is the text format_row
+    prints for make_sample's row, and all of them go to the card in one
+    append; a check that fails writes none.  A threshold below the first
+    interval starts the server here, with its long buzz.  Returns the logger
+    clock at which the flight starts.
     """
     period = GROUND_BUZZ_MS + GROUND_DELAY_MS
+    correction, mslp, dates, day_us = state.cfg.pressure_correction, state.mslp_hpa, \
+        state.dates, state.rtc_day_us
     rows = []
-    for clock in range(0, state.cfg.ground_samples * period, period):
-        temperature, humidity, pressure = read()
-        rows.append(format_row(make_sample(state, temperature, humidity, pressure, clock)))
-    sd.append(GROUND_LOG, b"".join(rows))
+    # range first: zip stops at the range's end without drawing one more reading
+    for clock, (temperature, humidity, pressure) in zip(
+            range(0, state.cfg.ground_samples * period, period), readings):
+        if clock > CLOCK_LIMIT_MS:
+            raise SimulationError(f"the run outlasts the logger clock's {CLOCK_LIMIT_MS} ms limit")
+        corrected_hpa = pressure * correction / 100.0
+        if corrected_hpa <= 0.0:
+            raise ValueError("pressure must be positive")
+        if not 0.0 <= humidity <= 100.0:
+            raise ValueError("relative humidity must lie in [0, 100] %")
+        day, us = divmod(day_us + clock * 1000, DAY_US)
+        seconds = us // 1_000_000
+        rows.append(_row_text(
+            dates[day], "%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
+            temperature, humidity, heat_index(temperature, humidity), corrected_hpa,
+            (mslp - corrected_hpa) / LINEAR_ALTIMETER_SLOPE))
+    sd.append(GROUND_LOG, "".join(rows).encode("ascii"))
     return len(rows) * period + (SERVER_BUZZ_MS if state.serving else 0)
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
@@ -109,6 +109,29 @@ def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawRea
     if pressure <= 0.0:
         raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
     return RawReading(temperature, humidity, pressure)
+
+
+def ground_readings(env: Environment, rng: random.Random) -> Iterator[tuple[float, float, float]]:
+    """``true_sample(env, 0.0, rng)`` without end, as plain (temperature,
+    humidity, pressure) tuples.
+
+    The altitude terms are worked out once, with true_sample's own expressions,
+    so every reading has the same bits; each makes the same three draws in the
+    same order, with the same clamp and the same SimulationError.
+    """
+    temperature = env.surface_temperature - env.temperature_lapse * 0.0
+    humidity = env.surface_humidity - env.humidity_lapse * 0.0
+    pressure = env.surface_pressure * 100.0 * (1.0 - 0.0 / HYPSO_SCALE) ** HYPSO_EXPONENT
+    noise, gauss = env.sensor_noise, rng.gauss
+    t_sigma, h_sigma, p_sigma = noise.temperature, noise.humidity, noise.pressure
+    while True:
+        t = temperature + gauss(0.0, 1.0) * t_sigma
+        h = humidity + gauss(0.0, 1.0) * h_sigma
+        h = min(100.0, max(0.0, h))
+        p = pressure + gauss(0.0, 1.0) * p_sigma
+        if p <= 0.0:
+            raise SimulationError(f"sensor noise drove the pressure to {p:g} Pa")
+        yield t, h, p
 
 
 @dataclass

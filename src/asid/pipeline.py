@@ -61,11 +61,10 @@ def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResul
     logger_error: Exception | None = None
     csv_error: OSError | None = None
     try:
-        first = flightsim.true_sample(env, 0.0, rng)
-        state = firmware.setup(cfg.firmware, first.pressure)
+        readings = flightsim.ground_readings(env, rng)
+        state = firmware.setup(cfg.firmware, next(readings)[2])  # power-on: the first pressure
         # ms, logger clock; the flight starts when the ground rows are written
-        start = clock = firmware.log_ground(
-            state, lambda: flightsim.true_sample(env, 0.0, rng), sd)
+        start = clock = firmware.log_ground(state, readings, sd)
     except Exception as exc:  # held: an error of the flight, still to come, wins
         logger_error = exc
 

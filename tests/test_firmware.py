@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from datetime import datetime, timedelta, timezone
@@ -54,7 +55,7 @@ def _run_flight(altitudes, cfg=None):
     cfg = cfg or FirmwareConfig(elevation=0.0)
     sd = SdCardImage()
     state = setup(cfg, 101325.0)
-    clock = log_ground(state, lambda: _reading(state, 0.0), sd)
+    clock = log_ground(state, itertools.repeat(_reading(state, 0.0)), sd)
     blocked = [clock]
     for altitude in altitudes:
         wait = tick(state, _reading(state, altitude), clock, sd)
@@ -87,11 +88,53 @@ class TestGroundPhase:
         state = setup(cfg, 101325.0)
         assert not state.serving
         # each row: a 500 ms buzz, the row, a 3000 ms delay
-        assert log_ground(state, lambda: _reading(state, 0.0), sd) == 6 * (500 + 3000)
+        assert log_ground(state, itertools.repeat(_reading(state, 0.0)), sd) == 6 * (500 + 3000)
         assert not state.serving
         stamps = [line.split(b",")[1] for line in sd.read(GROUND_LOG).split(b"\r\n") if line]
         assert stamps == [b"10:15:00", b"10:15:03", b"10:15:07", b"10:15:10", b"10:15:14",
                           b"10:15:17"]
+
+
+    def test_each_row_is_make_sample_printed_by_format_row(self):
+        # ties, -0.0, values past the printer's limit and a day boundary
+        rng = random.Random(26)
+        cfg = FirmwareConfig(ground_samples=60, rtc_start=datetime(2021, 6, 1, 23, 59, 30))
+        state = setup(cfg, 101325.0)
+        readings = [(rng.choice((2.25, -0.0, 0.05, -1e10, round(rng.uniform(-30, 45), 3))),
+                     rng.choice((0.0, 100.0, 50.35, round(rng.uniform(0, 100), 3))),
+                     rng.choice((101325.0, 1e13, 5.0, rng.uniform(50000.0, 110000.0))))
+                    for _ in range(60)]
+        sd = SdCardImage()
+        assert log_ground(state, iter(readings), sd) == 60 * 3500
+        assert sd.read(GROUND_LOG) == b"".join(
+            format_row(make_sample(state, *reading, 3500 * number))
+            for number, reading in enumerate(readings))
+        assert b"ovf" in sd.read(GROUND_LOG)
+
+    def test_no_reading_is_taken_past_the_last_row(self):
+        state = setup(FirmwareConfig(ground_samples=6), 101325.0)
+        readings = iter([(15.0, 50.0, 101325.0)] * 10)
+        log_ground(state, readings, SdCardImage())
+        assert len(list(readings)) == 4
+
+    @pytest.mark.parametrize("humidity, pressure, past_the_clock, error", [
+        (101.0, 0.0, True, "logger clock's 86400000 ms limit"),
+        (101.0, 0.0, False, "pressure must be positive"),
+        (-1.0, 101325.0, False, "relative humidity"),
+    ])
+    def test_make_sample_s_checks_in_its_order(self, humidity, pressure, past_the_clock,
+                                              error):
+        kind = firmware.SimulationError if past_the_clock else ValueError
+        # the last of 24,687 rows is stamped at 86,401,000 ms, past the clock's limit
+        rows = 24_687 if past_the_clock else 3
+        state = setup(FirmwareConfig(ground_samples=rows), 101325.0)
+        readings = [(15.0, 50.0, 101325.0)] * (rows - 1) + [(15.0, humidity, pressure)]
+        sd = SdCardImage()
+        with pytest.raises(kind, match=error):
+            log_ground(state, iter(readings), sd)
+        with pytest.raises(kind, match=error):
+            make_sample(state, 15.0, humidity, pressure, 3500 * (rows - 1))
+        assert not sd.exists(GROUND_LOG)
 
 
 class TestAirPhase:

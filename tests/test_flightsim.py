@@ -24,6 +24,7 @@ from asid.flightsim import (
     SimState,
     SimulationError,
     Trajectory,
+    ground_readings,
     run_mission,
     step,
     true_sample,
@@ -191,6 +192,54 @@ class TestTrueSample:
         with pytest.raises(AttributeError):
             reading.pressure = 0.0
         assert reading.pressure == 1013.25 * 100.0
+
+
+class TestGroundReadings:
+    """ground_readings is true_sample at altitude 0, drawn without end."""
+
+    @staticmethod
+    def environments():
+        rng = random.Random(26)
+        for case in range(40):
+            noise = rng.choice((0.0, 0.3, 5.0, 40.0))
+            yield Environment(
+                surface_temperature=rng.choice((-0.0, 0.0, 2.25, -2.25, 0.05,
+                                                round(rng.uniform(-40.0, 45.0), 3))),
+                surface_pressure=rng.choice((1013.25, 0.01, round(rng.uniform(500.0, 1080.0), 2))),
+                surface_humidity=rng.choice((0.0, 100.0, 50.35, round(rng.uniform(0, 100), 2))),
+                temperature_lapse=rng.choice((0.0, -0.0, 0.0065)),
+                humidity_lapse=rng.choice((0.0, -0.0, 0.05)),
+                rng_seed=case,
+                sensor_noise=SensorNoise(noise, 4.0 * noise, rng.choice((0.0, 30.0, 1e4))))
+
+    @staticmethod
+    def draw(readings, n):
+        """The first n items, then the error that ended them early (or None)."""
+        items = []
+        try:
+            for _ in range(n):
+                items.append(tuple(next(readings)))
+        except SimulationError as exc:
+            return items, str(exc)
+        return items, None
+
+    @pytest.mark.parametrize("env", list(environments()), ids=lambda env: str(env.rng_seed))
+    def test_the_same_bits_draws_and_error_as_true_sample(self, env):
+        ours, theirs = random.Random(env.rng_seed), random.Random(env.rng_seed)
+        got = self.draw(ground_readings(env, ours), 50)
+        expected = self.draw(iter(lambda: true_sample(env, 0.0, theirs), None), 50)
+        signs = [tuple(math.copysign(1.0, x) for x in r) for r in got[0]]
+        assert signs == [tuple(math.copysign(1.0, x) for x in r) for r in expected[0]]  # of 0
+        assert got == expected
+        assert ours.getstate() == theirs.getstate()
+
+    def test_heavy_pressure_noise_ends_the_readings_where_true_sample_raises(self):
+        env = Environment(rng_seed=31, sensor_noise=SensorNoise(pressure=50000.0))
+        readings = ground_readings(env, random.Random(31))
+        assert len([next(readings) for _ in range(4)]) == 4
+        with pytest.raises(SimulationError, match=r"^sensor noise drove the pressure to "
+                                                  r"-41531\.4 Pa$"):
+            next(readings)
 
 
 class TestRunMission:

@@ -183,3 +183,55 @@ def test_server_started_is_the_interval_past_the_threshold():
         assert result.server_started == (interval > threshold), document
         outcomes.add(result.server_started)
     assert outcomes == {True, False}
+
+
+class TestGroundPhaseErrors:
+    """A ground row's error is the logger's first: the flight still runs, and its
+    own error would win."""
+
+    @staticmethod
+    def counted_readings(monkeypatch):
+        """How many ground readings the next run draws, the power-on one included."""
+        from asid import flightsim
+        drawn = [0]
+        readings = flightsim.ground_readings
+
+        def counted(env, rng):
+            for reading in readings(env, rng):
+                drawn[0] += 1
+                yield reading
+
+        monkeypatch.setattr(flightsim, "ground_readings", counted)
+        return drawn
+
+    def test_the_row_past_the_clock_limit_is_refused(self, monkeypatch):
+        # rows 0 .. 24,685 are stamped by 86,397,500 ms; row 24,686 would be at 86,401,000
+        drawn = self.counted_readings(monkeypatch)
+        with pytest.raises(SimulationError, match="^the run outlasts the logger clock's "
+                                                  "86400000 ms limit$"):
+            run_simulation(config.from_dict({"firmware": {"ground_samples": 24_687}}))
+        assert drawn == [1 + 24_687]
+
+    def test_a_huge_ground_samples_fails_at_the_clock_limit_in_bounded_memory(self,
+                                                                              monkeypatch):
+        import tracemalloc
+        drawn = self.counted_readings(monkeypatch)
+        cfg = config.from_dict({"firmware": {"ground_samples": 10**8},
+                                "mission": {"target_alt": 10, "headings": [0]}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="logger clock's 86400000 ms limit"):
+                run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn == [1 + 24_687]
+        assert peak < 8 * 2**20  # 24,686 rows of text are about 2.6 MiB
+
+    def test_noise_that_drives_a_later_row_below_zero_pa_is_refused(self, monkeypatch):
+        drawn = self.counted_readings(monkeypatch)
+        with pytest.raises(SimulationError, match=r"^sensor noise drove the pressure to "
+                                                  r"-41531\.4 Pa$"):
+            run_simulation(config.from_dict(
+                {"environment": {"rng_seed": 31, "sensor_noise": {"pressure": 50000.0}}}))
+        assert drawn == [4]  # the power-on reading and rows 1 to 3
