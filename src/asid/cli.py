@@ -18,8 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import airframe, config, firmware, groundstation, mission, pipeline, synclink, \
-    wxindices
+from . import airframe, config, firmware, flightsim, groundstation, mission, pipeline, \
+    synclink, wxindices
 from .atmosphere import TROPOPAUSE_M
 
 EXIT_OK = 0
@@ -259,7 +259,7 @@ def _cmd_mission_validate(args) -> int:
             raise ValueError("--ceiling must be non-negative")
     # a byte that is not UTF-8 lands in a checked field and fails its own line
     plan = mission.parse(Path(args.file).read_text(encoding="utf-8", errors="replace"))
-    violations = mission.validate(plan, ceiling=args.ceiling)
+    violations = flightsim.plan_violations(plan, args.ceiling)
     if violations:
         for violation in violations:
             print(f"violation: {violation}")

@@ -264,11 +264,19 @@ class Trajectory:
         return json.dumps(events, indent=2) + "\n"
 
 
+def plan_violations(plan: mission.MissionPlan, ceiling: float) -> list[str]:
+    """``mission.validate`` against this flight's limits: the ceiling, the
+    longest leg a command flies by its deadline (CLIMB_SPEED_LIMIT *
+    COMMAND_TIMEOUT_S) and the logger clock's limit on the DELAY total."""
+    return mission.validate(plan, ceiling, CLIMB_SPEED_LIMIT * COMMAND_TIMEOUT_S,
+                            CLOCK_LIMIT_MS / 1000.0)
+
+
 def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment,
                 consume: Callable[[Block], None]) -> Trajectory:
-    """Validate a plan against the service ceiling, fly it, hand its samples to
-    ``consume`` block by block and return the flight's summary; this is the one
-    place a plan is checked.
+    """Validate a plan with plan_violations at the service ceiling, as ``asid
+    mission validate`` does at its --ceiling, fly it, hand its samples to
+    ``consume`` block by block and return the flight's summary.
 
     Each call of ``step`` flies at most CSV_CHUNK_ROWS * DT of one motion
     command (a longer command takes more calls), and its samples are handed
@@ -277,33 +285,17 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
 
     Every refusal comes before the first ``step``: MissionValidationError for
     unflyable plans (among them a plan whose DELAY time alone passes the
-    logger clock's limit, or with a TAKEOFF, WAYPOINT or LAND leg longer
-    than CLIMB_SPEED_LIMIT * COMMAND_TIMEOUT_S, measured from the target
-    before it), and NoCeilingError for a propeller that cannot hold a
-    hover.  In flight, raises BatteryExhaustedError (carrying the summary so
+    logger clock's limit, or with a leg longer than a command flies by its
+    deadline), and NoCeilingError for a propeller that cannot hold a hover.  In flight, raises BatteryExhaustedError (carrying the summary so
     far) when the pack empties, and SimulationError when a command passes its
     deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or climbs past TROPOPAUSE_M.
     """
-    limit_s = CLOCK_LIMIT_MS / 1000.0
-    violations = mission.validate(plan, ceiling=service_ceiling(cfg))
-    reach = CLIMB_SPEED_LIMIT * COMMAND_TIMEOUT_S  # m, the longest leg flown by its deadline
-    delay = target = 0.0
-    for index, cmd in enumerate(plan.commands, 1):
-        if cmd.kind == mission.DELAY:
-            delay += cmd.p1
-        elif cmd.kind in (mission.TAKEOFF, mission.WAYPOINT, mission.LAND):
-            start, target = target, 0.0 if cmd.kind == mission.LAND else cmd.alt
-            if abs(target - start) > reach:
-                violations.append(f"command {index} ({cmd.kind}) to {target:g} m is a "
-                                  f"{abs(target - start):g} m leg, past the {reach:g} m a "
-                                  f"command flies by its deadline")
-    if delay > limit_s:
-        violations.append(f"DELAY commands total {delay:g} s, past the logger clock's "
-                          f"{limit_s:g} s limit")
+    violations = plan_violations(plan, service_ceiling(cfg))
     if violations:
         raise mission.MissionValidationError(violations)
 
     speed = max_progressive_speed(cfg)  # km/h; a prop that cannot hover raises here
+    limit_s = CLOCK_LIMIT_MS / 1000.0
 
     state = SimState(battery_remaining=cfg.battery.capacity_mah)
     trajectory = Trajectory()

@@ -133,8 +133,16 @@ def generate_sounding_profile(params: MissionParams) -> MissionPlan:
     return MissionPlan(commands=tuple(commands))
 
 
-def validate(plan: MissionPlan, ceiling: float) -> list[str]:
-    """Return the list of rule violations; empty means the plan is flyable."""
+def validate(plan: MissionPlan, ceiling: float, longest_leg: float = math.inf,
+             delay_limit: float = math.inf) -> list[str]:
+    """Return the list of rule violations; empty means the plan is flyable.
+
+    A plan starts with TAKEOFF and ends with LAND, and no command's altitude
+    passes ``ceiling`` (m).  No TAKEOFF, WAYPOINT or LAND leg, measured from
+    the target before it (the first from the ground, a LAND's to the
+    ground), is longer than ``longest_leg`` (m), and the DELAY commands total
+    no more than ``delay_limit`` (s).
+    """
     violations: list[str] = []
     if not plan.commands:
         violations.append("plan has no commands")
@@ -149,6 +157,19 @@ def validate(plan: MissionPlan, ceiling: float) -> list[str]:
             violations.append(
                 f"command {index + 1} ({cmd.kind}) altitude {cmd.alt:g} m exceeds "
                 f"the {ceiling:g} m ceiling")
+    delay = target = 0.0
+    for index, cmd in enumerate(plan.commands, 1):
+        if cmd.kind == DELAY:
+            delay += cmd.p1
+        elif cmd.kind in (TAKEOFF, WAYPOINT, LAND):
+            start, target = target, 0.0 if cmd.kind == LAND else cmd.alt
+            if abs(target - start) > longest_leg:
+                violations.append(f"command {index} ({cmd.kind}) to {target:g} m is a "
+                                  f"{abs(target - start):g} m leg, past the {longest_leg:g} m "
+                                  f"a command flies by its deadline")
+    if delay > delay_limit:
+        violations.append(f"DELAY commands total {delay:g} s, past the logger clock's "
+                          f"{delay_limit:g} s limit")
     return violations
 
 

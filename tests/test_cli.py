@@ -473,6 +473,67 @@ class TestMissionCommands:
         assert main(["mission", "validate", "--file", str(plan)]) == EXIT_DATA
         assert capsys.readouterr().out == f"violation: {violation}\n"
 
+    def test_validate_refuses_a_leg_no_command_flies_by_its_deadline(self, tmp_path, capsys):
+        out = tmp_path / "plan.csv"
+        assert main(["mission", "gen", "--target", "1500", "--step", "100", "--dwell", "1",
+                     "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["mission", "validate", "--file", str(out), "--ceiling", "5000"]) == EXIT_DATA
+        assert capsys.readouterr().out == (
+            "violation: command 273 (WAYPOINT) to 10 m is a 1490 m leg, past the 1200 m a "
+            "command flies by its deadline\n")
+
+    def test_validate_refuses_delays_past_the_logger_clock(self, tmp_path, capsys):
+        plan = tmp_path / "plan.csv"
+        plan.write_text("command,p1,p2,p3,p4,lat,lon,alt\nTAKEOFF,0,0,0,0,0,0,10\n"
+                        "DELAY,50000,0,0,0,0,0,0\nDELAY,36400.5,0,0,0,0,0,0\n"
+                        "LAND,0,0,0,0,0,0,0\n")
+        assert main(["mission", "validate", "--file", str(plan)]) == EXIT_DATA
+        assert capsys.readouterr().out == (
+            "violation: DELAY commands total 86400.5 s, past the logger clock's 86400 s limit\n")
+
+    def test_validate_passes_exactly_the_plans_the_flight_starts(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        import random
+
+        from asid import mission
+
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(flightsim, "step", started)
+        rng = random.Random(12)
+        lines = mission.serialize(mission.generate_sounding_profile(
+            mission.MissionParams(target_alt=60.0, headings=(90.0,)))).splitlines()
+        kinds = ("TAKEOFF", "WAYPOINT", "DELAY", "LAND")
+        for case in range(24):
+            body = lines[1:]
+            for _ in range(rng.randint(0, 3)):  # replace, delete or insert a command
+                at = rng.randrange(len(body))
+                value = rng.choice((0.0, 5.0, 1250.0, 1300.0, 50000.0))
+                row = f"{rng.choice(kinds)},{value},0,0,0,0,0,{value}"
+                action = rng.random()
+                if action < 0.4:
+                    body[at] = row
+                elif action < 0.6 and len(body) > 1:
+                    del body[at]
+                else:
+                    body.insert(at, row)
+            plan = tmp_path / f"plan{case}.csv"
+            plan.write_text("\n".join([lines[0], *body]) + "\n")
+            ceiling = rng.choice((40.0, 1300.0, 60000.0))
+            code = main(["mission", "validate", "--file", str(plan), "--ceiling", str(ceiling)])
+            monkeypatch.setattr(flightsim, "service_ceiling", lambda cfg: ceiling)
+            with pytest.raises((Started, mission.MissionValidationError)) as raised:
+                flightsim.run_mission(mission.parse(plan.read_text()),
+                                      config.default_run_config().airframe,
+                                      flightsim.Environment(), lambda block: None)
+            assert (code == EXIT_OK) == (raised.type is Started), case
+        capsys.readouterr()
+
     @pytest.mark.parametrize("option, value, named", [
         ("--dwell", "-1", "capture_dwell"),
         ("--step", "0", "step"),

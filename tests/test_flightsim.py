@@ -542,7 +542,7 @@ def yaw_plan(monkeypatch) -> MissionPlan:
     before TAKEOFF, between a LAND and a TAKEOFF and after the last LAND."""
     # validate wants TAKEOFF first and LAND last; run_mission flies any
     # order, so the plan can start and end with a yaw
-    monkeypatch.setattr(mission, "validate", lambda plan, ceiling: [])
+    monkeypatch.setattr(mission, "validate", lambda plan, *limits: [])
     return MissionPlan(commands=(
         MissionCommand(CONDITION_YAW, p1=45.0),    # before TAKEOFF
         MissionCommand(TAKEOFF, alt=3.0),

@@ -102,6 +102,16 @@ class TestValidation:
         assert len(violations) == 1
         assert "7000" in violations[0]
 
+    def test_legs_and_delays_are_checked_against_the_given_limits(self):
+        plan = generate_sounding_profile(MissionParams(target_alt=1500.0, step=100.0,
+                                                       capture_dwell=1.0))
+        assert validate(plan, ceiling=5000.0) == []  # no limit given, none checked
+        assert validate(plan, ceiling=5000.0, longest_leg=1200.0, delay_limit=100.0) == [
+            "command 273 (WAYPOINT) to 10 m is a 1490 m leg, past the 1200 m a command "
+            "flies by its deadline",
+            "DELAY commands total 128 s, past the logger clock's 100 s limit"]
+        assert validate(plan, ceiling=5000.0, longest_leg=1490.0, delay_limit=128.0) == []
+
     def test_command_invariants(self):
         with pytest.raises(ValueError):
             MissionCommand(CONDITION_YAW, p1=360.0)
