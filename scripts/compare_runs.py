@@ -9,7 +9,9 @@ ground rows, a server that starts before the air phase and one that never
 starts, a 0.1 m interval step, wind, a pack that empties, a -0.0
 temperature, a temperature and humidity that are ties on every row, so
 that every row takes the exact printer, a propeller that cannot hold a
-hover, and a 1500 m column whose descent is one 1490 m leg) and the first
+hover, a 1500 m column whose descent is one 1490 m leg, 24,687 ground rows,
+the last stamped past the logger clock's limit, and pressure noise that
+drives the fourth ground row below 0 Pa) and the first
 6 soundings of each benchmark workload (``perfbench/workloads.schedule``,
 seed 1, read from this script's own checkout).  Each checkout runs in a fresh
 interpreter of its own that imports ``asid`` from that checkout's
@@ -88,6 +90,9 @@ def documents() -> dict[str, dict]:
         "prop_cannot_hover": {"airframe": {"prop": {"diameter": 2.0}}},
         "leg_1500m": {"airframe": {"battery": {"capacity_mah": 1000000}},
                       "mission": {"target_alt": 1500, "step": 100, "capture_dwell": 1}},
+        "ground_clock_limit": {"firmware": {"ground_samples": 24_687}},
+        "ground_noise_pressure": {"environment": {"rng_seed": 31,
+                                                  "sensor_noise": {"pressure": 50000.0}}},
     }
     for workload in workloads.WORKLOADS:
         for index, document in enumerate(workloads.schedule(workload, SEED, SOUNDINGS)):

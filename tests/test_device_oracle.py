@@ -72,11 +72,11 @@ def _oracle(cfg, plan):
     logger_error = None
     try:
         state = firmware.setup(fw, true_sample(env, 0.0, rng).pressure)
-        ground = b""
+        ground = []
         for number in range(fw.ground_samples):
             reading = true_sample(env, 0.0, rng)
-            ground += format_row(make_sample(state, *reading, number * 3500))
-        files[GROUND_LOG] = ground
+            ground.append(format_row(make_sample(state, *reading, number * 3500)))
+        files[GROUND_LOG] = b"".join(ground)
         interval = 5.0
         start = clock = fw.ground_samples * 3500 + (5000 if interval > fw.server_threshold else 0)
         first_altitude = {}
