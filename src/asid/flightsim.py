@@ -286,9 +286,11 @@ def run_mission(plan: mission.MissionPlan, cfg: AirframeConfig, env: Environment
     Every refusal comes before the first ``step``: MissionValidationError for
     unflyable plans (among them a plan whose DELAY time alone passes the
     logger clock's limit, or with a leg longer than a command flies by its
-    deadline), and NoCeilingError for a propeller that cannot hold a hover.  In flight, raises BatteryExhaustedError (carrying the summary so
-    far) when the pack empties, and SimulationError when a command passes its
-    deadline, the flight outlasts the logger clock (CLOCK_LIMIT_MS) or climbs past TROPOPAUSE_M.
+    deadline), and NoCeilingError for a propeller that cannot hold a hover.
+    In flight, raises BatteryExhaustedError (carrying the summary so far) when
+    the pack empties, and SimulationError when a command passes its deadline,
+    the flight outlasts the logger clock (CLOCK_LIMIT_MS) or climbs past
+    TROPOPAUSE_M.
     """
     violations = plan_violations(plan, service_ceiling(cfg))
     if violations:
