@@ -1,11 +1,14 @@
 """End-to-end simulation: mission generation, flight, and logger emulation.
 
 The logger writes its ground rows in one pass while the drone sits at
-altitude 0; the flight starts on the logger clock when that pass ends, so
-the air phase samples the mission trajectory: a poll t s into the flight
-reads the first sample that is round(t / DT) integrator steps from the
-start.  The air loop is polled every 100 ms of simulated time, or after the
-time each poll blocks (its delays and buzzes), whichever is longer.
+altitude 0.  Their readings come from ``flightsim.ground_readings``, whose
+first reading is the power-on pressure, and no reading is drawn past the
+last row, so the air phase's draws follow on.  The flight starts on the
+logger clock when that pass ends, so the air phase samples the mission
+trajectory: a poll t s into the flight reads the first sample that is
+round(t / DT) integrator steps from the start.  The air loop is polled
+every 100 ms of simulated time, or after the time each poll blocks (its
+delays and buzzes), whichever is longer.
 """
 
 from __future__ import annotations
