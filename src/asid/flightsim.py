@@ -13,7 +13,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from . import mission
@@ -231,6 +230,9 @@ class Block(NamedTuple):
 
 
 CSV_HEADER = "t,altitude,vertical_speed,heading\n"
+# The rows of one second of trajectory.csv, a row per DT (which is 0.01 s):
+# S is the whole second and H the heading, both put in by Trajectory.to_csv
+_CSV_ROWS = tuple("S.%02d,%%.4f,%%.4f,H\n" % hundredth for hundredth in range(100))
 
 
 @dataclass
@@ -247,16 +249,22 @@ class Trajectory:
         """Write a block's rows of trajectory.csv to ``out`` with one ``%``; the
         header (CSV_HEADER) is the caller's.
 
-        The first row's t is the block's count times DT, and each later row
-        adds DT (faster than a product per row): within 1e-4 s of the t ``step``
-        sums, up to the logger clock's limit, so ``%.2f`` prints the same digits.
+        Sample ``count + i`` is ``count + i`` DT steps from the start, so its t
+        is printed from that integer: each whole second the block covers takes
+        its slice of _CSV_ROWS with the second's digits in place of ``S``, the
+        block's heading goes in place of every ``H``, and the flat (altitude,
+        speed) list fills the rest.  No float is made for t.  Up to the logger
+        clock's limit the t ``step`` sums stays within about 1e-7 s of
+        ``(count + i) / 100``, so these are the digits ``%.2f`` prints of it.
         """
-        samples, n = block.samples, len(block.samples) // 2
-        row = [0.0] * (3 * n)
-        row[0::3] = accumulate(repeat(DT, n - 1), initial=block.count * DT)
-        row[1::3] = samples[0::2]
-        row[2::3] = samples[1::2]
-        out.write(("%.2f,%.4f,%.4f," + "%.1f\n" % block.heading) * n % tuple(row))
+        samples, count = block.samples, block.count
+        end = count + len(samples) // 2
+        seconds = []
+        for second in range(count // 100, (end - 1) // 100 + 1):
+            base = 100 * second
+            seconds.append("".join(_CSV_ROWS[max(count - base, 0):end - base])
+                           .replace("S", str(second)))
+        out.write("".join(seconds).replace("H", "%.1f" % block.heading) % tuple(samples))
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),

@@ -5,7 +5,7 @@ import io
 import math
 import random
 import sys
-from itertools import accumulate
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import pytest
@@ -782,6 +782,17 @@ class TestAltitudeAt:
             assert altitude == first[round(ms / 1000.0 / DT)], ms
 
 
+def summed_t_csv(block: Block) -> str:
+    """A block's rows as to_csv wrote them with t summed: the first row's t
+    is the block's count times DT, and each later row adds DT."""
+    samples, n = block.samples, len(block.samples) // 2
+    row = [0.0] * (3 * n)
+    row[0::3] = accumulate(repeat(DT, n - 1), initial=block.count * DT)
+    row[1::3] = samples[0::2]
+    row[2::3] = samples[1::2]
+    return ("%.2f,%.4f,%.4f," + "%.1f\n" % block.heading) * n % tuple(row)
+
+
 class TestTrajectoryExports:
     def test_csv_shape(self):
         plan = MissionPlan(commands=(
@@ -792,6 +803,26 @@ class TestTrajectoryExports:
         lines = csv_text(blocks).splitlines()
         assert lines[0] == "t,altitude,vertical_speed,heading"
         assert len(lines) == len(block_rows(blocks)) + 1
+
+    def test_dt_is_a_hundredth_of_a_second(self):
+        # to_csv prints t from the step count with two digits a step
+        assert DT == 0.01
+
+    @pytest.mark.parametrize("rows", [1, 99, 100, 101, 4097])
+    @pytest.mark.parametrize("count", [
+        0, 99, 100, 199, 12_299, 12_300, 12_399, 8_639_999 - 4097, 8_639_999, 8_640_000])
+    def test_t_printed_from_the_count_equals_the_summed_t(self, rows, count):
+        # first counts at 100*s - 1, 100*s and 100*s + 99, and next to the
+        # logger clock's 8,640,000-step limit
+        rng = random.Random(count * 10_000 + rows)
+        samples = [rng.uniform(-1.0, 500.0) for _ in range(2 * rows)]
+        samples[:2] = -0.0, 0.0
+        block = Block(samples, rng.choice([-0.0, 0.0, 45.0, 359.9, rng.uniform(0.0, 360.0)]),
+                      count)
+        out = io.StringIO()
+        Trajectory.to_csv(out, block)
+        # compared line by line, so a failure names the first row that differs
+        assert out.getvalue().split("\n") == summed_t_csv(block).split("\n")
 
     def test_camera_manifest_is_json(self):
         import json
