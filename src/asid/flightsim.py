@@ -171,8 +171,10 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     (thrust - weight - quadratic frame drag) / mass, with the static thrust
     converted from gram-force to Newtons and de-rated by the density ratio,
     and the battery current scales as (throttle / hover throttle)^1.5.  The
-    state and the airframe's figures are read into locals once per command,
-    and the state is written back when the call ends.
+    state, the airframe's figures and the module's constants (density_ratio
+    too) are read into locals once per call, and the state is written back
+    when the call ends.  The loop calls no builtin: ``abs`` is spelled out
+    as comparisons that give the same result and the same bits.
 
     Returns True when the command is done, and False when the flight must
     stop or pause: the pack is empty (checked first) or the time passed
@@ -183,25 +185,29 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     n_motors, max_thrust, hover = cfg.n_motors, cfg.motor.max_thrust_per_motor, \
         hover_throttle(cfg)
     weight_n, drag, mass_kg = cfg.weight_n, cfg.frame_drag_coefficient, cfg.total_mass / 1000.0
-    gain, limit, throttle_gain, dt = CLIMB_GAIN, CLIMB_SPEED_LIMIT, THROTTLE_GAIN, DT
+    gain, limit, floor, throttle_gain, dt = CLIMB_GAIN, CLIMB_SPEED_LIMIT, -CLIMB_SPEED_LIMIT, \
+        THROTTLE_GAIN, DT
+    gf_to_n, hover_current, ratio_at = GF_TO_N, HOVER_CURRENT_A, density_ratio
     extend = samples.extend
     done = True
-    while t < end and abs(altitude - target) > band:
+    # abs(altitude - target) > band, NaN included: x - y is exactly -(y - x)
+    while t < end and (altitude - target > band or target - altitude > band):
         # the controller; each clamp picks what min/max would, -0.0 included
-        ratio = density_ratio(altitude)
+        ratio = ratio_at(altitude)
         v_cmd = gain * (target - altitude)
         v_cmd = v_cmd if v_cmd < limit else limit
-        v_cmd = v_cmd if v_cmd > -limit else -limit
+        v_cmd = v_cmd if v_cmd > floor else floor
         throttle = hover / ratio + throttle_gain * (v_cmd - v)
         throttle = throttle if throttle < 1.0 else 1.0
         throttle = throttle if throttle > 0.0 else 0.0
-        thrust_n = throttle * n_motors * max_thrust * GF_TO_N * ratio
-        v = v + (thrust_n - weight_n - drag * v * abs(v)) / mass_kg * dt
+        thrust_n = throttle * n_motors * max_thrust * gf_to_n * ratio
+        # abs(v), the sign of a zero included: 0.0 - v is 0.0 for either zero
+        v = v + (thrust_n - weight_n - drag * v * (v if v > 0.0 else 0.0 - v)) / mass_kg * dt
         altitude = altitude + v * dt
         if altitude <= 0.0:  # ground stop
             altitude = 0.0
             v = v if v > 0.0 else 0.0
-        battery = battery - HOVER_CURRENT_A * (throttle / hover) ** 1.5 * dt / 3.6
+        battery = battery - hover_current * (throttle / hover) ** 1.5 * dt / 3.6
         battery = battery if battery > 0.0 else 0.0
         t += dt
         extend((altitude, v))

@@ -15,8 +15,12 @@ from asid.airframe import GF_TO_N, BatterySpec, NoCeilingError, reference_config
 from asid import config, firmware, flightsim, mission
 from asid.atmosphere import density_ratio
 from asid.flightsim import (
+    CLIMB_GAIN,
+    CLIMB_SPEED_LIMIT,
     DEADBAND_M,
     DT,
+    HOVER_CURRENT_A,
+    THROTTLE_GAIN,
     BatteryExhaustedError,
     Block,
     Environment,
@@ -25,6 +29,7 @@ from asid.flightsim import (
     SimulationError,
     Trajectory,
     ground_readings,
+    hover_throttle,
     run_mission,
     step,
     true_sample,
@@ -694,6 +699,113 @@ class TestCsvChunks:
             "air.csv", "ground.csv", "photos.json", "trajectory.csv"]
         assert_rows_match((tmp_path / "trajectory.csv").read_bytes().decode("ascii"),
                           recorder.reference())
+
+
+def reference_step(state: SimState, cfg, target: float, end: float, band: float,
+                   stop: float, samples: list[float]) -> bool:
+    """``flightsim.step`` as it was before its loop stopped calling ``abs``
+    and reading module globals: the reference the flight must match bit for
+    bit."""
+    t, altitude, v, battery = state.t, state.altitude, state.vertical_speed, \
+        state.battery_remaining
+    n_motors, max_thrust, hover = cfg.n_motors, cfg.motor.max_thrust_per_motor, \
+        hover_throttle(cfg)
+    weight_n, drag, mass_kg = cfg.weight_n, cfg.frame_drag_coefficient, cfg.total_mass / 1000.0
+    gain, limit, throttle_gain, dt = CLIMB_GAIN, CLIMB_SPEED_LIMIT, THROTTLE_GAIN, DT
+    extend = samples.extend
+    done = True
+    while t < end and abs(altitude - target) > band:
+        # the controller; each clamp picks what min/max would, -0.0 included
+        ratio = density_ratio(altitude)
+        v_cmd = gain * (target - altitude)
+        v_cmd = v_cmd if v_cmd < limit else limit
+        v_cmd = v_cmd if v_cmd > -limit else -limit
+        throttle = hover / ratio + throttle_gain * (v_cmd - v)
+        throttle = throttle if throttle < 1.0 else 1.0
+        throttle = throttle if throttle > 0.0 else 0.0
+        thrust_n = throttle * n_motors * max_thrust * GF_TO_N * ratio
+        v = v + (thrust_n - weight_n - drag * v * abs(v)) / mass_kg * dt
+        altitude = altitude + v * dt
+        if altitude <= 0.0:  # ground stop
+            altitude = 0.0
+            v = v if v > 0.0 else 0.0
+        battery = battery - HOVER_CURRENT_A * (throttle / hover) ** 1.5 * dt / 3.6
+        battery = battery if battery > 0.0 else 0.0
+        t += dt
+        extend((altitude, v))
+        if battery <= 0.0 or t > stop:
+            done = False
+            break
+    state.t, state.altitude, state.vertical_speed = t, altitude, v
+    state.battery_remaining = battery
+    return done
+
+
+def ground_delay(monkeypatch) -> MissionPlan:
+    """A DELAY on the ground from rest: every step ends at the ground stop,
+    so each starts with the speed held at 0.0."""
+    monkeypatch.setattr(mission, "validate", lambda plan, *limits: [])
+    return MissionPlan(commands=(MissionCommand(DELAY, p1=1.0),))
+
+
+def flights(case: str, monkeypatch) -> list[tuple[MissionPlan, object, Environment]]:
+    """The (plan, airframe, environment) of each flight of a named case."""
+    if case in ("paper_sounding", "tall_column", "surface_watch"):
+        flown = []
+        for document in _workloads().schedule(case, seed=1, count=3):
+            cfg = config.from_dict(document)
+            flown.append((generate_sounding_profile(cfg.mission), cfg.airframe,
+                          cfg.environment))
+        return flown
+    plan, cfg = {
+        "yaw_plan": lambda: (yaw_plan(monkeypatch), CFG),
+        "two_landings": lambda: (two_landings(), CFG),
+        "battery_exhausted": lambda: (generate_sounding_profile(MissionParams()), SMALL_PACK),
+        "ground_delay": lambda: (ground_delay(monkeypatch), CFG),
+    }[case]()
+    return [(plan, cfg, CALM)]
+
+
+def flown_with(monkeypatch, stepper, plan: MissionPlan, cfg, env) -> list[str]:
+    """The repr of everything a flight flown with ``stepper`` gives: each block,
+    then the final SimState with the summary or the error it raised.  One
+    string per block, so a failure names the first block that differs, where
+    a diff of two whole reprs takes minutes on a long flight."""
+    states, blocks = [], []
+
+    def recording(state, *args):
+        states.append(state)
+        return stepper(state, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flightsim, "step", recording)
+        try:
+            outcome = run_mission(plan, cfg, env, blocks.append)
+        except SimulationError as exc:
+            outcome = (type(exc).__name__, str(exc), getattr(exc, "trajectory", None))
+    assert states and all(state is states[0] for state in states)
+    return [repr(block) for block in blocks] + [repr((states[0], outcome))]
+
+
+class TestStepReference:
+    """``step`` keeps every operation of ``reference_step`` in its order, so
+    every flight gives the same samples and the same final state, bit for
+    bit (repr tells -0.0 from 0.0)."""
+
+    @pytest.mark.parametrize("chunk", [7, flightsim.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("case", ["paper_sounding", "tall_column", "surface_watch",
+                                      "yaw_plan", "two_landings", "battery_exhausted",
+                                      "ground_delay"])
+    def test_the_same_flight_as_the_reference(self, monkeypatch, case, chunk):
+        monkeypatch.setattr(flightsim, "CSV_CHUNK_ROWS", chunk)
+        for plan, cfg, env in flights(case, monkeypatch):
+            assert flown_with(monkeypatch, step, plan, cfg, env) \
+                == flown_with(monkeypatch, reference_step, plan, cfg, env)
+
+    def test_the_ground_delay_holds_the_speed_at_zero(self, monkeypatch):
+        _, blocks = fly(ground_delay(monkeypatch))
+        speeds = {repr(v) for block in blocks for v in block.samples[1::2]}
+        assert len(block_rows(blocks)) == 101 and speeds == {"0.0"}
 
 
 def record_polls(monkeypatch) -> list[tuple[int, float]]:
