@@ -171,10 +171,9 @@ def step(state: SimState, cfg: AirframeConfig, target: float, end: float, band: 
     (thrust - weight - quadratic frame drag) / mass, with the static thrust
     converted from gram-force to Newtons and de-rated by the density ratio,
     and the battery current scales as (throttle / hover throttle)^1.5.  The
-    state, the airframe's figures and the module's constants (density_ratio
-    too) are read into locals once per call, and the state is written back
-    when the call ends.  The loop calls no builtin: ``abs`` is spelled out
-    as comparisons that give the same result and the same bits.
+    state, the airframe's figures, the module's constants and density_ratio
+    are read into locals once per call, and the state is written back when
+    the call ends; the loop calls no builtin.
 
     Returns True when the command is done, and False when the flight must
     stop or pause: the pack is empty (checked first) or the time passed
@@ -255,12 +254,11 @@ class Trajectory:
         """Write a block's rows of trajectory.csv to ``out`` with one ``%``; the
         header (CSV_HEADER) is the caller's.
 
-        Sample ``count + i`` is ``count + i`` DT steps from the start, so its t
-        is printed from that integer: each whole second the block covers takes
-        its slice of _CSV_ROWS with the second's digits in place of ``S``, the
-        block's heading goes in place of every ``H``, and the flat (altitude,
-        speed) list fills the rest.  No float is made for t.  Up to the logger
-        clock's limit the t ``step`` sums stays within about 1e-7 s of
+        Row i's t is printed from its step count ``count + i``, with no float:
+        each whole second the block covers takes its slice of _CSV_ROWS with
+        the second's digits in place of ``S``, the heading goes in place of
+        every ``H``, and the flat (altitude, speed) list fills the rest.  Up
+        to the logger clock's limit the t ``step`` sums stays within 1e-5 s of
         ``(count + i) / 100``, so these are the digits ``%.2f`` prints of it.
         """
         samples, count = block.samples, block.count
