@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from math import cos, log, sin, sqrt, tau
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from . import mission
@@ -93,18 +94,47 @@ class RawReading(NamedTuple):
     pressure: float     # Pa
 
 
+def _noise_draws(rng: random.Random) -> tuple[float, float, float]:
+    """The next three ``rng.gauss(0.0, 1.0)`` draws, with ``rng`` left as those
+    three calls leave it.
+
+    random.gauss (Box-Muller) draws in pairs: one pair of ``rng.random()``
+    calls gives a cosine and a sine; it returns ``0.0 + cosine`` and keeps the
+    sine in ``rng.gauss_next`` for the next call.  So three draws take the kept
+    sine and one pair, or two pairs and keep the second one's sine.  This is
+    the same arithmetic, in the same order, as CPython's random.gauss (3.10 to
+    3.13; ``math.tau`` is its TWOPI, 2.0 * pi); the stdlib is its oracle in
+    tests/test_flightsim.py.
+    """
+    random, spare = rng.random, rng.gauss_next
+    x2pi = random() * tau
+    g2rad = sqrt(-2.0 * log(1.0 - random()))
+    if spare is not None:
+        rng.gauss_next = None
+        return 0.0 + spare, 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+    first, second = 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+    x2pi = random() * tau
+    g2rad = sqrt(-2.0 * log(1.0 - random()))
+    rng.gauss_next = sin(x2pi) * g2rad
+    return first, second, 0.0 + cos(x2pi) * g2rad
+
+
 def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawReading:
-    """Sample the environment at an altitude; deterministic for a given rng state."""
+    """Sample the environment at an altitude; deterministic for a given rng state.
+
+    Each channel adds one ``rng.gauss(0.0, 1.0)`` draw times its sigma, in the
+    order temperature, humidity, pressure (drawn with _noise_draws).
+    """
     if altitude < 0.0:
         raise ValueError("altitude must be non-negative")
+    noise = env.sensor_noise
+    t_draw, h_draw, p_draw = _noise_draws(rng)
     temperature = env.surface_temperature - env.temperature_lapse * altitude \
-        + rng.gauss(0.0, 1.0) * env.sensor_noise.temperature
-    humidity = env.surface_humidity - env.humidity_lapse * altitude \
-        + rng.gauss(0.0, 1.0) * env.sensor_noise.humidity
+        + t_draw * noise.temperature
+    humidity = env.surface_humidity - env.humidity_lapse * altitude + h_draw * noise.humidity
     humidity = min(100.0, max(0.0, humidity))
     pressure = env.surface_pressure * 100.0 \
-        * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT \
-        + rng.gauss(0.0, 1.0) * env.sensor_noise.pressure
+        * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT + p_draw * noise.pressure
     if pressure <= 0.0:
         raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
     return RawReading(temperature, humidity, pressure)
@@ -121,13 +151,14 @@ def ground_readings(env: Environment, rng: random.Random) -> Iterator[tuple[floa
     temperature = env.surface_temperature - env.temperature_lapse * 0.0
     humidity = env.surface_humidity - env.humidity_lapse * 0.0
     pressure = env.surface_pressure * 100.0 * (1.0 - 0.0 / HYPSO_SCALE) ** HYPSO_EXPONENT
-    noise, gauss = env.sensor_noise, rng.gauss
+    noise, draws = env.sensor_noise, _noise_draws
     t_sigma, h_sigma, p_sigma = noise.temperature, noise.humidity, noise.pressure
     while True:
-        t = temperature + gauss(0.0, 1.0) * t_sigma
-        h = humidity + gauss(0.0, 1.0) * h_sigma
+        t_draw, h_draw, p_draw = draws(rng)
+        t = temperature + t_draw * t_sigma
+        h = humidity + h_draw * h_sigma
         h = min(100.0, max(0.0, h))
-        p = pressure + gauss(0.0, 1.0) * p_sigma
+        p = pressure + p_draw * p_sigma
         if p <= 0.0:
             raise SimulationError(f"sensor noise drove the pressure to {p:g} Pa")
         yield t, h, p

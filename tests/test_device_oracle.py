@@ -1,9 +1,13 @@
 """A reference device loop, written from the documented rules, against run_simulation.
 
 The oracle below restates the logger's and the pipeline's docstrings in the
-plainest form, without ``log_ground``, ``tick``, the pipeline's air loop or
-``Trajectory.to_csv``:
+plainest form, without ``true_sample``, ``ground_readings``, ``log_ground``,
+``tick``, the pipeline's air loop or ``Trajectory.to_csv``:
 
+- a reading is the column's truth plus one ``rng.gauss(0.0, 1.0)`` draw times
+  each channel's sigma, in the order temperature, humidity, pressure; the
+  power-on pressure is the first reading's, and every reading after it draws
+  from the same rng, the ground rows' first and the polls' next;
 - the ground rows are stamped at clocks 0, 3500, ... (a 500 ms buzz, the row,
   a 3000 ms delay); the flight starts after the last, plus the server's
   5000 ms buzz when the first 5 m interval already lies past the threshold;
@@ -29,8 +33,10 @@ from pathlib import Path
 import pytest
 
 from asid import config, firmware, flightsim, mission
-from asid.firmware import AIR_LOG, GROUND_LOG, PHOTO_MANIFEST, format_row, make_sample
-from asid.flightsim import CSV_HEADER, DT, true_sample
+from asid.atmosphere import HYPSO_EXPONENT, HYPSO_SCALE
+from asid.firmware import AIR_LOG, GROUND_LOG, PHOTO_MANIFEST, SimulationError, format_row, \
+    make_sample
+from asid.flightsim import CSV_HEADER, DT
 from asid.mission import (
     CONDITION_YAW,
     DELAY,
@@ -62,6 +68,23 @@ def _fly(cfg, plan):
         return flown, None, exc
 
 
+def _reading(env, altitude, rng):
+    """A sensor reading as the flight model states it: the column's truth plus
+    one rng.gauss(0.0, 1.0) draw times each channel's sigma, drawn in the order
+    temperature, humidity, pressure, with the humidity held to [0, 100] %; a
+    pressure at or below zero ends the run."""
+    noise = env.sensor_noise
+    temperature = env.surface_temperature - env.temperature_lapse * altitude \
+        + rng.gauss(0.0, 1.0) * noise.temperature
+    humidity = env.surface_humidity - env.humidity_lapse * altitude \
+        + rng.gauss(0.0, 1.0) * noise.humidity
+    pressure = env.surface_pressure * 100.0 * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT \
+        + rng.gauss(0.0, 1.0) * noise.pressure
+    if pressure <= 0.0:
+        raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
+    return temperature, min(100.0, max(0.0, humidity)), pressure
+
+
 def _oracle(cfg, plan):
     """What the documented device loop writes: ("error", type, message) or
     ("card", files, trajectory.csv)."""
@@ -71,10 +94,10 @@ def _oracle(cfg, plan):
     files = {}
     logger_error = None
     try:
-        state = firmware.setup(fw, true_sample(env, 0.0, rng).pressure)
+        state = firmware.setup(fw, _reading(env, 0.0, rng)[2])
         ground = []
         for number in range(fw.ground_samples):
-            reading = true_sample(env, 0.0, rng)
+            reading = _reading(env, 0.0, rng)
             ground.append(format_row(make_sample(state, *reading, number * 3500)))
         files[GROUND_LOG] = b"".join(ground)
         interval = 5.0
@@ -87,7 +110,7 @@ def _oracle(cfg, plan):
             count = round((clock - start) / 1000 / DT)
             if count not in first_altitude:
                 break
-            row = make_sample(state, *true_sample(env, first_altitude[count], rng), clock)
+            row = make_sample(state, *_reading(env, first_altitude[count], rng), clock)
             blocked = 0
             if row.cal_altitude > interval:
                 air += format_row(row)

@@ -13,7 +13,7 @@ import pytest
 from asid.airframe import GF_TO_N, BatterySpec, NoCeilingError, reference_config, \
     service_ceiling, wind_drift, max_progressive_speed
 from asid import config, firmware, flightsim, mission
-from asid.atmosphere import density_ratio
+from asid.atmosphere import HYPSO_EXPONENT, HYPSO_SCALE, density_ratio
 from asid.flightsim import (
     CLIMB_GAIN,
     CLIMB_SPEED_LIMIT,
@@ -245,6 +245,129 @@ class TestGroundReadings:
         with pytest.raises(SimulationError, match=r"^sensor noise drove the pressure to "
                                                   r"-41531\.4 Pa$"):
             next(readings)
+
+
+def reference_true_sample(env: Environment, altitude: float, rng: random.Random) \
+        -> tuple[float, float, float]:
+    """true_sample with a ``rng.gauss(0.0, 1.0)`` call per draw: the stdlib is
+    the oracle for the draws that flightsim makes without those calls."""
+    if altitude < 0.0:
+        raise ValueError("altitude must be non-negative")
+    temperature = env.surface_temperature - env.temperature_lapse * altitude \
+        + rng.gauss(0.0, 1.0) * env.sensor_noise.temperature
+    humidity = env.surface_humidity - env.humidity_lapse * altitude \
+        + rng.gauss(0.0, 1.0) * env.sensor_noise.humidity
+    humidity = min(100.0, max(0.0, humidity))
+    pressure = env.surface_pressure * 100.0 \
+        * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT \
+        + rng.gauss(0.0, 1.0) * env.sensor_noise.pressure
+    if pressure <= 0.0:
+        raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
+    return temperature, humidity, pressure
+
+
+def reference_ground_readings(env: Environment, rng: random.Random):
+    while True:
+        yield reference_true_sample(env, 0.0, rng)
+
+
+class ZeroAt(random.Random):
+    """A Random whose random() returns 0.0 on the calls numbered in ``zeros``
+    (from 1): a zero radius draw makes random.gauss take sqrt(-0.0)."""
+
+    def __init__(self, seed: int, zeros: frozenset[int]):
+        self.zeros, self.calls = zeros, 0
+        super().__init__(seed)
+
+    def random(self) -> float:
+        self.calls += 1
+        value = super().random()
+        return 0.0 if self.calls in self.zeros else value
+
+
+class TestNoiseDraws:
+    """true_sample and ground_readings draw what rng.gauss(0.0, 1.0) draws,
+    and leave rng in the state it leaves: reading by reading, bit for bit."""
+
+    SIGMAS = (0.0, 0.0, 0.3, 5.0, 40.0, 1e308)
+
+    @classmethod
+    def environment(cls, rng: random.Random) -> Environment:
+        return Environment(
+            surface_temperature=rng.choice((-0.0, 0.0, 2.25, round(rng.uniform(-40.0, 45.0), 3))),
+            surface_pressure=rng.choice((1013.25, 0.01, round(rng.uniform(500.0, 1080.0), 2))),
+            surface_humidity=rng.choice((0.0, 100.0, round(rng.uniform(0.0, 100.0), 2))),
+            temperature_lapse=rng.choice((0.0, -0.0, 0.0065)),
+            humidity_lapse=rng.choice((0.0, 0.05)),
+            sensor_noise=SensorNoise(rng.choice(cls.SIGMAS), rng.choice(cls.SIGMAS),
+                                     rng.choice(cls.SIGMAS + (3e4,))))
+
+    @staticmethod
+    def trace(read, rng: random.Random, n: int) -> list[tuple]:
+        """The repr of each of n readings and of rng's state after it; a
+        SimulationError ends the list with its text and the state after it."""
+        out = []
+        for _ in range(n):
+            try:
+                reading = read()
+            except SimulationError as exc:
+                out.append(("SimulationError", str(exc), repr(rng.getstate())))
+                break
+            out.append((repr(tuple(reading)), repr(rng.getstate()),
+                        getattr(rng, "calls", None)))
+        return out
+
+    def assert_same_draws(self, make_rng, env: Environment, altitude: float, n: int = 7) -> int:
+        """Compare n readings of each function with its reference, from a fresh
+        rng and from one holding a spare; returns how many ended in an error."""
+        errors = 0
+        for spare in (False, True):  # gauss_next empty, and holding the spare of a pair
+            ours, theirs = make_rng(), make_rng()
+            if spare:
+                assert ours.gauss() == theirs.gauss()
+            got = self.trace(lambda: true_sample(env, altitude, ours), ours, n)
+            assert got == self.trace(lambda: reference_true_sample(env, altitude, theirs),
+                                     theirs, n)
+            ours, theirs = make_rng(), make_rng()
+            if spare:
+                assert ours.gauss() == theirs.gauss()
+            readings, expected = ground_readings(env, ours), reference_ground_readings(env, theirs)
+            assert self.trace(lambda: next(readings), ours, n) \
+                == self.trace(lambda: next(expected), theirs, n)
+            errors += got[-1][0] == "SimulationError"
+        return errors
+
+    def test_two_hundred_seeds(self):
+        for seed in range(200):
+            rng = random.Random(f"draws/{seed}")
+            env = self.environment(rng)
+            altitude = rng.choice((0.0, round(rng.uniform(0.0, 11000.0), 2)))
+            self.assert_same_draws(lambda: random.Random(seed), env, altitude)
+
+    @pytest.mark.parametrize("zeros", [{1}, {2}, {1, 2}, {3}, {4}, {3, 4}, {2, 4, 6, 8},
+                                       set(range(1, 13))])
+    def test_a_zero_from_random_takes_the_sqrt_of_minus_zero(self, zeros):
+        for seed in range(8):
+            env = Environment(surface_temperature=-0.0, surface_humidity=0.0,
+                              sensor_noise=SensorNoise(*random.Random(seed).sample(
+                                  (0.0, 0.5, 1e308), 3)))
+            self.assert_same_draws(lambda: ZeroAt(seed, frozenset(zeros)), env, 0.0)
+
+    @pytest.mark.parametrize("zeros", [(), (1,), (2,), (1, 2), (3,), (4,), (2, 4, 6)])
+    def test_each_draw_has_the_bits_of_rng_gauss(self, zeros):
+        # a reading's humidity clamp hides the sign of a zero draw: compare the draws too
+        for seed in range(50):
+            ours, theirs = ZeroAt(seed, frozenset(zeros)), ZeroAt(seed, frozenset(zeros))
+            for _ in range(5):
+                assert repr(flightsim._noise_draws(ours)) \
+                    == repr(tuple(theirs.gauss(0.0, 1.0) for _ in range(3)))
+                assert ours.getstate() == theirs.getstate() and ours.calls == theirs.calls
+
+    def test_heavy_pressure_noise_raises_at_the_same_reading(self):
+        env = Environment(sensor_noise=SensorNoise(0.2, 0.5, 80000.0))
+        errors = sum(self.assert_same_draws(lambda: random.Random(seed), env, altitude, n=12)
+                     for seed in range(20) for altitude in (0.0, 5000.0))
+        assert errors > 20  # of 80 lists, most end in the error
 
 
 class TestRunMission:
