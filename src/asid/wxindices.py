@@ -20,6 +20,11 @@ MAGNUS_B = 243.12  # degC
 
 # a CRLF not followed by a DD.MM.YYYY,HH:MM:SS stamp, an empty line or the end
 _BAD_STAMP = re.compile(r"\r\n(?!\d\d\.\d\d\.\d{4},\d\d:\d\d:\d\d,|\r\n|\Z)")
+# the logger prints these bytes in its rows, and ends each row with a CRLF;
+# the first byte it does not print is one outside that set, or a CR or LF
+# that is not part of a CRLF
+_ROW_BYTES = b"0123456789-.,:"
+_NOT_PRINTED = re.compile(rb"[^0-9\-.,:\r\n]|\r(?!\n)|(?<!\r)\n")
 
 
 class LogParseError(ValueError):
@@ -105,29 +110,36 @@ def parse_log(data: bytes) -> list[LogRow]:
     A number the logger could not print (``nan``, ``inf``, ``ovf``) is a
     LogParseError, like any other malformed field; so is a non-ASCII byte,
     and a date or time that does not read DD.MM.YYYY or HH:MM:SS (a shape
-    check over the whole text, so the digits are not parsed per row).
+    check over the whole text, so the digits are not parsed per row).  Last,
+    so that those errors keep their rows and text, a byte the logger never
+    prints is refused too: it prints digits, ``-``, ``.``, ``,`` and ``:``,
+    and ends each row with CRLF, so ``15_05``, ``+15.0``, ``1e1`` and a
+    blank around a number, all of which ``float`` reads, are malformed fields.
     """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:  # the row number counts the CRLFs before the byte
         raise LogParseError(data.count(b"\r\n", 0, exc.start) + 1, "non-ASCII byte") from None
     rows: list[LogRow] = []
-    for number, line in enumerate(text.split("\r\n"), start=1):
+    append, new_row, isfinite = rows.append, tuple.__new__, math.isfinite
+    lines = text.split("\r\n")
+    for number, line in enumerate(lines, start=1):
         if line == "":
             continue
         fields = line.split(",")
         # the writer emits a trailing comma, producing an empty last field
-        if fields and fields[-1] == "":
-            fields = fields[:-1]
+        if fields[-1] == "":
+            del fields[-1]
         if len(fields) != 7:
             raise LogParseError(number, f"expected 7 fields, got {len(fields)}")
         try:
-            values = tuple(map(float, fields[2:]))
+            fields[2:] = map(float, fields[2:])
         except ValueError as exc:
             raise LogParseError(number, str(exc)) from None
-        if not all(map(math.isfinite, values)):
+        if not all(map(isfinite, fields[2:])):
             raise LogParseError(number, f"non-finite field in {line!r}")
-        rows.append(LogRow(fields[0], fields[1], *values))
+        # seven checked fields: LogRow's own __new__ would only pass them on
+        append(new_row(LogRow, fields))
     text = "\r\n" + text  # so the first row has a CRLF before it too
     bad = _BAD_STAMP.search(text)
     if bad is not None:
@@ -135,6 +147,12 @@ def parse_log(data: bytes) -> list[LogRow]:
         raise LogParseError(text.count("\r\n", 0, bad.end()),
                             f"date and time {','.join(line.split(',')[:2])!r} do not read "
                             f"DD.MM.YYYY,HH:MM:SS")
+    # what is left once the row bytes are deleted must be the rows' CRLF ends
+    if data.translate(None, delete=_ROW_BYTES) != b"\r\n" * (len(lines) - 1):
+        at = _NOT_PRINTED.search(data).start()
+        raise LogParseError(data.count(b"\r\n", 0, at) + 1,
+                            f"the logger prints only digits, '-', '.', ',', ':' and CRLF row "
+                            f"ends, not {chr(data[at])!r}")
     return rows
 
 

@@ -644,6 +644,16 @@ class TestServeSyncReport:
         assert not (out / "plots").exists()
         assert "indeterminate" in (out / "report.txt").read_text()
 
+    def test_report_refuses_a_ground_field_the_logger_never_prints(self, tmp_path, capsys):
+        ground = (GOLDEN / "ground.csv").read_bytes()
+        (tmp_path / "ground.csv").write_bytes(ground.replace(b",15.0,", b",15_0,", 1))
+        (tmp_path / "air.csv").write_bytes((GOLDEN / "air.csv").read_bytes())
+        out = tmp_path / "out"
+        code, err = _exit_code(["report", "--in", str(tmp_path), "--out", str(out)], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "row 1: " in err and "not '_'" in err
+        assert not (out / "report.json").exists()
+
     def test_report_names_the_air_rows_below_an_earlier_row_on_stderr(self, tmp_path, capsys):
         # two hover rows after the golden log's 10.06 m row: the device writes
         # them while its threshold catches up; the report is the golden one

@@ -154,16 +154,14 @@ def test_logs_report_or_exit_data_error(name, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_every_log_the_device_writes_builds_a_profile():
-    # writer -> reader: below its server threshold the logger raises its
-    # interval one step per row, so with a small step it writes a row on every
-    # poll while the drone holds a level, and pressure noise makes those rows
-    # jitter; the ground station must read what the device writes
+def device_documents() -> list[dict]:
+    """16 fixed-seed runs whose logs the device writes with noise on and an
+    interval step down to 1 m, so their air logs hold rows that do not climb."""
     rng = random.Random(8006)
-    skipped = 0
+    documents = []
     for case in range(16):
         target = round(rng.uniform(20.0, 60.0), 1)
-        document = {
+        documents.append({
             "mission": {"target_alt": target},
             "firmware": {"interval_step": rng.choice((1.0, 1.5, 2.5, 5.0)),
                          "server_threshold": round(target - rng.uniform(0.0, 10.0), 2)},
@@ -171,7 +169,17 @@ def test_every_log_the_device_writes_builds_a_profile():
                 "temperature": round(rng.uniform(0.0, 0.2), 4),
                 "humidity": round(rng.uniform(0.0, 1.0), 4),
                 "pressure": round(rng.uniform(0.5, 5.0), 4)}},
-        }
+        })
+    return documents
+
+
+def test_every_log_the_device_writes_builds_a_profile():
+    # writer -> reader: below its server threshold the logger raises its
+    # interval one step per row, so with a small step it writes a row on every
+    # poll while the drone holds a level, and pressure noise makes those rows
+    # jitter; the ground station must read what the device writes
+    skipped = 0
+    for document in device_documents():
         sd = run_simulation(config.from_dict(document)).sd
         profile = build_profile(sd.read(AIR_LOG) or b"", sd.read(GROUND_LOG))
         levels = [level.cal_altitude for level in profile.levels]

@@ -1,11 +1,16 @@
+import importlib.util
 import math
 import random
+import re
 import statistics
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
-from asid.firmware import format_row
+from asid import config
+from asid.firmware import AIR_LOG, GROUND_LOG, format_row
+from asid.pipeline import run_simulation
 from asid.wxindices import (
     FreezingLevel,
     LogParseError,
@@ -245,9 +250,157 @@ class TestLogParsing:
             parse_log(good + bad)
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("text, byte", [("15_05", "_"), (" 15.0", " "), ("+15.0", "+"),
+                                            ("1e1", "e"), ("15.0\n", "\n"), ("\r15.0", "\r")])
+    def test_number_text_the_logger_never_prints_is_refused(self, text, byte):
+        # float() reads each of these, and the logger prints none of them
+        good = b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\n"
+        bad = f"01.06.2021,10:15:33,{text},45.2,25.1,1005.25,41.67,\r\n".encode()
+        with pytest.raises(LogParseError) as err:
+            parse_log(good + bad + good)
+        assert err.value.row == 2
+        assert str(err.value) == "row 2: the logger prints only digits, '-', '.', ',', ':' " \
+            f"and CRLF row ends, not {byte!r}"
+
     def test_timestamp_parsing(self):
         row = parse_log(b"01.06.2021,10:15:30,25.3,45.2,25.1,1005.25,41.67,\r\n")[0]
         assert row.timestamp == datetime(2021, 6, 1, 10, 15, 30)
+
+
+_REFERENCE_BAD_STAMP = re.compile(r"\r\n(?!\d\d\.\d\d\.\d{4},\d\d:\d\d:\d\d,|\r\n|\Z)")
+
+
+def reference_parse_log(data: bytes) -> list[LogRow]:
+    """parse_log as it was before it built its rows with tuple.__new__ and
+    refused the bytes the logger never prints, kept as the reference."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:  # the row number counts the CRLFs before the byte
+        raise LogParseError(data.count(b"\r\n", 0, exc.start) + 1, "non-ASCII byte") from None
+    rows: list[LogRow] = []
+    for number, line in enumerate(text.split("\r\n"), start=1):
+        if line == "":
+            continue
+        fields = line.split(",")
+        # the writer emits a trailing comma, producing an empty last field
+        if fields and fields[-1] == "":
+            fields = fields[:-1]
+        if len(fields) != 7:
+            raise LogParseError(number, f"expected 7 fields, got {len(fields)}")
+        try:
+            values = tuple(map(float, fields[2:]))
+        except ValueError as exc:
+            raise LogParseError(number, str(exc)) from None
+        if not all(map(math.isfinite, values)):
+            raise LogParseError(number, f"non-finite field in {line!r}")
+        rows.append(LogRow(fields[0], fields[1], *values))
+    text = "\r\n" + text  # so the first row has a CRLF before it too
+    bad = _REFERENCE_BAD_STAMP.search(text)
+    if bad is not None:
+        line = text[bad.end():].split("\r\n", 1)[0]
+        raise LogParseError(text.count("\r\n", 0, bad.end()),
+                            f"date and time {','.join(line.split(',')[:2])!r} do not read "
+                            f"DD.MM.YYYY,HH:MM:SS")
+    return rows
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOOD_ROW = "01.06.2021,10:15:30,25.30,45.2,25.13,1005.25,-41.67"
+# what the logger prints: digits, '-', '.', ',' and ':', each row ending in a CRLF
+PRINTED = re.compile(rb"(?:[0-9.,:-]*\r\n)*[0-9.,:-]*")
+
+
+def _outcome(parse, data: bytes):
+    try:
+        rows = parse(data)
+    except LogParseError as exc:
+        return "error", type(exc), exc.row, str(exc)
+    return "rows", [(type(row), repr(row)) for row in rows]
+
+
+def _row_number(data: bytes, at: int) -> int:
+    return data.count(b"\r\n", 0, at) + 1
+
+
+def assert_parses_as_the_reference(data: bytes) -> None:
+    """parse_log gives the reference's rows or error, except that it refuses
+    a log the reference reads whose bytes are not all ones the logger prints."""
+    got, expected = _outcome(parse_log, data), _outcome(reference_parse_log, data)
+    if expected[0] == "error" or PRINTED.fullmatch(data):
+        assert got == expected, data
+        return
+    at = next(i for i, byte in enumerate(data) if byte not in b"0123456789-.,:\r\n"
+              or byte == 13 and data[i + 1:i + 2] != b"\n" or byte == 10 and (i == 0 or data[i - 1] != 13))
+    assert got == ("error", LogParseError, _row_number(data, at),
+                   f"row {_row_number(data, at)}: the logger prints only digits, '-', '.', "
+                   f"',', ':' and CRLF row ends, not {chr(data[at])!r}"), data
+
+
+def _device_logs() -> list[bytes]:
+    spec = importlib.util.spec_from_file_location("fuzz_cases",
+                                                  Path(__file__).parent / "test_fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    logs = []
+    for document in fuzz.device_documents():
+        sd = run_simulation(config.from_dict(document)).sd
+        logs += [sd.read(GROUND_LOG), sd.read(AIR_LOG) or b""]
+    return logs
+
+
+def _edited_rows() -> dict[str, bytes]:
+    """One-row edits, each put first, second and after a later bad row."""
+    fields = GOOD_ROW.split(",")
+    edits = {"6 fields": ",".join(fields[:6]) + ",", "8 fields": GOOD_ROW + ",1.0,",
+             "two trailing commas": GOOD_ROW + ",,", "no trailing comma": GOOD_ROW,
+             "empty row fields": ",,,,,,,", "bad stamp": GOOD_ROW.replace("10:15:30", "10:15:3x"),
+             "short year": GOOD_ROW.replace("2021", "21") + ",",
+             "non-ASCII": GOOD_ROW.replace("45.2", "45.\xb02") + ","}
+    for position in range(2, 7):
+        for text in ("x", "", "1.2.3", "nan", "inf", "-inf", "ovf", "NaN", "1" * 400,
+                     "15_05", " 15.0 ", "+15.0", "1e1", "15.0\n", "\r15.0", "0x1p3"):
+            edited = fields[:]
+            edited[position] = text
+            edits[f"field {position} {text!r}"] = ",".join(edited) + ","
+    cases = {}
+    good = (GOOD_ROW + ",\r\n").encode()
+    later_bad = (GOOD_ROW.replace("45.2", "4x5.2") + ",\r\n").encode()
+    for name, row in edits.items():
+        row = row.encode("latin-1") + b"\r\n"
+        cases[f"{name}, alone"] = row
+        cases[f"{name}, row 2"] = good + row + good
+        cases[f"{name}, before a bad row"] = good + good + row + later_bad
+    return cases
+
+
+class TestParseLogAgainstTheReference:
+    @pytest.mark.parametrize("name", ["air.csv", "ground.csv"])
+    def test_the_golden_logs(self, name):
+        data = (GOLDEN / name).read_bytes()
+        assert_parses_as_the_reference(data)
+        assert parse_log(data)  # the golden logs are read, not refused
+
+    def test_the_device_cards_of_the_fuzz_list(self):
+        for data in _device_logs():
+            assert_parses_as_the_reference(data)
+            assert all(type(row) is LogRow for row in parse_log(data))
+
+    @pytest.mark.parametrize("data", _edited_rows().values(), ids=_edited_rows())
+    def test_an_edited_row(self, data):
+        assert_parses_as_the_reference(data)
+
+    def test_mutated_golden_logs(self):
+        rng = random.Random(28)
+        golden = [(GOLDEN / name).read_bytes() for name in ("air.csv", "ground.csv")]
+        for _ in range(600):
+            data = bytearray(rng.choice(golden))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(data))
+                if rng.random() < 0.5:
+                    data[at] = rng.choice(b"0123456789.,-+e:_ nai\r\n\x00\xff")
+                else:
+                    data.insert(at, rng.choice(b"0123456789.,-+e_ \r\n"))
+            assert_parses_as_the_reference(bytes(data))
 
 
 GROUND_BLOB = b"".join(
