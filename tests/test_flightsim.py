@@ -294,7 +294,7 @@ class TestNoiseDraws:
     """true_sample and ground_readings draw what rng.gauss(0.0, 1.0) draws,
     and leave rng in the state it leaves: reading by reading, bit for bit."""
 
-    SIGMAS = (0.0, 0.0, 0.3, 5.0, 40.0, 1e308)
+    SIGMAS = (0.0, 0.0, 0.3, 5.0, 40.0, 1e308)  # a third of the channels without noise
 
     @classmethod
     def environment(cls, rng: random.Random) -> Environment:

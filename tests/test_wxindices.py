@@ -318,10 +318,6 @@ def _outcome(parse, data: bytes):
     return "rows", [(type(row), repr(row)) for row in rows]
 
 
-def _row_number(data: bytes, at: int) -> int:
-    return data.count(b"\r\n", 0, at) + 1
-
-
 def assert_parses_as_the_reference(data: bytes) -> None:
     """parse_log gives the reference's rows or error, except that it refuses
     a log the reference reads whose bytes are not all ones the logger prints."""
@@ -329,11 +325,14 @@ def assert_parses_as_the_reference(data: bytes) -> None:
     if expected[0] == "error" or PRINTED.fullmatch(data):
         assert got == expected, data
         return
-    at = next(i for i, byte in enumerate(data) if byte not in b"0123456789-.,:\r\n"
-              or byte == 13 and data[i + 1:i + 2] != b"\n" or byte == 10 and (i == 0 or data[i - 1] != 13))
-    assert got == ("error", LogParseError, _row_number(data, at),
-                   f"row {_row_number(data, at)}: the logger prints only digits, '-', '.', "
-                   f"',', ':' and CRLF row ends, not {chr(data[at])!r}"), data
+    at = next(i for i, byte in enumerate(data)
+              if byte not in b"0123456789-.,:\r\n"
+              or byte == 13 and data[i + 1:i + 2] != b"\n"  # a CR before no LF
+              or byte == 10 and (i == 0 or data[i - 1] != 13))  # an LF after no CR
+    row = data.count(b"\r\n", 0, at) + 1
+    assert got == ("error", LogParseError, row,
+                   f"row {row}: the logger prints only digits, '-', '.', ',', ':' and CRLF "
+                   f"row ends, not {chr(data[at])!r}"), data
 
 
 def _device_logs() -> list[bytes]:
