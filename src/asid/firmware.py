@@ -22,8 +22,6 @@ from .wxindices import LogRow, heat_index
 if TYPE_CHECKING:
     from collections.abc import Iterable
 
-    from .flightsim import RawReading
-
 GROUND_LOG = "ground.csv"
 AIR_LOG = "air.csv"
 PHOTO_MANIFEST = "photos.json"
@@ -264,20 +262,21 @@ def log_ground(state: FirmwareState, readings: Iterable[tuple[float, float, floa
     return len(rows) * period + (SERVER_BUZZ_MS if state.serving else 0)
 
 
-def tick(state: FirmwareState, reading: RawReading, clock_ms: int,
+def tick(state: FirmwareState, reading: tuple[float, float, float], clock_ms: int,
          sd: SdCardImage) -> int:
     """One pass of the device loop after the ground phase: advances ``state`` in place.
 
-    Every poll makes make_sample's checks, but the row itself (stamps, heat
-    index) is built only when it is written.  Returns the ms the device
-    blocks before the next pass: AIR_DELAY_MS after a row, plus
+    ``reading`` is one (temperature, humidity, pressure) tuple, as log_ground
+    takes them.  Every poll makes make_sample's checks, but the row itself
+    (stamps, heat index) is built only when it is written.  Returns the ms
+    the device blocks before the next pass: AIR_DELAY_MS after a row, plus
     SERVER_BUZZ_MS when that row starts the server, else 0.
     """
-    corrected_hpa = _checked_hpa(state, reading.humidity, reading.pressure, clock_ms)
+    temperature, humidity, pressure = reading
+    corrected_hpa = _checked_hpa(state, humidity, pressure, clock_ms)
     if not state.serving \
             and linear_altitude(corrected_hpa, state.mslp_hpa) > state.interval:
-        row = make_sample(state, reading.temperature, reading.humidity, reading.pressure,
-                          clock_ms)
+        row = make_sample(state, temperature, humidity, pressure, clock_ms)
         sd.append(AIR_LOG, format_row(row))
         state.interval += state.cfg.interval_step
         return AIR_DELAY_MS + (SERVER_BUZZ_MS if state.serving else 0)

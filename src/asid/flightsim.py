@@ -86,14 +86,6 @@ class Environment:
             raise ValueError(f"wind must not exceed {WIND_LIMIT_KMH:.0f} km/h")
 
 
-class RawReading(NamedTuple):
-    """One true (optionally noisy) sensor reading, before any logger math."""
-
-    temperature: float  # degC
-    humidity: float     # %
-    pressure: float     # Pa
-
-
 def _noise_draws(rng: random.Random) -> tuple[float, float, float]:
     """The next three ``rng.gauss(0.0, 1.0)`` draws, with ``rng`` left as those
     three calls leave it.
@@ -119,49 +111,37 @@ def _noise_draws(rng: random.Random) -> tuple[float, float, float]:
     return first, second, 0.0 + cos(x2pi) * g2rad
 
 
-def true_sample(env: Environment, altitude: float, rng: random.Random) -> RawReading:
-    """Sample the environment at an altitude; deterministic for a given rng state.
+def readings(env: Environment, altitude: float,
+             rng: random.Random) -> Iterator[tuple[float, float, float]]:
+    """The sensor's (temperature, humidity, pressure) readings at one altitude,
+    without end; deterministic for a given rng state.
 
-    Each channel adds one ``rng.gauss(0.0, 1.0)`` draw times its sigma, in the
-    order temperature, humidity, pressure (drawn with _noise_draws).
+    Each reading adds one ``rng.gauss(0.0, 1.0)`` draw times its sigma to each
+    channel's truth, in the order temperature, humidity, pressure (drawn with
+    _noise_draws), then clamps the humidity to [0, 100] %.  A negative
+    altitude raises ValueError before any draw, and a pressure at or below
+    0 Pa raises SimulationError.  The altitude terms are worked out once.
     """
     if altitude < 0.0:
         raise ValueError("altitude must be non-negative")
-    noise = env.sensor_noise
-    t_draw, h_draw, p_draw = _noise_draws(rng)
-    temperature = env.surface_temperature - env.temperature_lapse * altitude \
-        + t_draw * noise.temperature
-    humidity = env.surface_humidity - env.humidity_lapse * altitude + h_draw * noise.humidity
-    humidity = min(100.0, max(0.0, humidity))
-    pressure = env.surface_pressure * 100.0 \
-        * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT + p_draw * noise.pressure
-    if pressure <= 0.0:
-        raise SimulationError(f"sensor noise drove the pressure to {pressure:g} Pa")
-    return RawReading(temperature, humidity, pressure)
-
-
-def ground_readings(env: Environment, rng: random.Random) -> Iterator[tuple[float, float, float]]:
-    """``true_sample(env, 0.0, rng)`` without end, as plain (temperature,
-    humidity, pressure) tuples.
-
-    The altitude terms are worked out once, with true_sample's own expressions,
-    so every reading has the same bits; each makes the same three draws in the
-    same order, with the same clamp and the same SimulationError.
-    """
-    temperature = env.surface_temperature - env.temperature_lapse * 0.0
-    humidity = env.surface_humidity - env.humidity_lapse * 0.0
-    pressure = env.surface_pressure * 100.0 * (1.0 - 0.0 / HYPSO_SCALE) ** HYPSO_EXPONENT
+    temperature = env.surface_temperature - env.temperature_lapse * altitude
+    humidity = env.surface_humidity - env.humidity_lapse * altitude
+    pressure = env.surface_pressure * 100.0 * (1.0 - altitude / HYPSO_SCALE) ** HYPSO_EXPONENT
     noise, draws = env.sensor_noise, _noise_draws
     t_sigma, h_sigma, p_sigma = noise.temperature, noise.humidity, noise.pressure
     while True:
         t_draw, h_draw, p_draw = draws(rng)
-        t = temperature + t_draw * t_sigma
         h = humidity + h_draw * h_sigma
-        h = min(100.0, max(0.0, h))
         p = pressure + p_draw * p_sigma
         if p <= 0.0:
             raise SimulationError(f"sensor noise drove the pressure to {p:g} Pa")
-        yield t, h, p
+        yield temperature + t_draw * t_sigma, min(100.0, max(0.0, h)), p
+
+
+def true_sample(env: Environment, altitude: float,
+                rng: random.Random) -> tuple[float, float, float]:
+    """The first of ``readings(env, altitude, rng)``: one poll's reading."""
+    return next(readings(env, altitude, rng))
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """End-to-end simulation: mission generation, flight, and logger emulation.
 
 The logger writes its ground rows in one pass while the drone sits at
-altitude 0.  Their readings come from ``flightsim.ground_readings``, whose
-first reading is the power-on pressure, and no reading is drawn past the
-last row, so the air phase's draws follow on.  The flight starts on the
+altitude 0.  Their readings come from ``flightsim.readings`` at altitude 0,
+whose first reading is the power-on pressure, and no reading is drawn past
+the last row, so the air phase's draws follow on.  The flight starts on the
 logger clock when that pass ends, so the air phase samples the mission
 trajectory: a poll t s into the flight reads the first sample that is
 round(t / DT) integrator steps from the start.  The air loop is polled
@@ -64,10 +64,10 @@ def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResul
     logger_error: Exception | None = None
     csv_error: OSError | None = None
     try:
-        readings = flightsim.ground_readings(env, rng)
-        state = firmware.setup(cfg.firmware, next(readings)[2])  # power-on: the first pressure
+        ground = flightsim.readings(env, 0.0, rng)
+        state = firmware.setup(cfg.firmware, next(ground)[2])  # power-on: the first pressure
         # ms, logger clock; the flight starts when the ground rows are written
-        start = clock = firmware.log_ground(state, readings, sd)
+        start = clock = firmware.log_ground(state, ground, sd)
     except Exception as exc:  # held: an error of the flight, still to come, wins
         logger_error = exc
 

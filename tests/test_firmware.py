@@ -22,7 +22,6 @@ from asid.firmware import (
     setup,
     tick,
 )
-from asid.flightsim import RawReading
 from asid.wxindices import LogRow
 
 
@@ -45,7 +44,7 @@ def _reading(state, cal_altitude, temperature=15.0, humidity=50.0):
     pressure = corrected_hpa * 100.0 / state.cfg.pressure_correction
     while make_sample(state, temperature, humidity, pressure, 0).cal_altitude > cal_altitude:
         pressure = math.nextafter(pressure, math.inf)
-    return RawReading(temperature, humidity, pressure)
+    return temperature, humidity, pressure
 
 
 def _run_flight(altitudes, cfg=None):
@@ -186,9 +185,9 @@ class TestAirPhase:
         with pytest.raises(RuntimeError):
             tick(state, low, CLOCK_LIMIT_MS + 1, sd)
         with pytest.raises(ValueError):
-            tick(state, RawReading(15.0, 50.0, 0.0), 20_000, sd)
+            tick(state, (15.0, 50.0, 0.0), 20_000, sd)
         with pytest.raises(ValueError):
-            tick(state, RawReading(15.0, 101.0, low.pressure), 20_000, sd)
+            tick(state, (15.0, 101.0, low[2]), 20_000, sd)
         assert calls == []
         assert not sd.exists(AIR_LOG)
 

@@ -28,8 +28,8 @@ from asid.flightsim import (
     SimState,
     SimulationError,
     Trajectory,
-    ground_readings,
     hover_throttle,
+    readings,
     run_mission,
     step,
     true_sample,
@@ -168,19 +168,19 @@ class TestTrueSample:
     def test_surface_values_exact_with_zero_noise(self):
         rng = random.Random(0)
         reading = true_sample(CALM, 0.0, rng)
-        assert reading.temperature == 15.0
-        assert reading.humidity == 50.0
-        assert reading.pressure == 1013.25 * 100.0
+        assert reading[0] == 15.0
+        assert reading[1] == 50.0
+        assert reading[2] == 1013.25 * 100.0
 
     def test_linear_lapse(self):
         rng = random.Random(0)
         reading = true_sample(CALM, 1000.0, rng)
-        assert reading.temperature == pytest.approx(15.0 - 6.5, rel=1e-12)
+        assert reading[0] == pytest.approx(15.0 - 6.5, rel=1e-12)
 
     def test_humidity_clamped(self):
         env = Environment(surface_humidity=3.0, humidity_lapse=0.5)
         reading = true_sample(env, 1000.0, random.Random(0))
-        assert reading.humidity == 0.0
+        assert reading[1] == 0.0
 
     def test_equal_seeds_equal_samples(self):
         env = Environment(sensor_noise=SensorNoise(0.2, 0.5, 8.0))
@@ -189,18 +189,25 @@ class TestTrueSample:
         assert a == b
 
     def test_negative_altitude_rejected(self):
+        rng = random.Random(0)
+        before = rng.getstate()
         with pytest.raises(ValueError):
-            true_sample(CALM, -1.0, random.Random(0))
+            true_sample(CALM, -1.0, rng)
+        assert rng.getstate() == before  # nothing drawn
 
     def test_a_reading_refuses_field_assignment(self):
         reading = true_sample(CALM, 0.0, random.Random(0))
-        with pytest.raises(AttributeError):
-            reading.pressure = 0.0
-        assert reading.pressure == 1013.25 * 100.0
+        with pytest.raises(TypeError):
+            reading[2] = 0.0
+        assert reading[2] == 1013.25 * 100.0
 
 
-class TestGroundReadings:
-    """ground_readings is true_sample at altitude 0, drawn without end."""
+# the surface, a height inside the shipped sounding and a metre below the tropopause
+READING_ALTITUDES = (0.0, 37.5, 10999.0)
+
+
+class TestReadings:
+    """readings is true_sample at one altitude, drawn without end."""
 
     @staticmethod
     def environments():
@@ -228,11 +235,12 @@ class TestGroundReadings:
             return items, str(exc)
         return items, None
 
+    @pytest.mark.parametrize("altitude", READING_ALTITUDES)
     @pytest.mark.parametrize("env", list(environments()), ids=lambda env: str(env.rng_seed))
-    def test_the_same_bits_draws_and_error_as_true_sample(self, env):
+    def test_the_same_bits_draws_and_error_as_true_sample(self, env, altitude):
         ours, theirs = random.Random(env.rng_seed), random.Random(env.rng_seed)
-        got = self.draw(ground_readings(env, ours), 50)
-        expected = self.draw(iter(lambda: true_sample(env, 0.0, theirs), None), 50)
+        got = self.draw(readings(env, altitude, ours), 50)
+        expected = self.draw(iter(lambda: true_sample(env, altitude, theirs), None), 50)
         signs = [tuple(math.copysign(1.0, x) for x in r) for r in got[0]]
         assert signs == [tuple(math.copysign(1.0, x) for x in r) for r in expected[0]]  # of 0
         assert got == expected
@@ -240,11 +248,11 @@ class TestGroundReadings:
 
     def test_heavy_pressure_noise_ends_the_readings_where_true_sample_raises(self):
         env = Environment(rng_seed=31, sensor_noise=SensorNoise(pressure=50000.0))
-        readings = ground_readings(env, random.Random(31))
-        assert len([next(readings) for _ in range(4)]) == 4
+        drawn = readings(env, 0.0, random.Random(31))
+        assert len([next(drawn) for _ in range(4)]) == 4
         with pytest.raises(SimulationError, match=r"^sensor noise drove the pressure to "
                                                   r"-41531\.4 Pa$"):
-            next(readings)
+            next(drawn)
 
 
 def reference_true_sample(env: Environment, altitude: float, rng: random.Random) \
@@ -266,9 +274,9 @@ def reference_true_sample(env: Environment, altitude: float, rng: random.Random)
     return temperature, humidity, pressure
 
 
-def reference_ground_readings(env: Environment, rng: random.Random):
+def reference_readings(env: Environment, altitude: float, rng: random.Random):
     while True:
-        yield reference_true_sample(env, 0.0, rng)
+        yield reference_true_sample(env, altitude, rng)
 
 
 class ZeroAt(random.Random):
@@ -291,7 +299,7 @@ class ZeroAt(random.Random):
 
 
 class TestNoiseDraws:
-    """true_sample and ground_readings draw what rng.gauss(0.0, 1.0) draws,
+    """true_sample and readings draw what rng.gauss(0.0, 1.0) draws,
     and leave rng in the state it leaves: reading by reading, bit for bit."""
 
     SIGMAS = (0.0, 0.0, 0.3, 5.0, 40.0, 1e308)  # a third of the channels without noise
@@ -333,12 +341,13 @@ class TestNoiseDraws:
             got = self.trace(lambda: true_sample(env, altitude, ours), ours, n)
             assert got == self.trace(lambda: reference_true_sample(env, altitude, theirs),
                                      theirs, n)
-            ours, theirs = make_rng(), make_rng()
-            if spare:
-                assert ours.gauss(0.0, 1.0) == theirs.gauss(0.0, 1.0)
-            readings, expected = ground_readings(env, ours), reference_ground_readings(env, theirs)
-            assert self.trace(lambda: next(readings), ours, n) \
-                == self.trace(lambda: next(expected), theirs, n)
+            for at in READING_ALTITUDES:
+                ours, theirs = make_rng(), make_rng()
+                if spare:
+                    assert ours.gauss(0.0, 1.0) == theirs.gauss(0.0, 1.0)
+                drawn, expected = readings(env, at, ours), reference_readings(env, at, theirs)
+                assert self.trace(lambda: next(drawn), ours, n) \
+                    == self.trace(lambda: next(expected), theirs, n)
             errors += got[-1][0] == "SimulationError"
         return errors
 

@@ -194,14 +194,14 @@ class TestGroundPhaseErrors:
         """How many ground readings the next run draws, the power-on one included."""
         from asid import flightsim
         drawn = [0]
-        readings = flightsim.ground_readings
+        readings = flightsim.readings
 
-        def counted(env, rng):
-            for reading in readings(env, rng):
+        def counted(env, altitude, rng):
+            for reading in readings(env, altitude, rng):
                 drawn[0] += 1
                 yield reading
 
-        monkeypatch.setattr(flightsim, "ground_readings", counted)
+        monkeypatch.setattr(flightsim, "readings", counted)
         return drawn
 
     def test_the_row_past_the_clock_limit_is_refused(self, monkeypatch):
