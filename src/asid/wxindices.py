@@ -121,7 +121,7 @@ def parse_log(data: bytes) -> list[LogRow]:
     except UnicodeDecodeError as exc:  # the row number counts the CRLFs before the byte
         raise LogParseError(data.count(b"\r\n", 0, exc.start) + 1, "non-ASCII byte") from None
     rows: list[LogRow] = []
-    append, new_row, isfinite = rows.append, tuple.__new__, math.isfinite
+    append, new_row = rows.append, tuple.__new__
     lines = text.split("\r\n")
     for number, line in enumerate(lines, start=1):
         if line == "":
@@ -133,13 +133,14 @@ def parse_log(data: bytes) -> list[LogRow]:
         if len(fields) != 7:
             raise LogParseError(number, f"expected 7 fields, got {len(fields)}")
         try:
-            fields[2:] = map(float, fields[2:])
+            t, h, hi, p, a = map(float, fields[2:])
         except ValueError as exc:
             raise LogParseError(number, str(exc)) from None
-        if not all(map(isfinite, fields[2:])):
+        # NaN exactly when a field is NaN or infinite; finite fields cannot overflow it
+        if t * 0.0 + h * 0.0 + hi * 0.0 + p * 0.0 + a * 0.0 != 0.0:
             raise LogParseError(number, f"non-finite field in {line!r}")
         # seven checked fields: LogRow's own __new__ would only pass them on
-        append(new_row(LogRow, fields))
+        append(new_row(LogRow, (fields[0], fields[1], t, h, hi, p, a)))
     text = "\r\n" + text  # so the first row has a CRLF before it too
     bad = _BAD_STAMP.search(text)
     if bad is not None:
@@ -255,6 +256,15 @@ def freezing_level(profile: SoundingProfile) -> FreezingLevel:
     return FreezingLevel("extrapolated", alt)
 
 
+def _parse_named(data: bytes, log: str) -> list[LogRow]:
+    """parse_log, its LogParseError naming the log: ``ground-log row 3: ...``."""
+    try:
+        return parse_log(data)
+    except LogParseError as exc:
+        exc.args = (f"{log}-log {exc}",)
+        raise
+
+
 def build_profile(air_csv: bytes, ground_csv: bytes) -> SoundingProfile:
     """Assemble a vertical profile from the two logger files.
 
@@ -263,10 +273,10 @@ def build_profile(air_csv: bytes, ground_csv: bytes) -> SoundingProfile:
     coordinate throughout.  The logger raises its threshold one step per row
     written, so while the drone holds a level below it, it writes a row per
     poll and pressure noise makes their altitudes jitter.  Those rows are
-    the device's, not a fault: ``skipped`` names them by row number.
+    the device's, not a fault: ``skipped`` names them by row number.  A
+    LogParseError names the log its row is in, the air log's first.
     """
-    air_rows = parse_log(air_csv)
-    ground_rows = parse_log(ground_csv)
+    air_rows, ground_rows = _parse_named(air_csv, "air"), _parse_named(ground_csv, "ground")
     surface = surface_summary(ground_rows)
     levels, skipped, top = [], [], -math.inf
     for number, row in enumerate(air_rows, start=1):

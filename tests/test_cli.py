@@ -838,12 +838,12 @@ class TestFailureFamilies:
         assert code == EXIT_DATA and err.startswith("data error: line 4: ")
 
     @pytest.mark.parametrize("case, message", [
-        ("non_ascii", "data error: row 3: non-ASCII byte\n"),
+        ("non_ascii", "data error: ground-log row 3: non-ASCII byte\n"),
         ("bad_last_stamp", "data error: last ground-log row: time data "),
         ("empty", "data error: surface summary needs at least one ground row\n"),
         ("humidity_above_100", "data error: ground-log medians: relative humidity must lie "),
-        ("bad_row_stamp", "data error: row 2: date and time '99.99.zzzz,10:15:03' do not read "
-                          "DD.MM.YYYY,HH:MM:SS\n"),
+        ("bad_row_stamp", "data error: ground-log row 2: date and time '99.99.zzzz,10:15:03' "
+                          "do not read DD.MM.YYYY,HH:MM:SS\n"),
     ], ids=["non_ascii", "bad_last_stamp", "empty", "humidity_above_100", "bad_row_stamp"])
     def test_report_on_bad_ground_log_exits_data_error(self, case, message, tmp_path, capsys):
         rows = (GOLDEN / "ground.csv").read_bytes().split(b"\r\n")[:-1]
@@ -861,6 +861,18 @@ class TestFailureFamilies:
         out = tmp_path / "out"
         code, err = _exit_code(["report", "--in", str(tmp_path), "--out", str(out)], capsys)
         assert code == EXIT_DATA and err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_ground", [False, True], ids=["good_ground", "bad_ground"])
+    def test_report_on_bad_air_log_names_the_air_log(self, bad_ground, tmp_path, capsys):
+        for name in ("air.csv", "ground.csv"):
+            rows = (GOLDEN / name).read_bytes().split(b"\r\n")
+            if name == "air.csv" or bad_ground:  # the air log's error comes first
+                rows[1] = rows[1].replace(b",", b"\xe9,", 1)
+            (tmp_path / name).write_bytes(b"\r\n".join(rows))
+        out = tmp_path / "out"
+        code, err = _exit_code(["report", "--in", str(tmp_path), "--out", str(out)], capsys)
+        assert (code, err) == (EXIT_DATA, "data error: air-log row 2: non-ASCII byte\n")
         assert not out.exists()
 
     def test_noise_below_zero_pressure_exits_simulation_error(self, tmp_path, capsys):
