@@ -1,7 +1,7 @@
 """A reference device loop, written from the documented rules, against run_simulation.
 
 The oracle below restates the logger's and the pipeline's docstrings in the
-plainest form, without ``true_sample``, ``ground_readings``, ``log_ground``,
+plainest form, without ``readings``, ``true_sample``, ``log_ground``,
 ``tick``, the pipeline's air loop or ``Trajectory.to_csv``:
 
 - a reading is the column's truth plus one ``rng.gauss(0.0, 1.0)`` draw times
