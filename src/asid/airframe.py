@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atmosphere import G0, LAPSE_RATE, PRESSURE_EXPONENT, SEA_LEVEL_TEMPERATURE, TROPOPAUSE_M, \
+from .atmosphere import DENSITY_EXPONENT, G0, LAPSE_RATE, SEA_LEVEL_TEMPERATURE, TROPOPAUSE_M, \
     density_ratio
 
 IN_TO_M = 0.0254          # inches to metres
@@ -162,7 +162,7 @@ def service_ceiling(cfg: AirframeConfig) -> float:
     tw0 = thrust_to_weight(cfg)
     if tw0 <= 1.0:
         raise NoCeilingError(f"sea-level thrust/weight {tw0:.3f} <= 1; cannot climb")
-    exponent = -1.0 / (PRESSURE_EXPONENT - 1.0)
+    exponent = -1.0 / DENSITY_EXPONENT
     return min(SEA_LEVEL_TEMPERATURE / LAPSE_RATE * (1.0 - tw0 ** exponent), TROPOPAUSE_M)
 
 

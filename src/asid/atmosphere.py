@@ -25,6 +25,7 @@ SEA_LEVEL_TEMPERATURE = 288.15  # K
 LAPSE_RATE = 0.0065             # K/m
 GAS_CONSTANT = 287.053          # J/(kg K)
 PRESSURE_EXPONENT = G0 / (GAS_CONSTANT * LAPSE_RATE)  # g/(R*L)
+DENSITY_EXPONENT = PRESSURE_EXPONENT - 1.0            # g/(R*L) - 1
 
 # the logger's altimeter
 HYPSO_SCALE = 44330.0           # m
@@ -58,12 +59,12 @@ def density_ratio(h: float) -> float:
     """rho(h) / rho(0) = (T/T0)^(g/(R*L) - 1); the thrust de-rating factor with altitude.
 
     The flight calls this once per integrator step, so it checks h and
-    evaluates isa_temperature's line itself instead of calling it.
+    evaluates isa_temperature's line itself instead of calling it, and the
+    exponent is the module constant DENSITY_EXPONENT.
     """
     if not 0.0 <= h <= TROPOPAUSE_M:
         raise _outside_troposphere(h)
-    return ((SEA_LEVEL_TEMPERATURE - LAPSE_RATE * h) / SEA_LEVEL_TEMPERATURE) \
-        ** (PRESSURE_EXPONENT - 1.0)
+    return ((SEA_LEVEL_TEMPERATURE - LAPSE_RATE * h) / SEA_LEVEL_TEMPERATURE) ** DENSITY_EXPONENT
 
 
 def mslp_from_station(p_raw: float, elevation: float, pressure_correction: float) -> float:

@@ -246,7 +246,7 @@ def _cmd_mission_gen(args) -> int:
             headings=headings, capture_dwell=args.dwell))
     text = mission.serialize(plan)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_bytes(text.encode("utf-8"))  # "\n" on every platform
         print(f"wrote {len(plan.commands)} commands to {args.out}")
     else:
         print(text, end="")

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from math import cos, log, sin, sqrt, tau
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 from . import mission
 from .airframe import GF_TO_N, AirframeConfig, max_progressive_speed, service_ceiling, \
@@ -245,10 +245,10 @@ class Block(NamedTuple):
     count: int      # DT steps from the start to the first sample
 
 
-CSV_HEADER = "t,altitude,vertical_speed,heading\n"
+CSV_HEADER = b"t,altitude,vertical_speed,heading\n"
 # The rows of one second of trajectory.csv, a row per DT (which is 0.01 s):
 # S is the whole second and H the heading, both put in by Trajectory.to_csv
-_CSV_ROWS = tuple("S.%02d,%%.4f,%%.4f,H\n" % hundredth for hundredth in range(100))
+_CSV_ROWS = tuple(b"S.%02d,%%.4f,%%.4f,H\n" % hundredth for hundredth in range(100))
 
 
 @dataclass
@@ -261,9 +261,9 @@ class Trajectory:
     landing_offset: float = 0.0  # m downwind at the duration
 
     @staticmethod
-    def to_csv(out: TextIO, block: Block) -> None:
-        """Write a block's rows of trajectory.csv to ``out`` with one ``%``; the
-        header (CSV_HEADER) is the caller's.
+    def to_csv(out: BinaryIO, block: Block) -> None:
+        """Write a block's rows of trajectory.csv to the binary stream ``out``
+        with one bytes ``%``; the header (CSV_HEADER) is the caller's.
 
         Row i's t is printed from its step count ``count + i``, with no float:
         each whole second the block covers takes its slice of _CSV_ROWS with
@@ -277,9 +277,9 @@ class Trajectory:
         seconds = []
         for second in range(count // 100, (end - 1) // 100 + 1):
             base = 100 * second
-            seconds.append("".join(_CSV_ROWS[max(count - base, 0):end - base])
-                           .replace("S", str(second)))
-        out.write("".join(seconds).replace("H", "%.1f" % block.heading) % tuple(samples))
+            seconds.append(b"".join(_CSV_ROWS[max(count - base, 0):end - base])
+                           .replace(b"S", b"%d" % second))
+        out.write(b"".join(seconds).replace(b"H", b"%.1f" % block.heading) % tuple(samples))
 
     def camera_manifest(self) -> str:
         events = [{"t": round(e.t, 2), "altitude": round(e.altitude, 3),

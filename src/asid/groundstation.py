@@ -178,21 +178,22 @@ def build_bundle(report: WxReport, profile: SoundingProfile, sources: tuple[str,
 
 def write_bundle(bundle: ReportBundle, out_dir) -> list[Path]:
     """Write report.txt, report.json and, if there are plots, the plots/ directory;
-    returns the paths."""
+    returns the paths.  Each file is written as its ASCII bytes, so no text
+    layer turns its newlines into the platform's."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     text_path = directory / "report.txt"
-    text_path.write_text(render_text_report(bundle.report), encoding="ascii")
+    text_path.write_bytes(render_text_report(bundle.report).encode("ascii"))
     written.append(text_path)
     json_path = directory / "report.json"
-    json_path.write_text(render_json_report(bundle.report), encoding="ascii")
+    json_path.write_bytes(render_json_report(bundle.report).encode("ascii"))
     written.append(json_path)
     if bundle.plots:
         (directory / "plots").mkdir(exist_ok=True)
     for name, svg in bundle.plots.items():
         path = directory / "plots" / f"{name}.svg"
-        path.write_text(svg, encoding="ascii")
+        path.write_bytes(svg.encode("ascii"))
         written.append(path)
     return written
 

@@ -8,6 +8,7 @@ the first (TAKEOFF) row.
 
 from __future__ import annotations
 
+import copyreg
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ class MissionParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
+    def __reduce__(self):  # args hold the formatted text, not __init__'s arguments
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
 
 class MissionValidationError(ValueError):
     """A plan failed validation; carries the violation list."""
@@ -41,6 +45,9 @@ class MissionValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+    def __reduce__(self):  # args hold the joined text, not __init__'s list
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass(frozen=True)

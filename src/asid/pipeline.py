@@ -18,7 +18,7 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO
 
 from . import firmware, flightsim, mission
 from .airframe import service_ceiling  # noqa: F401  uncalled; perfbench/tracer.py probes this name
@@ -45,12 +45,13 @@ def _row_count(sd: SdCardImage, name: str) -> int:
     return data.count(b"\r\n") if data else 0
 
 
-def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResult:
+def run_simulation(cfg: RunConfig, csv: BinaryIO | None = None) -> SimulationResult:
     """Run the full pipeline in memory and return the SD image + the flight's summary.
 
     The logger polls the flight as it is flown: each block ``run_mission``
     hands over goes to the air loop, and to ``Trajectory.to_csv`` when a
-    ``csv`` stream is given, so no sample outlives its block.  Errors come in
+    binary ``csv`` stream is given (it gets trajectory.csv's bytes, with no
+    text layer), so no sample outlives its block.  Errors come in
     the order of a run that flies first and logs after: a flight error wins,
     then the logger's first error, then one writing ``csv``.
     """
@@ -116,7 +117,8 @@ def run_simulation(cfg: RunConfig, csv: TextIO | None = None) -> SimulationResul
 def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
     """Run the pipeline and write the SD image plus trajectory.csv to out_dir.
 
-    trajectory.csv is written block by block as the flight goes, under a
+    trajectory.csv is written block by block as the flight goes, as bytes
+    to a file opened in binary mode (so no newline is translated), under a
     temporary name renamed on success; a failed run removes it, and the
     directories it made for it.  An error writing or closing it is raised
     only when the run itself raised nothing.
@@ -127,7 +129,7 @@ def simulate(cfg: RunConfig, out_dir) -> SimulationResult:
     try:
         try:
             directory.mkdir(parents=True, exist_ok=True)
-            csv = partial.open("w", encoding="ascii")
+            csv = partial.open("wb")
         except OSError:
             run_simulation(cfg)  # an error of the run wins, as when the card was written after it
             raise

@@ -8,6 +8,7 @@ discomfort index is Thom's formulation.
 
 from __future__ import annotations
 
+import copyreg
 import math
 import re
 import statistics
@@ -33,6 +34,11 @@ class LogParseError(ValueError):
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
         self.row = row
+
+    def __reduce__(self):
+        # args hold the formatted text, as _parse_named may have renamed it,
+        # not __init__'s arguments: unpickling rebuilds from args and attributes
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ProfileError(ValueError):

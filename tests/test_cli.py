@@ -455,6 +455,15 @@ class TestMissionCommands:
         plan = parse(out.read_text())
         assert plan.commands[0].kind == "TAKEOFF"
 
+    def test_gen_writes_newlines_where_text_mode_writes_crlf(self, crlf_text_mode, tmp_path,
+                                                             capsys):
+        from asid.mission import MissionParams, generate_sounding_profile, serialize
+        out = tmp_path / "plan.csv"
+        assert main(["mission", "gen", "--target", "40", "--out", str(out)]) == EXIT_OK
+        plan = generate_sounding_profile(MissionParams(target_alt=40.0))
+        assert out.read_bytes() == serialize(plan).encode("utf-8")
+        assert b"\r" not in out.read_bytes()
+
     def test_validate_good_and_bad(self, tmp_path, capsys):
         out = tmp_path / "plan.csv"
         main(["mission", "gen", "--target", "40", "--out", str(out)])

@@ -125,18 +125,18 @@ def _oracle(cfg, plan):
     if error is not None:
         return "error", type(error).__name__, str(error)
     files[PHOTO_MANIFEST] = trajectory.camera_manifest().encode("ascii")
-    lines = [CSV_HEADER]
+    lines = [CSV_HEADER.decode("ascii")]
     t, previous = 0.0, 0
     for count, altitude, speed, heading in flown:
         if count != previous:
             t += DT
         previous = count
         lines.append("%.2f,%.4f,%.4f,%.1f\n" % (t, altitude, speed, heading))
-    return "card", files, "".join(lines)
+    return "card", files, "".join(lines).encode("ascii")
 
 
 def _program(cfg):
-    csv = io.StringIO()
+    csv = io.BytesIO()
     csv.write(CSV_HEADER)
     try:
         result = run_simulation(cfg, csv)

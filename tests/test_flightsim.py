@@ -90,9 +90,9 @@ def block_rows(blocks: list[Block]) -> list[tuple[float, float, float, float]]:
     return table
 
 
-def csv_text(blocks: list[Block]) -> str:
+def csv_bytes(blocks: list[Block]) -> bytes:
     """trajectory.csv as to_csv writes it, block by block."""
-    out = io.StringIO()
+    out = io.BytesIO()
     out.write(flightsim.CSV_HEADER)
     for block in blocks:
         Trajectory.to_csv(out, block)
@@ -707,11 +707,11 @@ def reference_csv(table: list[tuple[float, float, float, float]]) -> str:
         + "".join("%.2f,%.4f,%.4f,%.1f\n" % row for row in table)
 
 
-def assert_rows_match(text: str, table: list[tuple[float, float, float, float]]) -> None:
-    """``text`` equals ``reference_csv(table)``, compared line by line: a failure
-    names the first row that differs, where a diff of two whole texts takes
-    minutes on a long flight."""
-    assert text.split("\n") == reference_csv(table).split("\n")
+def assert_rows_match(data: bytes, table: list[tuple[float, float, float, float]]) -> None:
+    """``data`` equals ``reference_csv(table)``'s ASCII bytes, compared line by
+    line: a failure names the first row that differs, where a diff of two
+    whole texts takes minutes on a long flight."""
+    assert data.split(b"\n") == reference_csv(table).encode("ascii").split(b"\n")
 
 
 def _workloads():
@@ -736,13 +736,13 @@ class TestHeadingRuns:
         # the start sample and the last LAND stop are blocks of their own
         assert [len(blocks[0].samples), len(blocks[-1].samples)] == [2, 2]
         assert {heading for *_, heading in table} == {0.0, 45.0, 90.0, 359.9}
-        assert_rows_match(csv_text(blocks), table)
+        assert_rows_match(csv_bytes(blocks), table)
 
     def test_a_battery_exhausted_partial_trajectory(self, monkeypatch):
         blocks, table = fly_with_step_headings(
             monkeypatch, generate_sounding_profile(MissionParams()), cfg=SMALL_PACK)
         assert len({block.heading for block in blocks}) > 1  # it yawed before the pack emptied
-        assert_rows_match(csv_text(blocks), table)
+        assert_rows_match(csv_bytes(blocks), table)
 
     @pytest.mark.parametrize("workload", ["paper_sounding", "tall_column", "surface_watch"])
     def test_the_first_soundings_of_each_workload(self, monkeypatch, workload):
@@ -752,7 +752,7 @@ class TestHeadingRuns:
                 blocks, table = fly_with_step_headings(
                     patch, generate_sounding_profile(cfg.mission), cfg.airframe,
                     cfg.environment)
-            assert_rows_match(csv_text(blocks), table)
+            assert_rows_match(csv_bytes(blocks), table)
 
 
 def two_landings() -> MissionPlan:
@@ -771,7 +771,7 @@ def block_seams(blocks: list[Block]) -> list[int]:
 
 
 class _Writes(list):
-    """A text stream that keeps each write."""
+    """A binary stream that keeps each write."""
 
     write = list.append
 
@@ -792,9 +792,9 @@ class TestCsvChunks:
         writes = _Writes()
         for block in blocks:
             Trajectory.to_csv(writes, block)
-        assert_rows_match(flightsim.CSV_HEADER + "".join(writes), table)
+        assert_rows_match(flightsim.CSV_HEADER + b"".join(writes), table)
         # a step call passes 7 DT by one step at most, after a start sample or LAND stop
-        rows_per_write = [text.count("\n") for text in writes]
+        rows_per_write = [data.count(b"\n") for data in writes]
         assert len(writes) == len(blocks) > len(table) // 9
         assert max(rows_per_write) <= 9
 
@@ -810,7 +810,7 @@ class TestCsvChunks:
                 seams = block_seams(blocks)
                 assert len(stops) == 2 and set(stops) <= set(seams)
                 assert all(stop + 1 in seams for stop in stops)
-                assert_rows_match(csv_text(blocks), table)
+                assert_rows_match(csv_bytes(blocks), table)
 
     def test_a_long_command_takes_blocks_of_chunk_rows(self, monkeypatch):
         # the 300 m column lands from 300 m, about 2.5 blocks of flight
@@ -834,8 +834,7 @@ class TestCsvChunks:
         assert len(recorder.blocks) > 3
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "air.csv", "ground.csv", "photos.json", "trajectory.csv"]
-        assert_rows_match((tmp_path / "trajectory.csv").read_bytes().decode("ascii"),
-                          recorder.reference())
+        assert_rows_match((tmp_path / "trajectory.csv").read_bytes(), recorder.reference())
 
 
 def reference_step(state: SimState, cfg, target: float, end: float, band: float,
@@ -1042,6 +1041,58 @@ def summed_t_csv(block: Block) -> str:
     return ("%.2f,%.4f,%.4f," + "%.1f\n" % block.heading) * n % tuple(row)
 
 
+_REFERENCE_ROWS = tuple("S.%02d,%%.4f,%%.4f,H\n" % hundredth for hundredth in range(100))
+
+
+def reference_to_csv(block: Block) -> str:
+    """``Trajectory.to_csv`` as it was when it wrote str to a text stream, kept
+    verbatim: the bytes writer must write this text's ASCII bytes."""
+    samples, count = block.samples, block.count
+    end = count + len(samples) // 2
+    seconds = []
+    for second in range(count // 100, (end - 1) // 100 + 1):
+        base = 100 * second
+        seconds.append("".join(_REFERENCE_ROWS[max(count - base, 0):end - base])
+                       .replace("S", str(second)))
+    return "".join(seconds).replace("H", "%.1f" % block.heading) % tuple(samples)
+
+
+class TestBytesWriter:
+    """to_csv formats with bytes ``%`` into a binary stream; its bytes must be
+    the str writer's text, encoded."""
+
+    @pytest.mark.parametrize("heading", [0.0, 359.95, 360.0])
+    @pytest.mark.parametrize("rows", [1, 99, 100, 101, 4097])
+    @pytest.mark.parametrize("count", [0, 99, 12_299, 8_639_999])
+    def test_a_block_writes_the_str_writers_text(self, count, rows, heading):
+        rng = random.Random(count * 10_000 + rows)
+        samples = [rng.uniform(-1.0, 500.0) for _ in range(2 * rows)]
+        samples[1::6] = [-0.0] * len(samples[1::6])  # every third speed -0.0, the next 0.0
+        samples[3::6] = [0.0] * len(samples[3::6])
+        block = Block(samples, heading, count)
+        out = io.BytesIO()
+        Trajectory.to_csv(out, block)
+        # compared line by line, so a failure names the first row that differs
+        assert out.getvalue().split(b"\n") == reference_to_csv(block).encode("ascii").split(b"\n")
+
+    @pytest.mark.parametrize("document", [
+        {}, {"mission": {"target_alt": 300, "headings": [90]},
+             "firmware": {"server_threshold": 290}},
+    ], ids=["default", "300m_column"])
+    def test_simulate_writes_the_header_and_each_blocks_bytes(self, monkeypatch, tmp_path,
+                                                             document):
+        from asid import pipeline
+        blocks = []
+        run = flightsim.run_mission
+        monkeypatch.setattr(flightsim, "run_mission", lambda plan, cfg, env, consume: run(
+            plan, cfg, env, lambda block: blocks.append(block) or consume(block)))
+        pipeline.simulate(config.from_dict(document), tmp_path)
+        assert len(blocks) > 3
+        expected = flightsim.CSV_HEADER + b"".join(
+            reference_to_csv(block).encode("ascii") for block in blocks)
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected
+
+
 class TestTrajectoryExports:
     def test_csv_shape(self):
         plan = MissionPlan(commands=(
@@ -1049,8 +1100,8 @@ class TestTrajectoryExports:
             MissionCommand(LAND),
         ))
         _, blocks = fly(plan)
-        lines = csv_text(blocks).splitlines()
-        assert lines[0] == "t,altitude,vertical_speed,heading"
+        lines = csv_bytes(blocks).splitlines()
+        assert lines[0] == b"t,altitude,vertical_speed,heading"
         assert len(lines) == len(block_rows(blocks)) + 1
 
     def test_dt_is_a_hundredth_of_a_second(self):
@@ -1068,10 +1119,10 @@ class TestTrajectoryExports:
         samples[:2] = -0.0, 0.0
         block = Block(samples, rng.choice([-0.0, 0.0, 45.0, 359.9, rng.uniform(0.0, 360.0)]),
                       count)
-        out = io.StringIO()
+        out = io.BytesIO()
         Trajectory.to_csv(out, block)
         # compared line by line, so a failure names the first row that differs
-        assert out.getvalue().split("\n") == summed_t_csv(block).split("\n")
+        assert out.getvalue().split(b"\n") == summed_t_csv(block).encode("ascii").split(b"\n")
 
     def test_camera_manifest_is_json(self):
         import json
@@ -1100,7 +1151,7 @@ class TestTrajectoryExports:
         cfg = config.from_dict(document)
         plan = generate_sounding_profile(cfg.mission)
         _, blocks = fly(plan, cfg.airframe, cfg.environment)
-        assert hashlib.sha256(csv_text(blocks).encode("ascii")).hexdigest() == csv_sha256
+        assert hashlib.sha256(csv_bytes(blocks)).hexdigest() == csv_sha256
         assert hashlib.sha256(repr(block_rows(blocks)).encode("ascii")).hexdigest() \
             == samples_sha256
 

@@ -13,6 +13,7 @@ from asid.groundstation import (
     render_text_report,
     report_to_dict,
     write_bundle,
+    write_report,
 )
 from asid.wxindices import (
     FreezingLevel,
@@ -155,6 +156,14 @@ class TestGoldenReport:
         plots = render_plots(profile)
         for name in PLOT_NAMES:
             assert plots[name] == (GOLDEN / "plots" / f"{name}.svg").read_text()
+
+    def test_write_report_keeps_the_golden_bytes_where_text_mode_writes_crlf(
+            self, crlf_text_mode, tmp_path):
+        _, _, written = write_report((GOLDEN / "air.csv").read_bytes(),
+                                     (GOLDEN / "ground.csv").read_bytes(), tmp_path / "out")
+        assert len(written) == 5
+        for path in written:
+            assert path.read_bytes() == (GOLDEN / path.relative_to(tmp_path / "out")).read_bytes()
 
     def test_freeze_goldens_reproduces_the_golden_set(self, tmp_path):
         spec = importlib.util.spec_from_file_location("freeze_goldens", FREEZE_GOLDENS)

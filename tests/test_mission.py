@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from asid.mission import (
     MissionParams,
     MissionParseError,
     MissionPlan,
+    MissionValidationError,
     generate_sounding_profile,
     parse,
     serialize,
@@ -189,3 +191,31 @@ class TestSerialization:
             with pytest.raises(MissionParseError, match="must be finite") as err:
                 parse(f"command,p1,p2,p3,p4,lat,lon,alt\n{row}\n")
             assert err.value.line == 2
+
+
+class TestErrorsPickle:
+    """Mission errors survive pickle, as a process pool sends a worker's error
+    back: type, text, args and the carried line or violations."""
+
+    @staticmethod
+    def assert_round_trips(error: ValueError) -> None:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(error, protocol))
+            assert type(back) is type(error)
+            assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))
+
+    def test_a_parse_error(self):
+        error = MissionParseError(2, "y")
+        assert error.line == 2
+        self.assert_round_trips(error)
+
+    def test_a_parse_error_from_a_file(self):
+        with pytest.raises(MissionParseError) as raised:
+            parse(serialize(generate_sounding_profile(MissionParams())) + "LAND,0\n")
+        self.assert_round_trips(raised.value)
+
+    @pytest.mark.parametrize("violations", [["a b", "c"], ["plan has no commands"], []])
+    def test_a_validation_error(self, violations):
+        error = MissionValidationError(violations)
+        assert error.violations == violations
+        self.assert_round_trips(error)

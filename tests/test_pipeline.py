@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -121,10 +123,21 @@ def test_simulate_peaks_flat_as_the_flight_grows(tmp_path):
     assert peaks[1] - peaks[0] <= 200 * flightsim.CSV_CHUNK_ROWS
 
 
-class _FullDisk:
-    """A text stream whose every write fails, as on a full disk."""
+def test_simulate_keeps_its_bytes_where_text_mode_writes_crlf(crlf_text_mode, tmp_path):
+    # trajectory.csv is pinned in tests/test_flightsim.py, the card in tests/golden
+    simulate(config.default_run_config(), tmp_path)
+    csv = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() \
+        == "4c5f7b58565606c0b7dbc967d2932eec2df121f610194bca46cda015ddfc4b9a"
+    golden = Path(__file__).parent / "golden"
+    for name in (AIR_LOG, GROUND_LOG, PHOTO_MANIFEST):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
-    def write(self, text: str) -> int:
+
+class _FullDisk:
+    """A binary stream whose every write fails, as on a full disk."""
+
+    def write(self, data: bytes) -> int:
         raise OSError(28, "No space left on device")
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import pickle
 import random
 import re
 import statistics
@@ -370,6 +371,27 @@ def _edited_rows() -> dict[str, bytes]:
         cases[f"{name}, row 2"] = good + row + good
         cases[f"{name}, before a bad row"] = good + good + row + later_bad
     return cases
+
+
+class TestParseErrorPickles:
+    """A LogParseError survives pickle, as a process pool sends a worker's
+    error back: type, text, row and args."""
+
+    @staticmethod
+    def assert_round_trips(error: LogParseError) -> None:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(error, protocol))
+            assert type(back) is LogParseError
+            assert (str(back), back.row, back.args) == (str(error), error.row, error.args)
+
+    def test_a_parse_error(self):
+        self.assert_round_trips(LogParseError(3, "x"))
+
+    def test_a_parse_error_build_profile_named(self):
+        with pytest.raises(LogParseError) as raised:
+            build_profile(b"", GROUND_BLOB + b"01.06.2021,10:16:00,nan,45.2,25.1,1005.25,0.0,\r\n")
+        assert str(raised.value).startswith(f"ground-log row {raised.value.row}: ")
+        self.assert_round_trips(raised.value)
 
 
 class TestParseLogAgainstTheReference:
