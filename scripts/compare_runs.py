@@ -19,7 +19,11 @@ interpreter of its own that imports ``asid`` from that checkout's
 sha256 of each file left in its output directory (and whether that
 directory exists), and either its summary (row counts, server start,
 duration, peak, camera events, landing offset) or its error's type and
-message.  Prints each document whose outcome differs, with the fields
+message.  After a run that simulates, ``groundstation.write_report`` reads
+the card's logs (``air.csv``, or no bytes without one, and ``ground.csv``)
+into a report directory of its own; the outcome adds the sha256 of each
+report file written, as ``report/report.txt`` and the like, and the
+report's error's type and message if it raises one.  Prints each document whose outcome differs, with the fields
 that differ, and exits 1 if any does.  Standard library only.
 """
 
@@ -40,11 +44,12 @@ SEED = 1
 RUN = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
-from asid import config, pipeline
+from asid import config, groundstation, pipeline
+from asid.firmware import AIR_LOG, GROUND_LOG
 outcomes = {}
 for name, document in json.loads(sys.argv[1]).items():
     with tempfile.TemporaryDirectory() as root:
-        out = Path(root) / "out"
+        out, report = Path(root) / "out", Path(root) / "report"
         try:
             result = pipeline.simulate(config.from_dict(document), out)
         except Exception as exc:
@@ -55,6 +60,15 @@ for name, document in json.loads(sys.argv[1]).items():
                 result.ground_rows, result.air_rows, result.server_started,
                 trajectory.duration, trajectory.max_altitude,
                 len(trajectory.camera_events), trajectory.landing_offset]}
+            try:
+                groundstation.write_report(result.sd.read(AIR_LOG) or b"",
+                                           result.sd.read(GROUND_LOG), report)
+            except Exception as exc:
+                outcome["report error"] = [type(exc).__name__, str(exc)]
+            for path in sorted(report.rglob("*")):
+                if path.is_file():
+                    outcome[f"report/{path.relative_to(report).as_posix()}"] = \
+                        hashlib.sha256(path.read_bytes()).hexdigest()
         outcome["out directory"] = out.exists()
         for path in sorted(out.iterdir()) if out.exists() else ():
             outcome[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()

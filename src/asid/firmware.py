@@ -89,9 +89,6 @@ class SdCardImage:
         data = self.files.get(name)
         return None if data is None else bytes(data)
 
-    def exists(self, name: str) -> bool:
-        return name in self.files
-
     def remove(self, name: str) -> None:
         self.files.pop(name, None)
 

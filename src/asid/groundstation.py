@@ -9,7 +9,6 @@ one chain from the synced log bytes to the written documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -21,14 +20,6 @@ PLOT_NAMES = ("height_temperature", "height_humidity", "height_pressure")
 
 _SVG_W, _SVG_H = 480, 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    report: WxReport
-    plots: dict[str, str]       # plot name -> SVG document
-    sources: tuple[str, ...]
-    generated_at: datetime
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
@@ -170,30 +161,28 @@ def render_json_report(report: WxReport) -> str:
 
 
 def build_bundle(report: WxReport, profile: SoundingProfile, sources: tuple[str, ...],
-                 generated_at: datetime) -> ReportBundle:
-    """The report plus its plots; a profile without air levels (surface only) has none."""
-    plots = render_plots(profile) if profile.levels else {}
-    return ReportBundle(report=report, plots=plots, sources=sources, generated_at=generated_at)
+                 generated_at: datetime) -> dict[str, bytes]:
+    """The report's documents as their ASCII bytes, keyed by path under the
+    output directory: report.txt, report.json and, for a profile with air
+    levels, plots/<name>.svg.  No document reads sources or generated_at;
+    they stay only because perfbench/roundtrip.py passes them."""
+    documents = {"report.txt": render_text_report(report).encode("ascii"),
+                 "report.json": render_json_report(report).encode("ascii")}
+    if profile.levels:
+        for name, svg in render_plots(profile).items():
+            documents[f"plots/{name}.svg"] = svg.encode("ascii")
+    return documents
 
 
-def write_bundle(bundle: ReportBundle, out_dir) -> list[Path]:
-    """Write report.txt, report.json and, if there are plots, the plots/ directory;
-    returns the paths.  Each file is written as its ASCII bytes, so no text
-    layer turns its newlines into the platform's."""
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+def write_bundle(documents: dict[str, bytes], out_dir) -> list[Path]:
+    """Write each document's bytes under out_dir, making its directory;
+    returns the paths in the documents' order.  Bytes, not text, so no text
+    layer turns the newlines into the platform's."""
     written = []
-    text_path = directory / "report.txt"
-    text_path.write_bytes(render_text_report(bundle.report).encode("ascii"))
-    written.append(text_path)
-    json_path = directory / "report.json"
-    json_path.write_bytes(render_json_report(bundle.report).encode("ascii"))
-    written.append(json_path)
-    if bundle.plots:
-        (directory / "plots").mkdir(exist_ok=True)
-    for name, svg in bundle.plots.items():
-        path = directory / "plots" / f"{name}.svg"
-        path.write_bytes(svg.encode("ascii"))
+    for name, data in documents.items():
+        path = Path(out_dir) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
         written.append(path)
     return written
 

@@ -121,6 +121,8 @@ def parse_log(data: bytes) -> list[LogRow]:
     prints is refused too: it prints digits, ``-``, ``.``, ``,`` and ``:``,
     and ends each row with CRLF, so ``15_05``, ``+15.0``, ``1e1`` and a
     blank around a number, all of which ``float`` reads, are malformed fields.
+    After all of these, a log that is not empty must end with the last row's
+    ``,`` and CRLF: a log cut inside its last row is refused, not read short.
     """
     try:
         text = data.decode("ascii")
@@ -160,6 +162,9 @@ def parse_log(data: bytes) -> list[LogRow]:
         raise LogParseError(data.count(b"\r\n", 0, at) + 1,
                             f"the logger prints only digits, '-', '.', ',', ':' and CRLF row "
                             f"ends, not {chr(data[at])!r}")
+    if data and not data.endswith(b",\r\n"):  # a log cut inside its last row
+        raise LogParseError(data.count(b"\r\n", 0, len(data) - 1) + 1,
+                            "the log ends inside this row, not with its ',' and CRLF")
     return rows
 
 

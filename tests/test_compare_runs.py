@@ -28,7 +28,25 @@ def test_a_changed_poll_period_is_found(tmp_path, capsys):
                         encoding="utf-8")
     assert compare_runs.main([str(ROOT), str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # the air rows move; the ground rows and trajectory.csv do not
-    assert "default: air.csv differ" in lines
+    # the air rows move, and with them the report; the ground rows and trajectory.csv do not
+    default = next(line for line in lines if line.startswith("default: "))
+    fields = default.removeprefix("default: ").removesuffix(" differ").split(", ")
+    assert fields[0] == "air.csv"
+    assert all(field.startswith("report/") for field in fields[1:])
     assert lines[-1].endswith(" documents give the same outcome")
     assert not lines[-1].startswith(f"{len(compare_runs.documents())} of")
+
+
+def test_a_changed_report_byte_is_found(tmp_path, capsys):
+    shutil.copytree(ROOT / "src" / "asid", tmp_path / "src" / "asid",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    groundstation = tmp_path / "src" / "asid" / "groundstation.py"
+    text = groundstation.read_text(encoding="utf-8")
+    assert text.count('"AERIAL WEATHER REPORT",') == 1
+    groundstation.write_text(text.replace('"AERIAL WEATHER REPORT",', '"AERIAL WEATHER REPORt",'),
+                             encoding="utf-8")
+    assert compare_runs.main([str(ROOT), str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the simulation's files are the same; only the text report moves
+    assert "default: report/report.txt differ" in lines
+    assert lines[-1].endswith(" documents give the same outcome")

@@ -133,7 +133,7 @@ class TestGroundPhase:
             log_ground(state, iter(readings), sd)
         with pytest.raises(kind, match=error):
             make_sample(state, 15.0, humidity, pressure, 3500 * (rows - 1))
-        assert not sd.exists(GROUND_LOG)
+        assert GROUND_LOG not in sd.files
 
 
 class TestAirPhase:
@@ -153,7 +153,7 @@ class TestAirPhase:
     def test_low_flight_never_logs_or_serves(self):
         altitudes = [1.0, 2.0, 3.9, 3.9, 2.0, 0.5] * 10
         state, sd, _ = _run_flight(altitudes)
-        assert not sd.exists(AIR_LOG)
+        assert AIR_LOG not in sd.files
         assert not state.serving
 
     def test_buzzer_log_six_short_one_long(self):
@@ -189,7 +189,7 @@ class TestAirPhase:
         with pytest.raises(ValueError):
             tick(state, (15.0, 101.0, low[2]), 20_000, sd)
         assert calls == []
-        assert not sd.exists(AIR_LOG)
+        assert AIR_LOG not in sd.files
 
 
 class TestRowFormat:
@@ -465,7 +465,7 @@ class TestSdCardImage:
         sd.append("a.csv", b"two,")
         assert sd.read("a.csv") == b"one,two,"
         sd.remove("a.csv")
-        assert not sd.exists("a.csv")
+        assert "a.csv" not in sd.files
         assert sd.read("a.csv") is None
         sd.remove("a.csv")  # removing a missing file is a no-op
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from asid.cli import EXIT_CONFIG, main
 from asid.groundstation import (
     PLOT_NAMES,
     build_bundle,
@@ -138,8 +139,39 @@ class TestBundle:
     def test_plot_points_match_level_count(self):
         profile = _profile(4)
         bundle = build_bundle(_report(), profile, sources=(), generated_at=datetime.now())
-        for svg in bundle.plots.values():
-            assert svg.count("<circle") == len(profile.levels)
+        for name in PLOT_NAMES:
+            assert bundle[f"plots/{name}.svg"].count(b"<circle") == len(profile.levels)
+
+
+    def test_the_golden_documents_in_their_order(self):
+        profile = build_profile((GOLDEN / "air.csv").read_bytes(),
+                                (GOLDEN / "ground.csv").read_bytes())
+        report = build_report(profile)
+        bundle = build_bundle(report, profile, sources=(), generated_at=report.collection_time)
+        names = ["report.txt", "report.json", *(f"plots/{name}.svg" for name in PLOT_NAMES)]
+        assert list(bundle) == names
+        assert bundle == {name: (GOLDEN / name).read_bytes() for name in names}
+
+    def test_a_surface_only_profile_has_no_plots_directory(self, tmp_path):
+        profile = _profile(0)
+        bundle = build_bundle(_report(), profile, sources=(), generated_at=datetime.now())
+        assert list(bundle) == ["report.txt", "report.json"]
+        assert write_bundle(bundle, tmp_path / "out") == [tmp_path / "out" / "report.txt",
+                                                          tmp_path / "out" / "report.json"]
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == \
+            ["report.json", "report.txt"]
+
+    def test_writing_below_a_regular_file_is_an_os_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_bytes(b"")
+        bundle = build_bundle(_report(), _profile(), sources=(), generated_at=datetime.now())
+        with pytest.raises(OSError):
+            write_bundle(bundle, tmp_path / "file" / "out")
+        for name in ("air.csv", "ground.csv"):
+            (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+        capsys.readouterr()
+        code = main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "file" / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 class TestGoldenReport:

@@ -32,7 +32,7 @@ class TestRunSimulation:
         assert result.ground_rows == 6
         assert result.air_rows == 0
         assert not result.server_started
-        assert not result.sd.exists(AIR_LOG)
+        assert AIR_LOG not in result.sd.files
 
     def test_photo_manifest_matches_camera_events(self):
         import json

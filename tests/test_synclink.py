@@ -105,8 +105,8 @@ class TestServeFile:
     def test_serving_air_keeps_files(self):
         sd = _sd()
         handle_connection(ScriptedConn(b"GET /download/air.csv HTTP/1.1\r\n\r\n"), sd)
-        assert sd.exists(AIR_LOG)
-        assert sd.exists(GROUND_LOG)
+        assert AIR_LOG in sd.files
+        assert GROUND_LOG in sd.files
 
 
 class TestHandleConnection:
@@ -126,8 +126,8 @@ class TestHandleConnection:
         served_after = []
         target = handle_connection(conn, sd, lambda: served_after.append(len(conn.writes)))
         assert target == GROUND_LOG
-        assert not sd.exists(AIR_LOG)
-        assert not sd.exists(GROUND_LOG)
+        assert AIR_LOG not in sd.files
+        assert GROUND_LOG not in sd.files
         assert served_after == [len(conn.writes)]  # once, after the last chunk
 
     def test_failed_send_keeps_both_logs(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from asid import config
+from asid import cli, config
 from asid.firmware import AIR_LOG, GROUND_LOG, format_row
 from asid.pipeline import run_simulation
 from asid.wxindices import (
@@ -321,9 +321,17 @@ def _outcome(parse, data: bytes):
 
 def assert_parses_as_the_reference(data: bytes) -> None:
     """parse_log gives the reference's rows or error, except that it refuses
-    a log the reference reads whose bytes are not all ones the logger prints."""
+    a log the reference reads whose bytes are not all ones the logger prints,
+    and then one that is not empty and does not end with ',' and CRLF."""
     got, expected = _outcome(parse_log, data), _outcome(reference_parse_log, data)
-    if expected[0] == "error" or PRINTED.fullmatch(data):
+    if expected[0] == "error":
+        assert got == expected, data
+        return
+    if PRINTED.fullmatch(data):
+        if data and not data.endswith(b",\r\n"):
+            row = data.count(b"\r\n", 0, len(data) - 1) + 1
+            expected = ("error", LogParseError, row,
+                        f"row {row}: the log ends inside this row, not with its ',' and CRLF")
         assert got == expected, data
         return
     at = next(i for i, byte in enumerate(data)
@@ -392,6 +400,57 @@ class TestParseErrorPickles:
             build_profile(b"", GROUND_BLOB + b"01.06.2021,10:16:00,nan,45.2,25.1,1005.25,0.0,\r\n")
         assert str(raised.value).startswith(f"ground-log row {raised.value.row}: ")
         self.assert_round_trips(raised.value)
+
+
+def _report_exit(air: bytes, ground: bytes, tmp_path: Path, capsys) -> tuple[int, str]:
+    """``asid report`` on the two logs; returns (exit code, stderr)."""
+    (tmp_path / "air.csv").write_bytes(air)
+    (tmp_path / "ground.csv").write_bytes(ground)
+    capsys.readouterr()
+    code = cli.main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+class TestALogCutInsideItsLastRow:
+    """A log that does not end with its last row's ',' and CRLF was cut short,
+    so it is refused with its last row's number, not read short."""
+
+    @staticmethod
+    def soundings() -> list[tuple[bytes, bytes]]:
+        """(air, ground) of the golden flight and of the 16 device cards."""
+        logs = _device_logs()
+        return [((GOLDEN / "air.csv").read_bytes(), (GOLDEN / "ground.csv").read_bytes()),
+                *zip(logs[1::2], logs[0::2])]
+
+    def test_the_whole_logs_still_report(self, tmp_path, capsys):
+        ground = (GOLDEN / "ground.csv").read_bytes()
+        for air, ground_log in [*self.soundings(), (b"", ground)]:  # b"": surface only
+            code, err = _report_exit(air, ground_log, tmp_path, capsys)
+            assert code == cli.EXIT_OK and "error" not in err, err
+
+    def test_every_cut_inside_the_last_row_exits_data_error(self, tmp_path, capsys):
+        cuts = 0
+        for air, ground in self.soundings():
+            for log, data in (("air", air), ("ground", ground)):
+                last = data.count(b"\r\n")
+                start = data.rindex(b"\r\n", 0, len(data) - 2) + 2 if last > 1 else 0
+                for end in range(start + 1, len(data)):
+                    cut = data[:end]
+                    logs = (cut, ground) if log == "air" else (air, cut)
+                    code, err = _report_exit(*logs, tmp_path, capsys)
+                    assert code == cli.EXIT_DATA, (log, cut[start:])
+                    assert err.startswith(f"data error: {log}-log row {last}: "), err
+                    assert not (tmp_path / "out").exists()
+                    cuts += 1
+        assert cuts > 34 * 40  # every log's last row is longer than 40 bytes
+
+    def test_the_golden_air_log_cut_by_five_bytes(self):
+        # it read row 7's altitude 37.81 as 37.0, and a lapse rate of 6.19 C/km for 6.05
+        with pytest.raises(LogParseError) as raised:
+            build_profile((GOLDEN / "air.csv").read_bytes()[:-5],
+                          (GOLDEN / "ground.csv").read_bytes())
+        assert str(raised.value) == \
+            "air-log row 7: the log ends inside this row, not with its ',' and CRLF"
 
 
 class TestParseLogAgainstTheReference:
