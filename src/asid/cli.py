@@ -153,16 +153,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_serve(args) -> int:
     if not 0 <= args.port <= 65535:
         raise config.ConfigError("serve: --port must lie in [0, 65535]")
-    sd_dir = Path(args.sdcard)
-    sd = firmware.SdCardImage.from_dir(sd_dir)
-
-    def on_ground_served() -> None:
-        # the device deletes both logs after serving ground.csv
-        for name in (firmware.AIR_LOG, firmware.GROUND_LOG):
-            (sd_dir / name).unlink(missing_ok=True)
-
-    server = synclink.LogServer(sd, host=args.host, port=args.port,
-                                on_ground_served=on_ground_served)
+    # serving ground.csv deletes both logs from the directory, as the device does
+    sd = firmware.SdCardImage.from_dir(args.sdcard)
+    server = synclink.LogServer(sd, host=args.host, port=args.port)
     print(f"serving {args.sdcard} on {server.host}:{server.port} (Ctrl-C to stop)")
     try:
         server.serve_forever()

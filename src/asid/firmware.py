@@ -70,14 +70,17 @@ class FirmwareConfig:
 
 
 class SdCardImage:
-    """In-memory SD card: a name -> bytes mapping with atomic per-call ops.
+    """SD card: a name -> bytes mapping with atomic per-call ops.
 
     ``append`` grows a file's ``bytearray`` in place, so logging n rows
     costs linear, not quadratic, time; ``read`` returns a ``bytes`` copy.
+    A card read with ``from_dir`` is that directory: ``remove`` deletes the
+    file there too, as the device deletes it from its card.
     """
 
     def __init__(self, files: dict[str, bytes] | None = None):
         self.files: dict[str, bytes | bytearray] = dict(files or {})
+        self.directory: Path | None = None  # set only by from_dir
 
     def append(self, name: str, data: bytes) -> None:
         if name in self.files:
@@ -90,6 +93,8 @@ class SdCardImage:
         return None if data is None else bytes(data)
 
     def remove(self, name: str) -> None:
+        if self.directory is not None:  # the file first, so a failed unlink keeps both
+            (self.directory / name).unlink(missing_ok=True)
         self.files.pop(name, None)
 
     def names(self) -> list[str]:
@@ -103,11 +108,14 @@ class SdCardImage:
 
     @classmethod
     def from_dir(cls, path) -> "SdCardImage":
-        """The card in ``path``: the files the device writes, whatever else lies there."""
+        """The card in ``path``: the files the device writes, whatever else lies
+        there.  Its ``remove`` deletes the file in ``path`` too."""
         directory = Path(path)
         present = {entry.name for entry in directory.iterdir() if entry.is_file()}
-        return cls({name: (directory / name).read_bytes()
+        card = cls({name: (directory / name).read_bytes()
                     for name in (AIR_LOG, GROUND_LOG, PHOTO_MANIFEST) if name in present})
+        card.directory = directory
+        return card
 
 
 @dataclass

@@ -70,7 +70,7 @@ class HttpFileResponse:
         return writes
 
 
-def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> str | None:
+def handle_connection(conn, sd: SdCardImage) -> str | None:
     """Serve one connection on any socket-like transport; returns the routed file name.
 
     The transport needs recv/sendall/close.  Requests are read up to the first
@@ -81,8 +81,8 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> str | Non
     CONNECTION_TIMEOUT_S.  Writes happen exactly one sendall per header line
     and per 1760-byte body chunk, so a counting transport can observe the
     chunking.  Once the last chunk of ground.csv is out, both logs are removed
-    from the card and ``on_ground_served`` runs; a transport error before that
-    propagates and leaves the card as it was.
+    from the card (from its directory too, for a card read with ``from_dir``);
+    a transport error before that propagates and leaves the card as it was.
     """
     deadline = time.monotonic() + CONNECTION_TIMEOUT_S
     settimeout = getattr(conn, "settimeout", None)
@@ -111,8 +111,6 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> str | Non
         if name == GROUND_LOG:
             sd.remove(AIR_LOG)
             sd.remove(GROUND_LOG)
-            if on_ground_served is not None:
-                on_ground_served()
         return name
     finally:
         conn.close()
@@ -121,10 +119,8 @@ def handle_connection(conn, sd: SdCardImage, on_ground_served=None) -> str | Non
 class LogServer:
     """Sequential accept-serve loop over TCP; one connection at a time."""
 
-    def __init__(self, sd: SdCardImage, host: str = "127.0.0.1", port: int = 0,
-                 on_ground_served=None):
+    def __init__(self, sd: SdCardImage, host: str = "127.0.0.1", port: int = 0):
         self.sd = sd
-        self.on_ground_served = on_ground_served
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -150,7 +146,7 @@ class LogServer:
             except OSError:
                 break
             try:
-                handle_connection(conn, self.sd, self.on_ground_served)
+                handle_connection(conn, self.sd)
             except OSError as exc:
                 log.warning("dropped a connection: %r", exc)
 

@@ -2,6 +2,9 @@ import dataclasses
 import io
 import json
 import os
+import re
+import select
+import signal
 import socket
 import subprocess
 import sys
@@ -682,6 +685,7 @@ class TestServeSyncReport:
         sd_dir = tmp_path / "sd"
         assert main(["simulate", "--out", str(sd_dir)]) == EXIT_OK
 
+        air = (sd_dir / "air.csv").read_bytes()  # serving ground.csv deletes it
         sd = SdCardImage.from_dir(sd_dir)
         server = synclink.LogServer(sd, port=0)
         stop = threading.Event()
@@ -691,7 +695,7 @@ class TestServeSyncReport:
             synced = tmp_path / "synced"
             assert main(["sync", "--host", server.host, "--port", str(server.port),
                          "--out", str(synced)]) == EXIT_OK
-            assert (synced / "air.csv").read_bytes() == (sd_dir / "air.csv").read_bytes()
+            assert (synced / "air.csv").read_bytes() == air
 
             out = tmp_path / "report"
             assert main(["report", "--in", str(synced), "--out", str(out)]) == EXIT_OK
@@ -706,16 +710,10 @@ class TestServeSyncReport:
             server.close()
 
     def test_serve_deletes_backing_files_after_ground(self, tmp_path):
-        # exercise the on-disk deletion path the serve subcommand wires up
+        # a card read from its directory deletes the logs there once ground.csv is out
         sd_dir = tmp_path / "sd"
         main(["simulate", "--out", str(sd_dir)])
-        sd = SdCardImage.from_dir(sd_dir)
-
-        def on_ground_served():
-            for name in ("air.csv", "ground.csv"):
-                (sd_dir / name).unlink(missing_ok=True)
-
-        server = synclink.LogServer(sd, port=0, on_ground_served=on_ground_served)
+        server = synclink.LogServer(SdCardImage.from_dir(sd_dir), port=0)
         stop = threading.Event()
         thread = threading.Thread(target=server.serve_forever, args=(stop,), daemon=True)
         thread.start()
@@ -728,6 +726,35 @@ class TestServeSyncReport:
             stop.set()
             thread.join(timeout=2.0)
             server.close()
+
+    def test_asid_serve_deletes_the_logs_it_served_and_stops_on_ctrl_c(self, tmp_path):
+        # the serve command in its own process; -c, since -m asid.cli warns that
+        # asid/__init__.py has already imported asid.cli
+        sd_dir = tmp_path / "sd"
+        assert main(["simulate", "--out", str(sd_dir)]) == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=str(Path(asid.__file__).parents[1]))
+        argv = [sys.executable, "-u", "-c",
+                "import sys; from asid.cli import main; sys.exit(main(sys.argv[1:]))",
+                "serve", "--sdcard", str(sd_dir), "--port", "0"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as child:
+            try:
+                ready, _, _ = select.select([child.stdout], [], [], 30.0)
+                assert ready, "asid serve printed nothing within 30 s"
+                first = child.stdout.readline()
+                serving = re.fullmatch(r"serving .* on ([\d.]+):(\d+) \(Ctrl-C to stop\)\n",
+                                       first)
+                assert serving, first
+                synclink.sync(serving[1], int(serving[2]), tmp_path / "synced", timeout=5.0)
+                assert sorted(path.name for path in sd_dir.iterdir()) == \
+                    ["photos.json", "trajectory.csv"]
+                child.send_signal(signal.SIGINT)
+                assert child.wait(timeout=10.0) == EXIT_OK
+                assert child.stderr.read() == ""
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
 
 
 def _exit_code(argv, capsys):

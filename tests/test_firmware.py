@@ -483,6 +483,30 @@ class TestSdCardImage:
         (tmp_path / "sub").mkdir()
         assert SdCardImage.from_dir(tmp_path).files == card
 
+    def test_a_card_read_from_a_directory_removes_its_files_there(self, tmp_path):
+        SdCardImage({"air.csv": b"1,\r\n", "photos.json": b"[]"}).to_dir(tmp_path)
+        sd = SdCardImage.from_dir(tmp_path)
+        sd.remove("air.csv")
+        sd.remove("ground.csv")  # missing on the card and in the directory: a no-op
+        assert sorted(sd.files) == ["photos.json"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["photos.json"]
+
+    def test_an_in_memory_card_leaves_a_directory_alone(self, tmp_path):
+        sd = SdCardImage({"air.csv": b"1,\r\n"})
+        sd.to_dir(tmp_path)  # writes the files, but does not bind the card to them
+        sd.remove("air.csv")
+        assert sd.files == {}
+        assert (tmp_path / "air.csv").read_bytes() == b"1,\r\n"
+
+    def test_a_file_the_card_cannot_delete_stays_on_the_card(self, tmp_path):
+        SdCardImage({"air.csv": b"1,\r\n"}).to_dir(tmp_path)
+        sd = SdCardImage.from_dir(tmp_path)
+        (tmp_path / "air.csv").unlink()
+        (tmp_path / "air.csv").mkdir()  # unlink refuses a directory
+        with pytest.raises(OSError):
+            sd.remove("air.csv")
+        assert sd.read("air.csv") == b"1,\r\n"
+
 
 def test_config_validation():
     with pytest.raises(ValueError):

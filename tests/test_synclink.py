@@ -11,7 +11,8 @@ import warnings
 import pytest
 
 from asid import cli, synclink
-from asid.firmware import AIR_LOG, ARDUINO_FLOAT_LIMIT, GROUND_LOG, SdCardImage, format_row
+from asid.firmware import AIR_LOG, ARDUINO_FLOAT_LIMIT, GROUND_LOG, PHOTO_MANIFEST, \
+    SdCardImage, format_row
 from asid.synclink import (
     AIR_REQUEST_PATH,
     BODY_LIMIT,
@@ -57,6 +58,25 @@ class ScriptedConn:
 
     def close(self) -> None:
         self.closed = True
+
+
+class WatchedConn(ScriptedConn):
+    """ScriptedConn that records, at each write, whether ``path`` still exists."""
+
+    def __init__(self, request: bytes, path, reset_after: int | None = None):
+        super().__init__(request, reset_after)
+        self._path = path
+        self.present: list[bool] = []
+
+    def sendall(self, data: bytes) -> None:
+        self.present.append(self._path.exists())
+        super().sendall(data)
+
+
+def _dir_card(directory, files: dict[str, bytes]) -> SdCardImage:
+    """A card read back from ``directory`` once ``files`` are written there."""
+    SdCardImage(files).to_dir(directory)
+    return SdCardImage.from_dir(directory)
 
 
 class TestRoute:
@@ -120,26 +140,27 @@ class TestHandleConnection:
         assert sizes == [1760, 1760, 1]
         assert b"".join(conn.writes[5:]) == b"a" * 3521
 
-    def test_serving_ground_removes_both_files(self):
-        sd = _sd()
-        conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n")
-        served_after = []
-        target = handle_connection(conn, sd, lambda: served_after.append(len(conn.writes)))
+    def test_serving_ground_removes_both_files(self, tmp_path):
+        sd = _dir_card(tmp_path, {AIR_LOG: AIR_BYTES, GROUND_LOG: GROUND_BYTES,
+                                  PHOTO_MANIFEST: b"[]"})
+        conn = WatchedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n", tmp_path / GROUND_LOG)
+        target = handle_connection(conn, sd)
         assert target == GROUND_LOG
-        assert AIR_LOG not in sd.files
-        assert GROUND_LOG not in sd.files
-        assert served_after == [len(conn.writes)]  # once, after the last chunk
+        # removed once the last chunk is out: present at every write, gone after
+        assert conn.present == [True] * len(conn.writes) and len(conn.writes) > 5
+        assert sorted(sd.files) == [PHOTO_MANIFEST]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [PHOTO_MANIFEST]
 
-    def test_failed_send_keeps_both_logs(self):
-        sd = _sd()
+    def test_failed_send_keeps_both_logs(self, tmp_path):
+        sd = _dir_card(tmp_path, {AIR_LOG: AIR_BYTES, GROUND_LOG: GROUND_BYTES})
         conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n", reset_after=5)
-        served = []
         with pytest.raises(ConnectionResetError):
-            handle_connection(conn, sd, lambda: served.append(True))
+            handle_connection(conn, sd)
         assert conn.closed
         assert sd.read(AIR_LOG) == AIR_BYTES
         assert sd.read(GROUND_LOG) == GROUND_BYTES
-        assert served == []
+        assert (tmp_path / AIR_LOG).read_bytes() == AIR_BYTES
+        assert (tmp_path / GROUND_LOG).read_bytes() == GROUND_BYTES
 
     def test_missing_file_writes_nothing(self):
         conn = ScriptedConn(b"GET /download/air.csv HTTP/1.1\r\n\r\n")
@@ -148,14 +169,13 @@ class TestHandleConnection:
         assert conn.writes == []
         assert conn.closed
 
-    def test_missing_ground_file_deletes_nothing(self):
-        sd = SdCardImage({AIR_LOG: AIR_BYTES})
+    def test_missing_ground_file_deletes_nothing(self, tmp_path):
+        sd = _dir_card(tmp_path, {AIR_LOG: AIR_BYTES})
         conn = ScriptedConn(b"GET /ground.csv HTTP/1.1\r\n\r\n")
-        served = []
-        assert handle_connection(conn, sd, lambda: served.append(True)) == GROUND_LOG
+        assert handle_connection(conn, sd) == GROUND_LOG
         assert conn.writes == []
         assert sd.read(AIR_LOG) == AIR_BYTES
-        assert served == []
+        assert (tmp_path / AIR_LOG).read_bytes() == AIR_BYTES
 
     def test_empty_file_sends_headers_only(self):
         sd = SdCardImage({AIR_LOG: b""})
