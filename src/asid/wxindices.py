@@ -26,6 +26,7 @@ _BAD_STAMP = re.compile(r"\r\n(?!\d\d\.\d\d\.\d{4},\d\d:\d\d:\d\d,|\r\n|\Z)")
 # that is not part of a CRLF
 _ROW_BYTES = b"0123456789-.,:"
 _NOT_PRINTED = re.compile(rb"[^0-9\-.,:\r\n]|\r(?!\n)|(?<!\r)\n")
+_BARE_ROW_END = re.compile(rb"(?<!,)\r\n")  # a CRLF the logger never prints
 
 
 class LogParseError(ValueError):
@@ -121,8 +122,10 @@ def parse_log(data: bytes) -> list[LogRow]:
     prints is refused too: it prints digits, ``-``, ``.``, ``,`` and ``:``,
     and ends each row with CRLF, so ``15_05``, ``+15.0``, ``1e1`` and a
     blank around a number, all of which ``float`` reads, are malformed fields.
-    After all of these, a log that is not empty must end with the last row's
-    ``,`` and CRLF: a log cut inside its last row is refused, not read short.
+    After these, every CRLF must follow its row's ``,`` (a lost comma, an
+    empty line or a leading CRLF names its row), and a log that is not empty
+    must end with the last row's ``,`` and CRLF: a log cut inside its last
+    row is refused, not read short.
     """
     try:
         text = data.decode("ascii")
@@ -162,6 +165,10 @@ def parse_log(data: bytes) -> list[LogRow]:
         raise LogParseError(data.count(b"\r\n", 0, at) + 1,
                             f"the logger prints only digits, '-', '.', ',', ':' and CRLF row "
                             f"ends, not {chr(data[at])!r}")
+    if data.count(b",\r\n") != len(lines) - 1:  # the search only when a row end lacks its ','
+        at = _BARE_ROW_END.search(data).start()
+        raise LogParseError(data.count(b"\r\n", 0, at) + 1,
+                            "the row does not end with its ',' and CRLF")
     if data and not data.endswith(b",\r\n"):  # a log cut inside its last row
         raise LogParseError(data.count(b"\r\n", 0, len(data) - 1) + 1,
                             "the log ends inside this row, not with its ',' and CRLF")

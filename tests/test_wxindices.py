@@ -322,13 +322,20 @@ def _outcome(parse, data: bytes):
 def assert_parses_as_the_reference(data: bytes) -> None:
     """parse_log gives the reference's rows or error, except that it refuses
     a log the reference reads whose bytes are not all ones the logger prints,
-    and then one that is not empty and does not end with ',' and CRLF."""
+    then one with a CRLF that does not follow a ',', and then one that is not
+    empty and does not end with ',' and CRLF."""
     got, expected = _outcome(parse_log, data), _outcome(reference_parse_log, data)
     if expected[0] == "error":
         assert got == expected, data
         return
     if PRINTED.fullmatch(data):
-        if data and not data.endswith(b",\r\n"):
+        bare = next((i for i in range(len(data) - 1)
+                     if data[i:i + 2] == b"\r\n" and data[i - 1:i] != b","), None)
+        if bare is not None:
+            row = data.count(b"\r\n", 0, bare) + 1
+            expected = ("error", LogParseError, row,
+                        f"row {row}: the row does not end with its ',' and CRLF")
+        elif data and not data.endswith(b",\r\n"):
             row = data.count(b"\r\n", 0, len(data) - 1) + 1
             expected = ("error", LogParseError, row,
                         f"row {row}: the log ends inside this row, not with its ',' and CRLF")
@@ -451,6 +458,39 @@ class TestALogCutInsideItsLastRow:
                           (GOLDEN / "ground.csv").read_bytes())
         assert str(raised.value) == \
             "air-log row 7: the log ends inside this row, not with its ',' and CRLF"
+
+
+class TestARowEndWithoutItsComma:
+    """The logger ends every row with ',' and CRLF, so a CRLF after any other
+    byte is refused with its row, not read as a row end."""
+
+    @pytest.mark.parametrize("edit, row", [
+        (lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:], 2),  # row 2's trailing comma
+        (lambda rows: rows[:2] + [b""] + rows[2:], 3),  # an empty line after row 2
+        (lambda rows: [b""] + rows, 1),  # a leading CRLF
+    ], ids=["no trailing comma", "empty line", "leading CRLF"])
+    def test_an_edited_golden_air_log_exits_data_error(self, edit, row, tmp_path, capsys):
+        air = b"\r\n".join(edit((GOLDEN / "air.csv").read_bytes().split(b"\r\n")))
+        code, err = _report_exit(air, (GOLDEN / "ground.csv").read_bytes(), tmp_path, capsys)
+        assert (code, err) == (cli.EXIT_DATA, f"data error: air-log row {row}: the row does "
+                               f"not end with its ',' and CRLF\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_device_log_without_its_first_rows_comma_exits_data_error(self, tmp_path,
+                                                                       capsys):
+        edits = 0
+        for air, ground in TestALogCutInsideItsLastRow.soundings():
+            for log, data in (("air", air), ("ground", ground)):
+                if not data:  # a surface-only card's air log has no row to edit
+                    continue
+                end = data.index(b",\r\n")
+                edited = data[:end] + data[end + 1:]
+                logs = (edited, ground) if log == "air" else (air, edited)
+                code, err = _report_exit(*logs, tmp_path, capsys)
+                assert (code, err) == (cli.EXIT_DATA, f"data error: {log}-log row 1: the row "
+                                       f"does not end with its ',' and CRLF\n")
+                edits += 1
+        assert edits > 30
 
 
 class TestParseLogAgainstTheReference:
