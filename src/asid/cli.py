@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -262,6 +263,7 @@ def _cmd_mission_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: a build costs about half of a quick command
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asid", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -997,11 +997,11 @@ class TestFailureFamilies:
     def test_a_broken_pipe_on_another_file_is_not_caught_as_stdout(self, monkeypatch,
                                                                     capsys):
         # e.g. an --out FIFO whose reader has gone: stdout is fine and keeps its output
-        def fifo_writer(args):
+        def fifo_writer(path):  # sizing's first call: the parser holds _cmd_sizing itself
             print("before the write")
             raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(cli, "_cmd_sizing", fifo_writer)
+        monkeypatch.setattr(cli, "_load_config", fifo_writer)
         capsys.readouterr()
         assert main(["sizing"]) == EXIT_TRANSPORT
         captured = capsys.readouterr()
