@@ -37,7 +37,7 @@ try:
     # Air must be fetched before ground: serving ground deletes both files.
     air, ground = sync(server.host, server.port, OUT)
     print(f"synced air.csv ({len(air)} bytes) and ground.csv ({len(ground)} bytes) into {OUT}")
-    print(f"card after sync: {sd.names()}")
+    print(f"card after sync: {sorted(sd.files)}")
 
     try:
         sync(server.host, server.port, OUT)

@@ -97,9 +97,6 @@ class SdCardImage:
             (self.directory / name).unlink(missing_ok=True)
         self.files.pop(name, None)
 
-    def names(self) -> list[str]:
-        return sorted(self.files)
-
     def to_dir(self, path) -> None:
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)

@@ -804,7 +804,7 @@ class TestFailureFamilies:
             (tmp_path / "file").write_text("x")
             argv = ["sync", "--host", server.host, "--port", str(server.port), "--out"]
             assert _exit_code(argv + [str(tmp_path / "file" / "out")], capsys)[0] == EXIT_CONFIG
-            assert sd.names() == [firmware.AIR_LOG, firmware.GROUND_LOG]
+            assert sorted(sd.files) == [firmware.AIR_LOG, firmware.GROUND_LOG]
             assert _exit_code(argv + [str(tmp_path / "synced")], capsys)[0] == EXIT_OK
             assert (tmp_path / "synced" / "ground.csv").read_bytes() == \
                 (GOLDEN / "ground.csv").read_bytes()
@@ -833,7 +833,7 @@ class TestFailureFamilies:
         partial = out / f"{firmware.GROUND_LOG}.part"
         assert code == EXIT_CONFIG
         assert str(partial) in err and str(out / firmware.GROUND_LOG) in err
-        assert server.sd.names() == []
+        assert sorted(server.sd.files) == []
         assert (out / firmware.AIR_LOG).read_bytes() == logs[firmware.AIR_LOG]
         assert partial.read_bytes() == logs[firmware.GROUND_LOG]
 

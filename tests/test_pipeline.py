@@ -170,7 +170,7 @@ def test_threshold_below_the_first_interval_serves_after_the_ground_rows(documen
     result = run_simulation(config.from_dict(document))
     assert (result.ground_rows, result.air_rows, result.server_started) == (6, 0, True)
     card = hashlib.sha256()
-    for name in result.sd.names():
+    for name in sorted(result.sd.files):
         card.update(name.encode("ascii") + b"\0" + result.sd.read(name) + b"\0")
     assert card.hexdigest() == card_sha256
 

@@ -296,7 +296,7 @@ class TestLoopback:
     def test_plain_air_path_is_served_ground(self, server):
         # "air" at index 5 of "GET /air.csv" routes to the ground handler
         assert fetch(server.host, server.port, "/air.csv", timeout=5.0) == GROUND_BYTES
-        assert server.sd.names() == []
+        assert sorted(server.sd.files) == []
         with pytest.raises(ProtocolError):
             fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=5.0)
 
