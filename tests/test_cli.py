@@ -728,8 +728,7 @@ class TestServeSyncReport:
             server.close()
 
     def test_asid_serve_deletes_the_logs_it_served_and_stops_on_ctrl_c(self, tmp_path):
-        # the serve command in its own process; -c, since -m asid.cli warns that
-        # asid/__init__.py has already imported asid.cli
+        # the serve command in its own process, stopped as a user stops it
         sd_dir = tmp_path / "sd"
         assert main(["simulate", "--out", str(sd_dir)]) == EXIT_OK
         env = dict(os.environ, PYTHONPATH=str(Path(asid.__file__).parents[1]))
