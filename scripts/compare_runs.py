@@ -10,8 +10,9 @@ starts, a 0.1 m interval step, wind, a pack that empties, a -0.0
 temperature, a temperature and humidity that are ties on every row, so
 that every row takes the exact printer, a propeller that cannot hold a
 hover, a 1500 m column whose descent is one 1490 m leg, 24,687 ground rows,
-the last stamped past the logger clock's limit, and pressure noise that
-drives the fourth ground row below 0 Pa) and the first
+the last stamped past the logger clock's limit, pressure noise that
+drives the fourth ground row below 0 Pa, and 40 ground rows that cross
+into a new year from an ``rtc_start`` with microseconds) and the first
 6 soundings of each benchmark workload (``perfbench/workloads.schedule``,
 seed 1, read from this script's own checkout).  Each checkout runs in a fresh
 interpreter of its own that imports ``asid`` from that checkout's
@@ -107,6 +108,8 @@ def documents() -> dict[str, dict]:
         "ground_clock_limit": {"firmware": {"ground_samples": 24_687}},
         "ground_noise_pressure": {"environment": {"rng_seed": 31,
                                                   "sensor_noise": {"pressure": 50000.0}}},
+        "ground_new_year_us": {"firmware": {"rtc_start": "2021-12-31T23:59:58.250000",
+                                            "ground_samples": 40}},
     }
     for workload in workloads.WORKLOADS:
         for index, document in enumerate(workloads.schedule(workload, SEED, SOUNDINGS)):

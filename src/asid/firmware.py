@@ -37,6 +37,10 @@ INTERVAL_START_M = 5.0   # first air threshold
 CLOCK_LIMIT_MS = 86_400_000
 RTC_LATEST_START = datetime.max.replace(microsecond=0) - timedelta(milliseconds=CLOCK_LIMIT_MS)
 DAY_US = 86_400_000_000  # microseconds in a calendar day
+# a row's HH:MM:SS stamp, for s seconds past midnight, is
+# MINUTE_STAMPS[s // 60] + SECOND_STAMPS[s % 60]
+MINUTE_STAMPS = tuple("%02d:%02d:" % divmod(minute, 60) for minute in range(1440))
+SECOND_STAMPS = tuple("%02d" % second for second in range(60))
 
 
 class SimulationError(RuntimeError):
@@ -191,10 +195,10 @@ def make_sample(state: FirmwareState, temperature: float, humidity: float,
     clock_ms, the year in four digits.
     """
     corrected_hpa = _checked_hpa(state, humidity, pressure_pa, clock_ms)
-    day, us = divmod(state.rtc_day_us + clock_ms * 1000, DAY_US)
-    seconds = us // 1_000_000
-    return LogRow(state.dates[day],
-                  "%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
+    us = state.rtc_day_us + clock_ms * 1000
+    seconds = us % DAY_US // 1_000_000
+    return LogRow(state.dates[us // DAY_US],
+                  MINUTE_STAMPS[seconds // 60] + SECOND_STAMPS[seconds % 60],
                   temperature, humidity, heat_index(temperature, humidity), corrected_hpa,
                   linear_altitude(corrected_hpa, state.mslp_hpa))
 
@@ -243,6 +247,7 @@ def log_ground(state: FirmwareState, readings: Iterable[tuple[float, float, floa
     period = GROUND_BUZZ_MS + GROUND_DELAY_MS
     correction, mslp, dates, day_us = state.cfg.pressure_correction, state.mslp_hpa, \
         state.dates, state.rtc_day_us
+    minutes, secs = MINUTE_STAMPS, SECOND_STAMPS
     rows = []
     # range first: zip stops at the range's end without drawing one more reading
     for clock, (temperature, humidity, pressure) in zip(
@@ -254,10 +259,10 @@ def log_ground(state: FirmwareState, readings: Iterable[tuple[float, float, floa
             raise ValueError("pressure must be positive")
         if not 0.0 <= humidity <= 100.0:
             raise ValueError("relative humidity must lie in [0, 100] %")
-        day, us = divmod(day_us + clock * 1000, DAY_US)
-        seconds = us // 1_000_000
+        us = day_us + clock * 1000
+        seconds = us % DAY_US // 1_000_000
         rows.append(_row_text(
-            dates[day], "%02d:%02d:%02d" % (seconds // 3600, seconds // 60 % 60, seconds % 60),
+            dates[us // DAY_US], minutes[seconds // 60] + secs[seconds % 60],
             temperature, humidity, heat_index(temperature, humidity), corrected_hpa,
             (mslp - corrected_hpa) / LINEAR_ALTIMETER_SLOPE))
     sd.append(GROUND_LOG, "".join(rows).encode("ascii"))

@@ -132,10 +132,11 @@ def readings(env: Environment, altitude: float,
     while True:
         t_draw, h_draw, p_draw = draws(rng)
         h = humidity + h_draw * h_sigma
+        h = h if h > 0.0 else 0.0  # -0.0 reads 0.0, as in max(0.0, h)
         p = pressure + p_draw * p_sigma
         if p <= 0.0:
             raise SimulationError(f"sensor noise drove the pressure to {p:g} Pa")
-        yield temperature + t_draw * t_sigma, min(100.0, max(0.0, h)), p
+        yield temperature + t_draw * t_sigma, h if h < 100.0 else 100.0, p
 
 
 def true_sample(env: Environment, altitude: float,

@@ -81,8 +81,11 @@ def handle_connection(conn, sd: SdCardImage) -> str | None:
     CONNECTION_TIMEOUT_S.  Writes happen exactly one sendall per header line
     and per 1760-byte body chunk, so a counting transport can observe the
     chunking.  Once the last chunk of ground.csv is out, both logs are removed
-    from the card (from its directory too, for a card read with ``from_dir``);
-    a transport error before that propagates and leaves the card as it was.
+    from the card (from its directory too, for a card read with ``from_dir``).
+    A removal that fails is logged as a warning naming the file and the error,
+    and leaves that log and the next on the card: the connection was served
+    whole all the same.  A transport error before that propagates and leaves
+    the card as it was.
     """
     deadline = time.monotonic() + CONNECTION_TIMEOUT_S
     settimeout = getattr(conn, "settimeout", None)
@@ -109,8 +112,12 @@ def handle_connection(conn, sd: SdCardImage) -> str | None:
         for piece in HttpFileResponse(name, body).wire_writes():
             conn.sendall(piece)
         if name == GROUND_LOG:
-            sd.remove(AIR_LOG)
-            sd.remove(GROUND_LOG)
+            for log_name in (AIR_LOG, GROUND_LOG):
+                try:
+                    sd.remove(log_name)
+                except OSError as exc:
+                    log.warning("served %s but could not delete %s: %r", name, log_name, exc)
+                    break
         return name
     finally:
         conn.close()

@@ -14,7 +14,7 @@ spec.loader.exec_module(compare_runs)
 def test_the_checkout_against_itself_finds_no_difference(capsys):
     assert compare_runs.main([str(ROOT), str(ROOT)]) == 0
     count = len(compare_runs.documents())
-    assert count == 14 + 3 * compare_runs.SOUNDINGS
+    assert count == 15 + 3 * compare_runs.SOUNDINGS
     assert capsys.readouterr().out == f"{count} of {count} documents give the same outcome\n"
 
 

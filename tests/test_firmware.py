@@ -456,6 +456,25 @@ class TestMakeSample:
             # the year is four digits on every C library (glibc writes 999 as "999")
             assert (row.date, row.time) == (stamp.strftime("%d.%m.") + "%04d" % stamp.year,
                                             stamp.strftime("%H:%M:%S")), ms
+        # the ground rows, stamped every 3.5 s, up to two past midnight
+        period = firmware.GROUND_BUZZ_MS + firmware.GROUND_DELAY_MS
+        cfg = FirmwareConfig(elevation=0.0, rtc_start=rtc_start,
+                             ground_samples=to_midnight // period + 2)
+        sd = SdCardImage()
+        log_ground(setup(cfg, 101325.0), itertools.repeat((15.0, 50.0, 101325.0)), sd)
+        rows = sd.read(GROUND_LOG).split(b"\r\n")[:-1]
+        assert len(rows) == cfg.ground_samples
+        for index, row in enumerate(rows):
+            stamp = rtc_start + timedelta(milliseconds=index * period)
+            assert row.split(b",")[:2] == [
+                (stamp.strftime("%d.%m.") + "%04d" % stamp.year).encode("ascii"),
+                stamp.strftime("%H:%M:%S").encode("ascii")], index
+
+    def test_stamp_tables_print_every_second_of_a_day(self):
+        assert len(firmware.MINUTE_STAMPS) == 1440 and len(firmware.SECOND_STAMPS) == 60
+        assert [firmware.MINUTE_STAMPS[s // 60] + firmware.SECOND_STAMPS[s % 60]
+                for s in range(86_400)] \
+            == ["%02d:%02d:%02d" % (s // 3600, s // 60 % 60, s % 60) for s in range(86_400)]
 
 
 class TestSdCardImage:

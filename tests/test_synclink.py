@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import logging
 import random
 import socket
 import string
@@ -197,9 +198,9 @@ class TestHandleConnection:
         assert wires[0] == wires[1]
 
 
-@pytest.fixture
-def server():
-    sd = _sd()
+@contextlib.contextmanager
+def _serving(sd):
+    """A LogServer of ``sd`` serving from a thread of its own until the block ends."""
     srv = LogServer(sd, port=0)
     stop = threading.Event()
     thread = threading.Thread(target=srv.serve_forever, args=(stop,), daemon=True)
@@ -210,6 +211,12 @@ def server():
         stop.set()
         thread.join(timeout=2.0)
         srv.close()
+
+
+@pytest.fixture
+def server():
+    with _serving(_sd()) as srv:
+        yield srv
 
 
 class TestLoopback:
@@ -301,18 +308,26 @@ class TestLoopback:
             fetch(server.host, server.port, AIR_REQUEST_PATH, timeout=5.0)
 
     def test_empty_air_file_yields_zero_byte_body(self):
-        sd = SdCardImage({AIR_LOG: b"", GROUND_LOG: GROUND_BYTES})
-        srv = LogServer(sd, port=0)
-        stop = threading.Event()
-        thread = threading.Thread(target=srv.serve_forever, args=(stop,), daemon=True)
-        thread.start()
-        try:
-            body = fetch(srv.host, srv.port, AIR_REQUEST_PATH, timeout=5.0)
-            assert body == b""
-        finally:
-            stop.set()
-            thread.join(timeout=2.0)
-            srv.close()
+        with _serving(SdCardImage({AIR_LOG: b"", GROUND_LOG: GROUND_BYTES})) as srv:
+            assert fetch(srv.host, srv.port, AIR_REQUEST_PATH, timeout=5.0) == b""
+
+    def test_a_failed_deletion_is_logged_as_such_and_keeps_the_logs(self, tmp_path, caplog):
+        card = tmp_path / "card"
+        sd = _dir_card(card, {AIR_LOG: AIR_BYTES, GROUND_LOG: GROUND_BYTES})
+        (card / AIR_LOG).unlink()
+        (card / AIR_LOG).mkdir()  # unlinking a directory raises
+        caplog.set_level(logging.WARNING, logger=synclink.__name__)
+        with _serving(sd) as srv:
+            for out in ("first", "second"):
+                assert sync(srv.host, srv.port, tmp_path / out, timeout=5.0) \
+                    == (AIR_BYTES, GROUND_BYTES)
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 2
+        assert all(message.startswith("served ground.csv but could not delete air.csv: ")
+                   and "Error(" in message for message in messages)
+        assert sd.read(AIR_LOG) == AIR_BYTES and sd.read(GROUND_LOG) == GROUND_BYTES
+        assert (card / AIR_LOG).is_dir()
+        assert (card / GROUND_LOG).read_bytes() == GROUND_BYTES
 
 
 def test_a_server_on_a_busy_port_closes_its_socket():
